@@ -1,63 +1,14 @@
-"""Game economy graphs: simulation, evolutionary generation, and balancing."""
+"""Game economy graphs: simulation, evolutionary generation, and balancing.
 
-from .model import (
-    CONSTRAINTS,
-    DanglingEdgeError,
-    EconomyError,
-    EconomyGraph,
-    EconomySchemaError,
-    Edge,
-    GateNormalizationError,
-    InvalidEconomyError,
-    Node,
-    NodeConstraint,
-    NodeKind,
-    NonPositiveWeightError,
-    UnknownNodeKindError,
-    constraint_for,
-    graph_fitness,
-    is_valid,
-    is_weakly_connected,
-    load_economy,
-    normalize_gate_weights,
-    save_economy,
-    validate_node,
-)
-from .sim import (
-    RunEnsemble,
-    SimulationState,
-    SimulationTrace,
-    ensemble_to_csv,
-    initial_state,
-    monitored_node_ids,
-    simulate,
-    simulate_ensemble,
-    step,
-)
-from .generator import (
-    EdgeListGenome,
-    GenerationResult,
-    GeneratorConfig,
-    generate,
-    mutate_add_edge,
-    mutate_remove_edge,
-    random_node_counts,
-)
-from .balancer import (
-    BalanceObjective,
-    BalanceParams,
-    BalanceReport,
-    ObjectiveKind,
-    TerminationReason,
-    WeightGenome,
-    absolute_fitness,
-    balance,
-    crossover,
-    mutate,
-    pairwise_fitness,
-    prop,
-)
-from .bench import BenchmarkResult, BenchmarkSpec, run_benchmark
+The root package re-exports what the README shows; everything else is
+imported from its submodule (``flowtune.model``, ``flowtune.sim``, ...).
+"""
+
+from .model import EconomyError, EconomyGraph, Edge, Node, NodeKind, is_valid, load_economy
+from .sim import monitored_node_ids, simulate, simulate_ensemble
+from .generator import GeneratorConfig, generate, random_node_counts
+from .balancer import BalanceObjective, BalanceParams, ObjectiveKind, TerminationReason, balance
+from .bench import BenchmarkSpec, run_benchmark
 from .fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from typing import Sequence, Union
 
 from .model import EconomyGraph, InvalidEconomyError, NodeKind, is_valid, normalize_gate_weights
 from .sim import RunEnsemble, simulate_ensemble
-from .util import derive_seed
+from .util import check_number, derive_seed
 
 #: A genome reaching this fitness is balanced and stops the search.
 BALANCED_FITNESS = 1.0
@@ -59,16 +59,18 @@ class BalanceObjective:
     def __post_init__(self):
         if not isinstance(self.kind, ObjectiveKind):
             object.__setattr__(self, "kind", ObjectiveKind(self.kind))
-        if self.sim_length < 1:
-            raise ValueError("sim_length must be >= 1")
+        if not isinstance(self.pool, str) or not isinstance(self.second_pool, (str, type(None))):
+            raise ValueError("pool names must be strings")
+        check_number("sim_length", self.sim_length, integer=True, minimum=1)
+        check_number("observe_step", self.observe_step, integer=True)
         if not 1 <= self.observe_step <= self.sim_length:
             raise ValueError(
                 f"observe_step must lie in [1, sim_length], got {self.observe_step}"
             )
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        check_number("runs", self.runs, integer=True, minimum=1)
+        check_number("alpha", self.alpha, minimum=0)
+        if self.target_value is not None:
+            check_number("target_value", self.target_value)
         if self.kind is ObjectiveKind.ABSOLUTE:
             if self.target_value is None or not self.target_value > 0:
                 raise ValueError("absolute objective needs a positive target_value")
@@ -91,14 +93,14 @@ class BalanceParams:
     probability_delta_max: float = 0.25
 
     def __post_init__(self):
+        check_number("population_size", self.population_size, integer=True)
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2 (crossover needs pairs)")
-        if self.max_generations < 0:
-            raise ValueError("max_generations must be >= 0")
-        if self.mutations_per_generation < 0:
-            raise ValueError("mutations_per_generation must be >= 0")
-        if self.amount_delta_max < 1:
-            raise ValueError("amount_delta_max must be >= 1")
+        check_number("max_generations", self.max_generations, integer=True, minimum=0)
+        check_number("seed", self.seed, integer=True)
+        check_number("mutations_per_generation", self.mutations_per_generation, integer=True, minimum=0)
+        check_number("amount_delta_max", self.amount_delta_max, integer=True, minimum=1)
+        check_number("probability_delta_max", self.probability_delta_max)
         if not self.probability_delta_max > 0:
             raise ValueError("probability_delta_max must be > 0")
 
@@ -148,8 +150,6 @@ def pairwise_fitness(
 
 @dataclass(frozen=True)
 class _Gene:
-    graph_index: int
-    edge_index: int
     probability: bool
     static: bool
     declared: float
@@ -162,11 +162,11 @@ class GenomeLayout:
         self.graphs = tuple(graphs)
         genes = []
         spans = []
-        for gi, graph in enumerate(self.graphs):
+        for graph in self.graphs:
             start = len(genes)
-            for ei, edge in enumerate(graph.edges):
+            for edge in graph.edges:
                 probability = graph.node(edge.src).kind is NodeKind.RANDOM_GATE
-                genes.append(_Gene(gi, ei, probability, edge.static, edge.weight))
+                genes.append(_Gene(probability, edge.static, edge.weight))
             spans.append((start, len(genes)))
         self.genes = tuple(genes)
         self.spans = tuple(spans)
@@ -336,6 +336,7 @@ class BalanceReport:
 
 
 def _observed_pools(objective: BalanceObjective) -> list:
+    """(economy index, pool) per observed pool: the target, then any second pool."""
     if objective.kind is ObjectiveKind.ABSOLUTE:
         return [(0, objective.pool)]
     if objective.kind is ObjectiveKind.INTRA_PAIR:
@@ -365,7 +366,8 @@ def balance(
     if isinstance(graphs, EconomyGraph):
         graphs = (graphs,)
     graphs = tuple(graphs)
-    expected = 2 if objective.kind is ObjectiveKind.INTER_PAIR else 1
+    observed = _observed_pools(objective)
+    expected = 1 + max(economy_index for economy_index, _ in observed)
     if len(graphs) != expected:
         raise ValueError(
             f"{objective.kind.value} objective needs {expected} economy graph(s), got {len(graphs)}"
@@ -373,11 +375,8 @@ def balance(
     for graph in graphs:
         if not is_valid(graph):
             raise InvalidEconomyError("cannot balance an invalid economy graph")
-    _check_pool(graphs[0], objective.pool, "target pool")
-    if objective.kind is ObjectiveKind.INTRA_PAIR:
-        _check_pool(graphs[0], objective.second_pool, "second pool")
-    elif objective.kind is ObjectiveKind.INTER_PAIR:
-        _check_pool(graphs[1], objective.second_pool, "second pool")
+    for (economy_index, pool), role in zip(observed, ("target pool", "second pool")):
+        _check_pool(graphs[economy_index], pool, role)
 
     layout = GenomeLayout(graphs)
     rng = random.Random(params.seed)
@@ -399,14 +398,9 @@ def balance(
         ]
         if objective.kind is ObjectiveKind.ABSOLUTE:
             fitness = absolute_fitness(ensembles[0], objective.pool, t, objective.target_value, alpha)
-        elif objective.kind is ObjectiveKind.INTRA_PAIR:
-            fitness = pairwise_fitness(
-                ensembles[0], ensembles[0], objective.pool, objective.second_pool, t, alpha
-            )
         else:
-            fitness = pairwise_fitness(
-                ensembles[0], ensembles[1], objective.pool, objective.second_pool, t, alpha
-            )
+            (index_a, pool_a), (index_b, pool_b) = observed
+            fitness = pairwise_fitness(ensembles[index_a], ensembles[index_b], pool_a, pool_b, t, alpha)
         genome.fitness = fitness
         cache[key] = fitness
 
@@ -446,7 +440,7 @@ def balance(
     final_graphs = layout.apply(best)
     observations = []
     report_ensembles = {}
-    for economy_index, pool in _observed_pools(objective):
+    for economy_index, pool in observed:
         ensemble = report_ensembles.get(economy_index)
         if ensemble is None:
             ensemble = simulate_ensemble(

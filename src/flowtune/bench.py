@@ -12,14 +12,14 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from .balancer import BalanceObjective, BalanceParams, ObjectiveKind, balance
 from .generator import GeneratorConfig, generate, random_node_counts
-from .model import EconomyGraph
+from .model import EconomyGraph, NodeKind
 from .sim import monitored_node_ids
-from .util import derive_seed
+from .util import check_number, derive_seed
 
 
 @dataclass(frozen=True)
@@ -39,35 +39,60 @@ class BenchmarkSpec:
 
     def __post_init__(self):
         for name in ("node_range", "target_range", "sim_length_range"):
-            lo, hi = getattr(self, name)
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a [low, high] pair") from None
+            check_number(f"{name} low", lo, integer=True)
+            check_number(f"{name} high", hi, integer=True)
             if lo > hi:
                 raise ValueError(f"{name} is empty: [{lo}, {hi}]")
-            object.__setattr__(self, name, (int(lo), int(hi)))
-        if self.graphs < 0:
-            raise ValueError("graphs must be >= 0")
-        if not self.alphas:
-            raise ValueError("need at least one alpha")
-        if any(a < 0 for a in self.alphas):
-            raise ValueError("alphas must be >= 0")
+            object.__setattr__(self, name, (lo, hi))
+        check_number("graphs", self.graphs, integer=True, minimum=0)
+        check_number("seed", self.seed, integer=True)
+        if not isinstance(self.alphas, (list, tuple)) or not self.alphas:
+            raise ValueError("alphas must be a nonempty list")
+        # The configs built per task check the remaining fields; build one
+        # of each now so that a bad spec fails before any generation.
+        self.generator_config({NodeKind.SOURCE: 1, NodeKind.POOL: 1}, 0)
+        self.balance_params(0)
+        for alpha in self.alphas:
+            self.objective("pool", self.target_range[0], self.sim_length_range[0], alpha)
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+
+    def generator_config(self, counts: dict, seed: int) -> GeneratorConfig:
+        return GeneratorConfig(
+            counts,
+            population_size=self.generator_population,
+            max_steps=self.generator_max_steps,
+            remove_probability=self.remove_probability,
+            seed=seed,
+        )
+
+    def balance_params(self, seed: int) -> BalanceParams:
+        return BalanceParams(
+            population_size=self.population, max_generations=self.max_generations, seed=seed
+        )
+
+    def objective(self, pool: str, target_value: int, sim_length: int, alpha) -> BalanceObjective:
+        return BalanceObjective(
+            ObjectiveKind.ABSOLUTE,
+            pool,
+            observe_step=sim_length,
+            sim_length=sim_length,
+            runs=self.runs,
+            alpha=alpha,
+            target_value=target_value,
+        )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkSpec":
         if not isinstance(doc, dict):
             raise ValueError("benchmark spec must be an object")
-        known = {
-            "graphs", "node_range", "target_range", "sim_length_range", "alphas",
-            "population", "max_generations", "runs", "generator_population",
-            "generator_max_steps", "remove_probability", "seed",
-        }
-        extra = set(doc) - known
+        extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown benchmark spec keys: {sorted(extra)}")
-        kwargs = dict(doc)
-        for name in ("node_range", "target_range", "sim_length_range", "alphas"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -173,14 +198,9 @@ def run_benchmark(spec: BenchmarkSpec, progress: Callable[[str], None] = None) -
         counts = random_node_counts(rng, *spec.node_range)
         target_value = rng.randint(*spec.target_range)
         sim_length = rng.randint(*spec.sim_length_range)
-        config = GeneratorConfig(
-            counts,
-            population_size=spec.generator_population,
-            max_steps=spec.generator_max_steps,
-            remove_probability=spec.remove_probability,
-            seed=derive_seed(spec.seed, "generate", graph_index),
+        result = generate(
+            spec.generator_config(counts, derive_seed(spec.seed, "generate", graph_index))
         )
-        result = generate(config)
         if not result.valid:
             failures.append(
                 {"graph": graph_index, "stage": "generate", "final_fitness": result.fitness}
@@ -197,20 +217,8 @@ def run_benchmark(spec: BenchmarkSpec, progress: Callable[[str], None] = None) -
             break  # nothing attempted: leave the result table empty
         alpha_runs = []
         for task in tasks:
-            objective = BalanceObjective(
-                ObjectiveKind.ABSOLUTE,
-                task.pool,
-                observe_step=task.sim_length,
-                sim_length=task.sim_length,
-                runs=spec.runs,
-                alpha=alpha,
-                target_value=task.target_value,
-            )
-            params = BalanceParams(
-                population_size=spec.population,
-                max_generations=spec.max_generations,
-                seed=derive_seed(spec.seed, "balance", task.graph_index),
-            )
+            objective = spec.objective(task.pool, task.target_value, task.sim_length, alpha)
+            params = spec.balance_params(derive_seed(spec.seed, "balance", task.graph_index))
             started = time.perf_counter()
             report = balance(task.graph, objective, params)
             elapsed = time.perf_counter() - started

@@ -26,8 +26,10 @@ from .model import (
     Edge,
     Node,
     NodeKind,
+    indices_connected,
     normalize_gate_weights,
 )
+from .util import check_number
 
 #: Kinds drawn when sampling random node multisets; fixed pools are a
 #: designer refinement and are not generated.
@@ -53,15 +55,14 @@ class GeneratorConfig:
         for kind, count in counts.items():
             if not isinstance(kind, NodeKind):
                 raise ValueError(f"unknown node kind {kind!r}")
-            if not isinstance(count, int) or count < 0:
-                raise ValueError(f"count for {kind.value} must be a nonnegative integer")
+            check_number(f"count for {kind.value}", count, integer=True, minimum=0)
         object.__setattr__(self, "node_counts", counts)
         if sum(counts.values()) < 2:
             raise ValueError("need at least two nodes to build an economy")
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        check_number("population_size", self.population_size, integer=True, minimum=1)
+        check_number("max_steps", self.max_steps, integer=True, minimum=1)
+        check_number("seed", self.seed, integer=True)
+        check_number("remove_probability", self.remove_probability)
         if not 0.0 <= self.remove_probability <= 1.0:
             raise ValueError("remove_probability must be in [0, 1]")
 
@@ -136,24 +137,7 @@ class EdgeListGenome:
         self._in_deg[v] = new
 
     def is_connected(self) -> bool:
-        n = len(self.nodes)
-        if n <= 1:
-            return True
-        neighbors = [[] for _ in range(n)]
-        for a, b in self.edges:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            for other in neighbors[stack.pop()]:
-                if not seen[other]:
-                    seen[other] = True
-                    count += 1
-                    stack.append(other)
-        return count == n
+        return indices_connected(len(self.nodes), self.edges)
 
     def copy(self) -> "EdgeListGenome":
         clone = EdgeListGenome.__new__(EdgeListGenome)

@@ -14,9 +14,12 @@ its rule and the graph is weakly connected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
+
+from .util import dump_json
 
 GATE_WEIGHT_TOLERANCE = 1e-9
 
@@ -216,8 +219,8 @@ class EconomyGraph:
 
 def _coerce_weight(edge: Edge, src_kind: NodeKind) -> Edge:
     w = edge.weight
-    if isinstance(w, bool) or not isinstance(w, (int, float)):
-        raise EconomySchemaError(f"edge {edge.src!r}->{edge.dst!r}: weight must be a number")
+    if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
+        raise EconomySchemaError(f"edge {edge.src!r}->{edge.dst!r}: weight must be a finite number")
     if not (w > 0):
         raise NonPositiveWeightError(
             f"edge {edge.src!r}->{edge.dst!r}: weight must be positive, got {w!r}"
@@ -269,21 +272,29 @@ def graph_fitness(graph: EconomyGraph) -> int:
 
 def is_weakly_connected(graph: EconomyGraph) -> bool:
     """True when the graph forms one component ignoring edge direction."""
-    if len(graph.nodes) <= 1:
+    index = {node.id: i for i, node in enumerate(graph.nodes)}
+    return indices_connected(len(index), [(index[e.src], index[e.dst]) for e in graph.edges])
+
+
+def indices_connected(count: int, pairs) -> bool:
+    """True when nodes 0..count-1 form one component under the undirected pairs."""
+    if count <= 1:
         return True
-    neighbors = {node.id: set() for node in graph.nodes}
-    for edge in graph.edges:
-        neighbors[edge.src].add(edge.dst)
-        neighbors[edge.dst].add(edge.src)
-    start = graph.nodes[0].id
-    seen = {start}
-    stack = [start]
+    neighbors = [[] for _ in range(count)]
+    for a, b in pairs:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    seen = [False] * count
+    seen[0] = True
+    stack = [0]
+    reached = 1
     while stack:
         for other in neighbors[stack.pop()]:
-            if other not in seen:
-                seen.add(other)
+            if not seen[other]:
+                seen[other] = True
+                reached += 1
                 stack.append(other)
-    return len(seen) == len(graph.nodes)
+    return reached == count
 
 
 def is_valid(graph: EconomyGraph) -> bool:
@@ -324,7 +335,11 @@ _EDGE_KEYS = {"from", "to", "weight", "static"}
 
 
 def load_economy(data: Union[bytes, str]) -> EconomyGraph:
-    """Parse an economy document (see README for the schema)."""
+    """Parse an economy document (see README for the schema).
+
+    Checks here cover only the document's shape; the EconomyGraph
+    constructor checks ids, initial amounts and weights.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -350,8 +365,6 @@ def load_economy(data: Union[bytes, str]) -> EconomyGraph:
         if extra:
             raise EconomySchemaError(f"nodes[{i}]: unknown keys {sorted(extra)}")
         node_id = raw.get("id")
-        if not isinstance(node_id, str) or not node_id:
-            raise EconomySchemaError(f"nodes[{i}]: id must be a nonempty string")
         kind_name = raw.get("kind")
         try:
             kind = NodeKind(kind_name)
@@ -362,10 +375,7 @@ def load_economy(data: Union[bytes, str]) -> EconomyGraph:
         label = raw.get("label")
         if label is not None and not isinstance(label, str):
             raise EconomySchemaError(f"node {node_id!r}: label must be a string")
-        initial = raw.get("initial", 0)
-        if isinstance(initial, bool) or not isinstance(initial, int):
-            raise EconomySchemaError(f"node {node_id!r}: initial must be an integer")
-        nodes.append(Node(node_id, kind, label, initial))
+        nodes.append(Node(node_id, kind, label, raw.get("initial", 0)))
 
     edges = []
     for i, raw in enumerate(doc["edges"]):
@@ -377,13 +387,10 @@ def load_economy(data: Union[bytes, str]) -> EconomyGraph:
         src, dst = raw.get("from"), raw.get("to")
         if not isinstance(src, str) or not isinstance(dst, str):
             raise EconomySchemaError(f"edges[{i}]: from/to must be strings")
-        weight = raw.get("weight")
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            raise EconomySchemaError(f"edge {src!r}->{dst!r}: weight must be a number")
         static = raw.get("static", False)
         if not isinstance(static, bool):
             raise EconomySchemaError(f"edge {src!r}->{dst!r}: static must be a boolean")
-        edges.append(Edge(src, dst, weight, static))
+        edges.append(Edge(src, dst, raw.get("weight"), static))
 
     return EconomyGraph(tuple(nodes), tuple(edges))
 
@@ -394,7 +401,7 @@ def save_economy(graph: EconomyGraph) -> bytes:
         "nodes": [_node_to_dict(n) for n in graph.nodes],
         "edges": [_edge_to_dict(e) for e in graph.edges],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return dump_json(doc)
 
 
 def _node_to_dict(node: Node) -> dict:

@@ -23,6 +23,10 @@ reproducible from a seed:
    consumed are discarded.
 
 All flows are whole resource counts; balances can never go negative.
+
+A graph's connection rules are checked once, when it is first simulated
+(or stepped): the compiled step plan is cached on the graph, so later
+runs of the same graph skip the check.
 """
 
 from __future__ import annotations
@@ -105,18 +109,9 @@ def monitored_node_ids(graph: EconomyGraph) -> list:
 
 
 def initial_state(graph: EconomyGraph) -> SimulationState:
-    pools = {}
-    drains = {}
-    caps = _fixed_pool_caps(graph)
-    for node in graph.nodes:
-        if node.kind.is_pool_like:
-            amount = node.initial_amount
-            if node.id in caps:
-                amount = min(amount, caps[node.id])
-            pools[node.id] = amount
-        elif node.kind is NodeKind.DRAIN:
-            drains[node.id] = 0
-    return SimulationState(pools, drains, 0)
+    """Declared initial amounts (fixed pools clamped to their cap), drains at 0."""
+    plan = _plan_for(graph)
+    return SimulationState(dict(plan.initial_pools), dict(plan.initial_drains), 0)
 
 
 def step(
@@ -126,8 +121,6 @@ def step(
     on_transfer: TransferObserver = None,
 ) -> SimulationState:
     """Advance one time step; returns the next state, inputs untouched."""
-    if not is_valid(graph):
-        raise InvalidEconomyError("refusing to simulate an invalid economy graph")
     plan = _plan_for(graph)
     pools = dict(state.pool_balances)
     drains = dict(state.drain_totals)
@@ -148,14 +141,11 @@ def simulate(
     """
     if n < 1:
         raise ValueError(f"simulation length must be >= 1, got {n}")
-    if not is_valid(graph):
-        raise InvalidEconomyError("refusing to simulate an invalid economy graph")
     plan = _plan_for(graph)
     rng = random.Random(seed)
-    state = initial_state(graph)
-    snapshots = [state]
-    pools = dict(state.pool_balances)
-    drains = dict(state.drain_totals)
+    pools = dict(plan.initial_pools)
+    drains = dict(plan.initial_drains)
+    snapshots = [SimulationState(dict(pools), dict(drains), 0)]
     for t in range(1, n + 1):
         _execute(plan, pools, drains, rng, on_transfer)
         snapshots.append(SimulationState(dict(pools), dict(drains), t))
@@ -210,23 +200,18 @@ class _ConverterPlan:
 
 
 class _Plan:
-    __slots__ = ("sources", "gates", "converters", "drain_moves", "caps")
-
-
-def _fixed_pool_caps(graph: EconomyGraph) -> dict:
-    caps = {}
-    for node in graph.nodes:
-        if node.kind is NodeKind.FIXED_POOL:
-            out = graph.out_edges(node.id)
-            if out:  # uncapped when nothing flows out
-                caps[node.id] = max(int(e.weight) for e in out)
-    return caps
+    __slots__ = (
+        "sources", "gates", "converters", "drain_moves", "caps", "initial_pools", "initial_drains"
+    )
 
 
 def _plan_for(graph: EconomyGraph) -> _Plan:
+    """The graph's cached step plan; compiling it is the one validity check."""
     cached = getattr(graph, "_sim_plan", None)
     if cached is not None:
         return cached
+    if not is_valid(graph):
+        raise InvalidEconomyError("refusing to simulate an invalid economy graph")
 
     kind = {n.id: n.kind for n in graph.nodes}
     gates = {}
@@ -275,7 +260,17 @@ def _plan_for(graph: EconomyGraph) -> _Plan:
         for e in graph.edges
         if kind[e.src].is_pool_like and kind[e.dst] is NodeKind.DRAIN
     ]
-    plan.caps = _fixed_pool_caps(graph)
+    plan.caps = {}
+    for node in graph.nodes_of_kind(NodeKind.FIXED_POOL):
+        out = graph.out_edges(node.id)
+        if out:  # uncapped when nothing flows out
+            plan.caps[node.id] = max(int(e.weight) for e in out)
+    plan.initial_pools = {
+        n.id: min(n.initial_amount, plan.caps.get(n.id, n.initial_amount))
+        for n in graph.nodes
+        if n.kind.is_pool_like
+    }
+    plan.initial_drains = {n.id: 0 for n in graph.nodes_of_kind(NodeKind.DRAIN)}
 
     object.__setattr__(graph, "_sim_plan", plan)
     return plan

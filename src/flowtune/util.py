@@ -1,9 +1,10 @@
-"""Small shared helpers: stable seed derivation and JSON output."""
+"""Small shared helpers: stable seed derivation, parameter checks, JSON output."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 
 def derive_seed(*parts) -> int:
@@ -14,6 +15,22 @@ def derive_seed(*parts) -> int:
     """
     digest = hashlib.sha256(repr(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def check_number(name: str, value, integer: bool = False, minimum=None) -> None:
+    """Raise ValueError unless value is a finite number (an int when ``integer``).
+
+    Bools are rejected even though Python counts them as ints. With
+    ``minimum``, the value must also be at least that large.
+    """
+    if integer:
+        ok, what = isinstance(value, int), "an integer"
+    else:
+        ok, what = isinstance(value, (int, float)) and math.isfinite(value), "a finite number"
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 def dump_json(obj) -> bytes:

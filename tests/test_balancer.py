@@ -425,6 +425,8 @@ def test_objective_validation():
         BalanceObjective(ObjectiveKind.ABSOLUTE, "p", observe_step=1, sim_length=5, target_value=10, runs=0)
     with pytest.raises(ValueError):
         BalanceObjective(ObjectiveKind.ABSOLUTE, "p", observe_step=1, sim_length=5, target_value=10, alpha=-0.1)
+    with pytest.raises(ValueError):
+        BalanceObjective(ObjectiveKind.ABSOLUTE, ["p"], observe_step=1, sim_length=5, target_value=10)
 
 
 def test_params_validation():

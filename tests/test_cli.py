@@ -213,6 +213,52 @@ def test_bench_rejects_unknown_keys(tmp_path):
     assert main(["bench", spec, "--out", str(tmp_path / "b.csv"), "--quiet"]) == 2
 
 
+BASE_DOCS = {
+    "balance": {"kind": "absolute", "pool": "torch_pool", "value": 60, "step": 16, "sim_length": 16},
+    "gen": {"nodes": {"source": 1, "pool": 1, "drain": 1}},
+    "bench": {"graphs": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "command, change",
+    [
+        ("balance", {"step": 3.5}),
+        ("balance", {"runs": 2.5}),
+        ("balance", {"population": 2.5}),
+        ("balance", {"alpha": float("inf")}),
+        ("balance", {"step": True}),
+        ("gen", {"nodes": {"source": True, "pool": 2}}),
+        ("gen", {"max_steps": 2.5}),
+        ("bench", {"runs": 2.5}),
+    ],
+    ids=[
+        "balance-step-float", "balance-runs-float", "balance-population-float",
+        "balance-alpha-inf", "balance-step-bool", "gen-count-bool", "gen-max_steps-float",
+        "bench-runs-float",
+    ],
+)
+def test_non_integer_and_non_finite_parameters_exit_two(
+    tmp_path, torch_file, capsys, monkeypatch, command, change
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("input was not validated before the work started")
+
+    for target in ("flowtune.cli.generate", "flowtune.cli.balance", "flowtune.bench.generate"):
+        monkeypatch.setattr(target, refuse)
+    doc = write(tmp_path / "doc.json", {**BASE_DOCS[command], **change})
+    out = str(tmp_path / "out")
+    argv = {
+        "balance": ["balance", torch_file, "--objective", doc, "--out", out],
+        "gen": ["gen", doc, "--out", out],
+        "bench": ["bench", doc, "--out", out],
+    }[command]
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flowtune: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_error_on_unknown_flag():
     assert main(["sim", "--nonsense"]) == 1
 

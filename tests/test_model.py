@@ -192,6 +192,12 @@ def test_load_rejects_unknown_kind():
         load_economy(json.dumps(doc))
 
 
+SOURCE_TO_POOL = (
+    '{"nodes": [{"id": "s", "kind": "source"}, {"id": "p", "kind": "pool"}],'
+    ' "edges": [{"from": "s", "to": "p", "weight": %s}]}'
+)
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -201,6 +207,13 @@ def test_load_rejects_unknown_kind():
         '{"nodes": [{"id": "a", "kind": "pool", "wieght": 1}], "edges": []}',
         '{"nodes": [{"id": "a", "kind": "pool"}], "edges": [{"from": "a", "to": "a"}]}',
         "not json at all",
+        '{"nodes": [{"kind": "pool"}], "edges": []}',
+        '{"nodes": [{"id": "", "kind": "pool"}], "edges": []}',
+        '{"nodes": [{"id": "a", "kind": "pool", "initial": "3"}], "edges": []}',
+        '{"nodes": [{"id": "a", "kind": "pool", "initial": true}], "edges": []}',
+        SOURCE_TO_POOL % '"1"',
+        SOURCE_TO_POOL % "true",
+        SOURCE_TO_POOL % "Infinity",
     ],
 )
 def test_load_rejects_malformed_documents(doc):

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import flowtune.sim
 from flowtune.model import EconomyGraph, Edge, InvalidEconomyError, Node, NodeKind
 from flowtune.sim import (
+    SimulationState,
     ensemble_to_csv,
     initial_state,
     monitored_node_ids,
@@ -106,9 +108,22 @@ def test_invalid_graph_refused():
     with pytest.raises(InvalidEconomyError):
         simulate(g, 5, seed=0)
     with pytest.raises(InvalidEconomyError):
-        step(g, initial_state(g), random.Random(0))
+        step(g, SimulationState({"p": 0}, {}, 0), random.Random(0))
+    with pytest.raises(InvalidEconomyError):
+        simulate_ensemble(g, 5, 3, 0)
+    with pytest.raises(InvalidEconomyError):
+        initial_state(g)
     with pytest.raises(ValueError):
         simulate(chain_graph(), 0, seed=0)
+
+
+def test_validity_checked_once_per_graph(monkeypatch):
+    calls = []
+    real = flowtune.sim.is_valid
+    monkeypatch.setattr(flowtune.sim, "is_valid", lambda graph: calls.append(graph) or real(graph))
+    graph = chain_graph()
+    simulate_ensemble(graph, 10, 10, 0)
+    assert calls == [graph]
 
 
 def test_step_matches_simulate(minecraft):
