@@ -10,8 +10,8 @@ balanced once alpha + mean proportion reaches 1.0.
 
 Weights flagged static in the graph are never altered. Weights on edges
 leaving a random gate evolve as raw positive reals ("probability genes")
-and are normalized per gate when written into a graph; all other genes
-are positive integers ("amount genes").
+and are normalized per gate when compiled into a step plan or written
+into a graph; all other genes are positive integers ("amount genes").
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
-from .model import EconomyGraph, InvalidEconomyError, NodeKind, is_valid, normalize_gate_weights
-from .sim import RunEnsemble, simulate_ensemble
-from .util import check_number, derive_seed
+from .model import EconomyGraph, InvalidEconomyError, NodeKind, gate_shares, is_valid
+from .sim import compile_plan, observe_runs, simulate_ensemble
+from .util import check_number, derive_seed, float_sum
 
 #: A genome reaching this fitness is balanced and stops the search.
 BALANCED_FITNESS = 1.0
@@ -120,29 +120,15 @@ def prop(s: float, x: float) -> float:
     return 1.0
 
 
-def absolute_fitness(ensemble: RunEnsemble, pool: str, t: int, target: float, alpha: float) -> float:
-    """alpha + mean proportion between the pool's amount at step t and the target."""
-    observations = ensemble.observe(pool, t)
-    return alpha + sum(prop(o, target) for o in observations) / len(observations)
+def fitness(observed: Sequence, reference: Sequence, alpha: float) -> float:
+    """alpha + mean proportion between observed[i] and reference[i] over runs i.
 
-
-def pairwise_fitness(
-    ensemble_a: RunEnsemble,
-    ensemble_b: RunEnsemble,
-    pool_a: str,
-    pool_b: str,
-    t: int,
-    alpha: float,
-) -> float:
-    """alpha + mean proportion between two pools, pairing run i with run i.
-
-    Pass the same ensemble twice to compare two pools of one economy.
+    For an absolute objective the reference is the target once per run;
+    for a pair it is the second pool's amount in the run with the same seed.
     """
-    if ensemble_a.runs != ensemble_b.runs:
-        raise ValueError("ensembles must have the same number of runs")
-    a = ensemble_a.observe(pool_a, t)
-    b = ensemble_b.observe(pool_b, t)
-    return alpha + sum(prop(x, y) for x, y in zip(a, b)) / len(a)
+    if len(observed) != len(reference):
+        raise ValueError("observations and references must pair up run by run")
+    return alpha + float_sum(prop(x, y) for x, y in zip(observed, reference)) / len(observed)
 
 
 # --- genomes ------------------------------------------------------------------
@@ -188,11 +174,17 @@ class GenomeLayout:
 
     def apply(self, genome: "WeightGenome") -> tuple:
         """Write the genome into fresh graphs, normalizing gate shares."""
-        out = []
-        for (start, end), graph in zip(self.spans, self.graphs):
-            weighted = graph.with_weights(genome.values[start:end])
-            out.append(normalize_gate_weights(weighted))
-        return tuple(out)
+        return tuple(
+            graph.with_weights(gate_shares(graph, genome.values[start:end]))
+            for (start, end), graph in zip(self.spans, self.graphs)
+        )
+
+    def plans(self, genome: "WeightGenome") -> tuple:
+        """One step plan per graph for the genome's weights; no graph is built."""
+        return tuple(
+            compile_plan(graph, gate_shares(graph, genome.values[start:end]))
+            for (start, end), graph in zip(self.spans, self.graphs)
+        )
 
 
 class WeightGenome:
@@ -386,23 +378,17 @@ def balance(
         if genome.fitness is not None:
             return
         key = genome.key()
-        hit = cache.get(key)
-        if hit is not None:
-            genome.fitness = hit
-            return
-        applied = layout.apply(genome)
-        m, n, t, alpha = objective.runs, objective.sim_length, objective.observe_step, objective.alpha
-        ensembles = [
-            simulate_ensemble(g, n, m, derive_seed(params.seed, i, key))
-            for i, g in enumerate(applied)
-        ]
-        if objective.kind is ObjectiveKind.ABSOLUTE:
-            fitness = absolute_fitness(ensembles[0], objective.pool, t, objective.target_value, alpha)
-        else:
-            (index_a, pool_a), (index_b, pool_b) = observed
-            fitness = pairwise_fitness(ensembles[index_a], ensembles[index_b], pool_a, pool_b, t, alpha)
-        genome.fitness = fitness
-        cache[key] = fitness
+        if key not in cache:
+            t, m = objective.observe_step, objective.runs
+            runs = [
+                observe_runs(plan, t, m, derive_seed(params.seed, i, key))
+                for i, plan in enumerate(layout.plans(genome))
+            ]
+            values = [[run[pool] for run in runs[index]] for index, pool in observed]
+            if objective.kind is ObjectiveKind.ABSOLUTE:
+                values.append([objective.target_value] * m)
+            cache[key] = fitness(values[0], values[1], objective.alpha)
+        genome.fitness = cache[key]
 
     population = [layout.declared_genome()]
     population.extend(layout.random_genome(rng) for _ in range(params.population_size - 1))
@@ -438,19 +424,15 @@ def balance(
 
     best = population[0]
     final_graphs = layout.apply(best)
+    ensembles = [
+        simulate_ensemble(
+            graph, objective.sim_length, objective.runs, derive_seed(params.seed, "report", i, best.key())
+        )
+        for i, graph in enumerate(final_graphs)
+    ]
     observations = []
-    report_ensembles = {}
     for economy_index, pool in observed:
-        ensemble = report_ensembles.get(economy_index)
-        if ensemble is None:
-            ensemble = simulate_ensemble(
-                final_graphs[economy_index],
-                objective.sim_length,
-                objective.runs,
-                derive_seed(params.seed, "report", economy_index, best.key()),
-            )
-            report_ensembles[economy_index] = ensemble
-        values = ensemble.observe(pool, objective.observe_step)
+        values = ensembles[economy_index].observe(pool, objective.observe_step)
         observations.append(
             ObservationStats(
                 economy_index,

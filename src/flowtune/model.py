@@ -14,12 +14,11 @@ its rule and the graph is weakly connected.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
-from .util import dump_json
+from .util import dump_json, float_sum, is_finite_number
 
 GATE_WEIGHT_TOLERANCE = 1e-9
 
@@ -219,7 +218,7 @@ class EconomyGraph:
 
 def _coerce_weight(edge: Edge, src_kind: NodeKind) -> Edge:
     w = edge.weight
-    if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
+    if not is_finite_number(w):
         raise EconomySchemaError(f"edge {edge.src!r}->{edge.dst!r}: weight must be a finite number")
     if not (w > 0):
         raise NonPositiveWeightError(
@@ -302,32 +301,36 @@ def is_valid(graph: EconomyGraph) -> bool:
     return graph_fitness(graph) == 0 and is_weakly_connected(graph)
 
 
+def gate_shares(graph: EconomyGraph, weights: Sequence) -> list:
+    """The weights (in edge order) with each random gate's outgoing weights
+    scaled to sum to one.
+
+    Gates whose weights already sum to one (within GATE_WEIGHT_TOLERANCE)
+    and non-gate weights are returned unchanged.
+    """
+    shares = list(weights)
+    for gate in graph.nodes_of_kind(NodeKind.RANDOM_GATE):
+        indices = [i for i, e in enumerate(graph.edges) if e.src == gate.id]
+        total = float_sum(weights[i] for i in indices)
+        if not indices or total <= 0:
+            raise GateNormalizationError(
+                f"gate {gate.id!r} has no positive outgoing weights to normalize"
+            )
+        if abs(total - 1.0) > GATE_WEIGHT_TOLERANCE:
+            for i in indices:
+                shares[i] = weights[i] / total
+    return shares
+
+
 def normalize_gate_weights(graph: EconomyGraph) -> EconomyGraph:
     """Scale each random gate's outgoing weights so they sum to one.
 
-    Idempotent: gates whose weights already sum to one (within
-    GATE_WEIGHT_TOLERANCE) are left untouched. Non-gate edges are never
-    altered.
+    Idempotent (see gate_shares): a graph with nothing to scale is
+    returned as is. Non-gate edges are never altered.
     """
-    scale = {}
-    for node in graph.nodes:
-        if node.kind is not NodeKind.RANDOM_GATE:
-            continue
-        out = graph.out_edges(node.id)
-        total = sum(e.weight for e in out)
-        if not out or total <= 0:
-            raise GateNormalizationError(
-                f"gate {node.id!r} has no positive outgoing weights to normalize"
-            )
-        if abs(total - 1.0) > GATE_WEIGHT_TOLERANCE:
-            scale[node.id] = total
-    if not scale:
-        return graph
-    new_edges = tuple(
-        Edge(e.src, e.dst, e.weight / scale[e.src], e.static) if e.src in scale else e
-        for e in graph.edges
-    )
-    return EconomyGraph(graph.nodes, new_edges)
+    weights = [e.weight for e in graph.edges]
+    shares = gate_shares(graph, weights)
+    return graph if shares == weights else graph.with_weights(shares)
 
 
 _NODE_KEYS = {"id", "kind", "label", "initial"}
@@ -341,7 +344,10 @@ def load_economy(data: Union[bytes, str]) -> EconomyGraph:
     constructor checks ids, initial amounts and weights.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EconomySchemaError(f"not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:

@@ -24,23 +24,23 @@ reproducible from a seed:
 
 All flows are whole resource counts; balances can never go negative.
 
-A graph's connection rules are checked once, when it is first simulated
-(or stepped): the compiled step plan is cached on the graph, so later
-runs of the same graph skip the check.
+The public entry points (simulate, simulate_ensemble, step,
+initial_state) check a graph's connection rules once, when it is first
+used, and cache its compiled step plan on it; later runs of the same
+graph skip both. The balancer instead compiles a plan per candidate
+weight vector from its genome layout (compile_plan) and runs it only to
+the observed step (observe_runs), building no graph.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
-from .model import (
-    EconomyGraph,
-    InvalidEconomyError,
-    NodeKind,
-    is_valid,
-)
+from .model import EconomyGraph, InvalidEconomyError, NodeKind, is_valid
+from .util import float_sum
 
 #: Optional flow observer: called as fn(phase, src, dst, amount) for every
 #: executed transfer. Phases: "source", "gate", "consume", "produce",
@@ -88,10 +88,6 @@ class RunEnsemble:
     graph: EconomyGraph
     base_seed: int
     traces: tuple
-
-    @property
-    def runs(self) -> int:
-        return len(self.traces)
 
     @property
     def length(self) -> int:
@@ -178,27 +174,6 @@ _GATE = 1
 _CONVERTER = 2
 
 
-class _GatePlan:
-    __slots__ = ("gate_id", "cumulative", "targets")
-
-    def __init__(self, gate_id, cumulative, targets):
-        self.gate_id = gate_id
-        self.cumulative = cumulative  # running probability bounds, last is 1.0
-        self.targets = targets  # [(dst_id, _POOL | _CONVERTER)]
-
-
-class _ConverterPlan:
-    __slots__ = ("conv_id", "pool_needs", "gate_inputs", "out_dst", "out_tag", "out_amount")
-
-    def __init__(self, conv_id, pool_needs, gate_inputs, out_dst, out_tag, out_amount):
-        self.conv_id = conv_id
-        self.pool_needs = pool_needs  # [(pool_id, amount)]
-        self.gate_inputs = gate_inputs  # [gate_id]; staged units keyed (gate, conv)
-        self.out_dst = out_dst
-        self.out_tag = out_tag  # _POOL or _GATE
-        self.out_amount = out_amount
-
-
 class _Plan:
     __slots__ = (
         "sources", "gates", "converters", "drain_moves", "caps", "initial_pools", "initial_drains"
@@ -208,72 +183,85 @@ class _Plan:
 def _plan_for(graph: EconomyGraph) -> _Plan:
     """The graph's cached step plan; compiling it is the one validity check."""
     cached = getattr(graph, "_sim_plan", None)
-    if cached is not None:
-        return cached
-    if not is_valid(graph):
-        raise InvalidEconomyError("refusing to simulate an invalid economy graph")
+    if cached is None:
+        if not is_valid(graph):
+            raise InvalidEconomyError("refusing to simulate an invalid economy graph")
+        cached = compile_plan(graph, [e.weight for e in graph.edges])
+        object.__setattr__(graph, "_sim_plan", cached)
+    return cached
 
+
+def compile_plan(graph: EconomyGraph, weights) -> _Plan:
+    """Step plan of the graph with edge i carrying weights[i].
+
+    Amount weights are whole counts; gate weights are routing shares,
+    normally normalized per gate (see model.gate_shares). The graph's own
+    weights are ignored, and its validity is not checked.
+    """
     kind = {n.id: n.kind for n in graph.nodes}
-    gates = {}
-    for node in graph.nodes:
-        if node.kind is not NodeKind.RANDOM_GATE:
-            continue
-        out = graph.out_edges(node.id)
-        total = float(sum(e.weight for e in out))
-        cumulative = []
-        running = 0.0
-        targets = []
-        for e in out:
-            running += e.weight / total
-            cumulative.append(running)
-            targets.append((e.dst, _POOL if kind[e.dst].is_pool_like else _CONVERTER))
-        cumulative[-1] = 1.0
-        gates[node.id] = _GatePlan(node.id, cumulative, targets)
+    out = {n.id: [] for n in graph.nodes}
+    into = {n.id: [] for n in graph.nodes}
+    for e, w in zip(graph.edges, weights):
+        out[e.src].append((e.dst, w))
+        into[e.dst].append((e.src, w))
+
+    def tag(dst):
+        return _GATE if kind[dst] is NodeKind.RANDOM_GATE else _POOL
 
     plan = _Plan()
-    plan.gates = gates
-    plan.sources = []
-    for node in sorted(graph.nodes_of_kind(NodeKind.SOURCE), key=lambda n: n.id):
-        deliveries = []
-        for e in graph.out_edges(node.id):
-            tag = _GATE if kind[e.dst] is NodeKind.RANDOM_GATE else _POOL
-            deliveries.append((e.dst, tag, int(e.weight)))
-        plan.sources.append((node.id, deliveries))
-
-    plan.converters = []
+    plan.gates = {}  # gate -> (running probability bounds, last 1.0; [(dst, _POOL | _CONVERTER)])
+    for node in graph.nodes_of_kind(NodeKind.RANDOM_GATE):
+        total = float(float_sum(w for _, w in out[node.id]))
+        cumulative = list(accumulate(w / total for _, w in out[node.id]))
+        cumulative[-1] = 1.0
+        targets = [(dst, _POOL if kind[dst].is_pool_like else _CONVERTER) for dst, _ in out[node.id]]
+        plan.gates[node.id] = (cumulative, targets)
+    plan.sources = [
+        (node.id, [(dst, tag(dst), int(w)) for dst, w in out[node.id]])
+        for node in sorted(graph.nodes_of_kind(NodeKind.SOURCE), key=lambda n: n.id)
+    ]
+    plan.converters = []  # (id, [(pool, need)], [gate], out_dst, out_tag, out_amount)
     for node in sorted(graph.nodes_of_kind(NodeKind.CONVERTER), key=lambda n: n.id):
-        pool_needs = []
-        gate_inputs = []
-        for e in graph.in_edges(node.id):
-            if kind[e.src] is NodeKind.RANDOM_GATE:
-                gate_inputs.append(e.src)
-            else:
-                pool_needs.append((e.src, int(e.weight)))
-        out = graph.out_edges(node.id)[0]
-        out_tag = _GATE if kind[out.dst] is NodeKind.RANDOM_GATE else _POOL
-        plan.converters.append(
-            _ConverterPlan(node.id, pool_needs, gate_inputs, out.dst, out_tag, int(out.weight))
-        )
-
+        pool_needs = [(src, int(w)) for src, w in into[node.id] if tag(src) == _POOL]
+        gate_inputs = [src for src, _ in into[node.id] if tag(src) == _GATE]
+        out_dst, out_weight = out[node.id][0]
+        plan.converters.append((node.id, pool_needs, gate_inputs, out_dst, tag(out_dst), int(out_weight)))
     plan.drain_moves = [
-        (e.src, e.dst, int(e.weight))
-        for e in graph.edges
+        (e.src, e.dst, int(w))
+        for e, w in zip(graph.edges, weights)
         if kind[e.src].is_pool_like and kind[e.dst] is NodeKind.DRAIN
     ]
-    plan.caps = {}
-    for node in graph.nodes_of_kind(NodeKind.FIXED_POOL):
-        out = graph.out_edges(node.id)
-        if out:  # uncapped when nothing flows out
-            plan.caps[node.id] = max(int(e.weight) for e in out)
+    plan.caps = {  # uncapped when nothing flows out
+        n.id: max(int(w) for _, w in out[n.id])
+        for n in graph.nodes_of_kind(NodeKind.FIXED_POOL)
+        if out[n.id]
+    }
     plan.initial_pools = {
         n.id: min(n.initial_amount, plan.caps.get(n.id, n.initial_amount))
         for n in graph.nodes
         if n.kind.is_pool_like
     }
     plan.initial_drains = {n.id: 0 for n in graph.nodes_of_kind(NodeKind.DRAIN)}
-
-    object.__setattr__(graph, "_sim_plan", plan)
     return plan
+
+
+def observe_runs(plan: _Plan, t: int, m: int, base_seed: int) -> list:
+    """Run seeds base_seed ... base_seed+m-1 to step t, keeping no snapshots.
+
+    Returns one dict per run: every pool's and drain's amount at step t.
+    Steps after t cannot change it, so this equals the step-t snapshot
+    of a longer run with the same seed.
+    """
+    observed = []
+    for seed in range(base_seed, base_seed + m):
+        rng = random.Random(seed)
+        pools = dict(plan.initial_pools)
+        drains = dict(plan.initial_drains)
+        for _ in range(t):
+            _execute(plan, pools, drains, rng, None)
+        pools.update(drains)
+        observed.append(pools)
+    return observed
 
 
 def _execute(plan: _Plan, pools, drains, rng, on_transfer) -> None:
@@ -281,12 +269,12 @@ def _execute(plan: _Plan, pools, drains, rng, on_transfer) -> None:
 
     def route_gate(gate_id, amount):
         pick = rng.random()
-        gate = plan.gates[gate_id]
+        cumulative, targets = plan.gates[gate_id]
         index = 0
-        for index, bound in enumerate(gate.cumulative):
+        for index, bound in enumerate(cumulative):
             if pick < bound:
                 break
-        dst, tag = gate.targets[index]
+        dst, tag = targets[index]
         if on_transfer is not None:
             on_transfer("gate", gate_id, dst, amount)
         if tag == _POOL:
@@ -307,29 +295,29 @@ def _execute(plan: _Plan, pools, drains, rng, on_transfer) -> None:
     fired = set()
     while True:
         progressed = False
-        for conv in plan.converters:
-            if conv.conv_id in fired:
+        for conv_id, pool_needs, gate_inputs, out_dst, out_tag, out_amount in plan.converters:
+            if conv_id in fired:
                 continue
-            if any(pools[pool_id] < need for pool_id, need in conv.pool_needs):
+            if any(pools[pool_id] < need for pool_id, need in pool_needs):
                 continue
-            if any(staged.get((g, conv.conv_id), 0) <= 0 for g in conv.gate_inputs):
+            if any(staged.get((g, conv_id), 0) <= 0 for g in gate_inputs):
                 continue
-            for pool_id, need in conv.pool_needs:
+            for pool_id, need in pool_needs:
                 pools[pool_id] -= need
                 if on_transfer is not None:
-                    on_transfer("consume", pool_id, conv.conv_id, need)
-            for gate_id in conv.gate_inputs:
-                taken = staged.pop((gate_id, conv.conv_id))
+                    on_transfer("consume", pool_id, conv_id, need)
+            for gate_id in gate_inputs:
+                taken = staged.pop((gate_id, conv_id))
                 if on_transfer is not None:
-                    on_transfer("consume", gate_id, conv.conv_id, taken)
-            fired.add(conv.conv_id)
+                    on_transfer("consume", gate_id, conv_id, taken)
+            fired.add(conv_id)
             progressed = True
             if on_transfer is not None:
-                on_transfer("produce", conv.conv_id, conv.out_dst, conv.out_amount)
-            if conv.out_tag == _POOL:
-                pools[conv.out_dst] += conv.out_amount
+                on_transfer("produce", conv_id, out_dst, out_amount)
+            if out_tag == _POOL:
+                pools[out_dst] += out_amount
             else:
-                route_gate(conv.out_dst, conv.out_amount)
+                route_gate(out_dst, out_amount)
         if not progressed:
             break
 

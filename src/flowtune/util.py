@@ -1,4 +1,4 @@
-"""Small shared helpers: stable seed derivation, parameter checks, JSON output."""
+"""Small shared helpers: stable seed derivation, parameter checks, sums, JSON output."""
 
 from __future__ import annotations
 
@@ -26,11 +26,28 @@ def check_number(name: str, value, integer: bool = False, minimum=None) -> None:
     if integer:
         ok, what = isinstance(value, int), "an integer"
     else:
-        ok, what = isinstance(value, (int, float)) and math.isfinite(value), "a finite number"
+        ok, what = is_finite_number(value), "a finite number"
     if isinstance(value, bool) or not ok:
         raise ValueError(f"{name} must be {what}, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+
+
+def is_finite_number(value) -> bool:
+    """An int or float (not a bool) that is finite as a float; huge ints are not."""
+    try:
+        return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def float_sum(values):
+    """Left-to-right sum, one rounding per addition on every Python version
+    (from 3.12 the built-in sum() compensates float rounding)."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def dump_json(obj) -> bytes:

@@ -17,9 +17,8 @@ from flowtune.balancer import (
     BalanceParams,
     ObjectiveKind,
     TerminationReason,
-    absolute_fitness,
     balance,
-    pairwise_fitness,
+    fitness,
     prop,
 )
 from flowtune.cli import main
@@ -30,7 +29,6 @@ from flowtune.sim import simulate, simulate_ensemble
 
 import oracle
 from conftest import gate_graph, random_wellformed_graph
-from test_balancer import fake_ensemble
 
 
 def report(line):
@@ -107,26 +105,13 @@ def test_criterion_5_proportion_and_fitness_examples_exact():
     assert prop(0, 7) == pytest.approx(0.0, abs=1e-12)
     assert prop(0, 0) == pytest.approx(1.0, abs=1e-12)
 
-    assert absolute_fitness(fake_ensemble([90, 110]), "p", 5, 100, 0.05) == pytest.approx(
-        21 / 22, abs=1e-12
-    )
-    assert absolute_fitness(fake_ensemble([100] * 3), "p", 5, 100, 0.01) == pytest.approx(
-        1.01, abs=1e-12
-    )
-    assert absolute_fitness(fake_ensemble([0] * 4), "p", 5, 50, 0.0) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    assert fitness([90, 110], [100] * 2, 0.05) == pytest.approx(21 / 22, abs=1e-12)
+    assert fitness([100] * 3, [100] * 3, 0.01) == pytest.approx(1.01, abs=1e-12)
+    assert fitness([0] * 4, [50] * 4, 0.0) == pytest.approx(0.0, abs=1e-12)
 
-    equal_a = fake_ensemble([60, 60])
-    equal_b = fake_ensemble([60, 60], pool="q")
-    assert pairwise_fitness(equal_a, equal_b, "p", "q", 5, 0.05) == pytest.approx(1.05, abs=1e-12)
-    near = fake_ensemble([52.25, 52.25], pool="q")
-    assert pairwise_fitness(fake_ensemble([55, 55]), near, "p", "q", 5, 0.05) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    empty = fake_ensemble([0, 0])
-    busy = fake_ensemble([31, 8], pool="q")
-    assert pairwise_fitness(empty, busy, "p", "q", 5, 0.05) == pytest.approx(0.05, abs=1e-12)
+    assert fitness([60, 60], [60, 60], 0.05) == pytest.approx(1.05, abs=1e-12)
+    assert fitness([55, 55], [52.25, 52.25], 0.05) == pytest.approx(1.0, abs=1e-12)
+    assert fitness([0, 0], [31, 8], 0.05) == pytest.approx(0.05, abs=1e-12)
     report("criterion 5: proportion and fitness examples exact at 1e-12")
 
 

@@ -231,11 +231,15 @@ BASE_DOCS = {
         ("gen", {"nodes": {"source": True, "pool": 2}}),
         ("gen", {"max_steps": 2.5}),
         ("bench", {"runs": 2.5}),
+        ("balance", {"alpha": 10**400}),
+        ("balance", {"value": 10**400}),
+        ("gen", {"remove_probability": 10**400}),
     ],
     ids=[
         "balance-step-float", "balance-runs-float", "balance-population-float",
         "balance-alpha-inf", "balance-step-bool", "gen-count-bool", "gen-max_steps-float",
-        "bench-runs-float",
+        "bench-runs-float", "balance-alpha-huge-int", "balance-value-huge-int",
+        "gen-remove_probability-huge-int",
     ],
 )
 def test_non_integer_and_non_finite_parameters_exit_two(

@@ -214,6 +214,8 @@ SOURCE_TO_POOL = (
         SOURCE_TO_POOL % '"1"',
         SOURCE_TO_POOL % "true",
         SOURCE_TO_POOL % "Infinity",
+        SOURCE_TO_POOL % 10**400,
+        b"\xff\xfe",
     ],
 )
 def test_load_rejects_malformed_documents(doc):
