@@ -5,8 +5,10 @@ vectors of two). Fitness comes from simulating the economy m times with
 the candidate weights and comparing the observed amount in a chosen pool
 at a chosen step against either a fixed target value or the observation
 of a second pool. The proportion of the two quantities is averaged over
-the runs and offset by a slack term alpha, so a vector counts as
-balanced once alpha + mean proportion reaches 1.0.
+the runs, and genomes are ranked by that mean alone. A vector counts as
+balanced once its fitness, a slack term alpha plus the mean proportion,
+reaches 1.0; alpha only decides when the search stops, so a run at a
+larger alpha is a prefix of the same search (BalanceReport.at_alpha).
 
 Weights flagged static in the graph are never altered. Weights on edges
 leaving a random gate evolve as raw positive reals ("probability genes")
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence, Union
 
@@ -188,14 +190,14 @@ class GenomeLayout:
 
 
 class WeightGenome:
-    """One candidate weight vector; fitness is filled in by evaluation."""
+    """One candidate weight vector; its mean proportion is filled in by evaluation."""
 
-    __slots__ = ("layout", "values", "fitness")
+    __slots__ = ("layout", "values", "mean")
 
     def __init__(self, layout: GenomeLayout, values):
         self.layout = layout
         self.values = list(values)
-        self.fitness = None
+        self.mean = None
 
     def key(self) -> tuple:
         return tuple(self.values)
@@ -290,13 +292,47 @@ class ObservationStats:
 
 @dataclass(frozen=True)
 class BalanceReport:
+    """One search: ``means[g]`` is the best mean proportion after generation g
+    (``means[0]`` that of the initial population); fitness is alpha + mean."""
+
     best_weights: tuple
-    best_fitness: float
-    generations: int
-    terminated_by: TerminationReason
-    history: tuple
+    alpha: float
+    means: tuple
     observations: tuple
     balanced_graphs: tuple
+
+    @property
+    def history(self) -> tuple:
+        """Best fitness of the initial population and after each generation."""
+        return tuple(self.alpha + mean for mean in self.means)
+
+    @property
+    def best_fitness(self) -> float:
+        return self.alpha + self.means[-1]
+
+    @property
+    def generations(self) -> int:
+        return len(self.means) - 1
+
+    @property
+    def terminated_by(self) -> TerminationReason:
+        return TerminationReason.FITNESS_REACHED if self.balanced else TerminationReason.TIMEOUT
+
+    def at_alpha(self, alpha: float) -> "BalanceReport":
+        """This search as a run at ``alpha`` would have reported it.
+
+        Ranking ignores alpha, so a run with the same inputs at any alpha
+        not below this report's own follows the same means and stops at
+        the first generation where alpha + mean reaches BALANCED_FITNESS.
+        The returned report's alpha, means and every field derived from
+        them describe that run; best_weights, observations and
+        balanced_graphs still describe this, the full, search.
+        """
+        if alpha < self.alpha:
+            raise ValueError(f"alpha {alpha} is below the search's own alpha {self.alpha}")
+        crossed = [g for g, mean in enumerate(self.means) if alpha + mean >= BALANCED_FITNESS]
+        end = crossed[0] + 1 if crossed else len(self.means)
+        return replace(self, alpha=alpha, means=self.means[:end])
 
     @property
     def balanced(self) -> bool:
@@ -353,7 +389,8 @@ def balance(
     Deterministic for fixed (graphs, objective, params). The initial
     population holds the declared weight vector plus random vectors;
     each generation produces one child per random parent pair and one
-    mutant, then truncates back to population size by fitness.
+    mutant, then truncates back to population size by mean proportion.
+    The search stops once alpha + the best mean reaches BALANCED_FITNESS.
     """
     if isinstance(graphs, EconomyGraph):
         graphs = (graphs,)
@@ -375,7 +412,7 @@ def balance(
     cache = {}
 
     def evaluate(genome: WeightGenome) -> None:
-        if genome.fitness is not None:
+        if genome.mean is not None:
             return
         key = genome.key()
         if key not in cache:
@@ -387,40 +424,31 @@ def balance(
             values = [[run[pool] for run in runs[index]] for index, pool in observed]
             if objective.kind is ObjectiveKind.ABSOLUTE:
                 values.append([objective.target_value] * m)
-            cache[key] = fitness(values[0], values[1], objective.alpha)
-        genome.fitness = cache[key]
+            cache[key] = fitness(values[0], values[1], 0.0)
+        genome.mean = cache[key]
 
     population = [layout.declared_genome()]
     population.extend(layout.random_genome(rng) for _ in range(params.population_size - 1))
     for genome in population:
         evaluate(genome)
-    population.sort(key=lambda g: g.fitness, reverse=True)
+    population.sort(key=lambda g: g.mean, reverse=True)
 
-    history = [population[0].fitness]
-    generations = 0
-    reason = TerminationReason.TIMEOUT
-    if history[0] >= BALANCED_FITNESS:
-        reason = TerminationReason.FITNESS_REACHED
-    else:
-        for generation in range(1, params.max_generations + 1):
-            order = list(range(len(population)))
-            rng.shuffle(order)
-            candidates = list(population)
-            for i in range(0, len(order) - 1, 2):
-                candidates.append(crossover(population[order[i]], population[order[i + 1]], rng))
-            for _ in range(params.mutations_per_generation):
-                candidates = mutate(
-                    candidates, rng, params.amount_delta_max, params.probability_delta_max
-                )
-            for genome in candidates:
-                evaluate(genome)
-            candidates.sort(key=lambda g: g.fitness, reverse=True)
-            population = candidates[: params.population_size]
-            history.append(population[0].fitness)
-            generations = generation
-            if population[0].fitness >= BALANCED_FITNESS:
-                reason = TerminationReason.FITNESS_REACHED
-                break
+    means = [population[0].mean]
+    for _ in range(params.max_generations):
+        if objective.alpha + means[-1] >= BALANCED_FITNESS:
+            break
+        order = list(range(len(population)))
+        rng.shuffle(order)
+        candidates = list(population)
+        for i in range(0, len(order) - 1, 2):
+            candidates.append(crossover(population[order[i]], population[order[i + 1]], rng))
+        for _ in range(params.mutations_per_generation):
+            candidates = mutate(candidates, rng, params.amount_delta_max, params.probability_delta_max)
+        for genome in candidates:
+            evaluate(genome)
+        candidates.sort(key=lambda g: g.mean, reverse=True)
+        population = candidates[: params.population_size]
+        means.append(population[0].mean)
 
     best = population[0]
     final_graphs = layout.apply(best)
@@ -445,10 +473,8 @@ def balance(
 
     return BalanceReport(
         best_weights=tuple(best.values),
-        best_fitness=best.fitness,
-        generations=generations,
-        terminated_by=reason,
-        history=tuple(history),
+        alpha=objective.alpha,
+        means=tuple(means),
         observations=tuple(observations),
         balanced_graphs=final_graphs,
     )

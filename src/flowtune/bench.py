@@ -1,21 +1,20 @@
-"""Benchmark sweep: generate economies, balance each at several alphas.
+"""Benchmark sweep: generate economies, balance each, report per alpha.
 
 Every generated economy gets one task (random observable node, random
-target value, random simulation length). The same task and the same
-balancer seed are reused for every alpha, so alpha alone decides how
-early a run may stop; per-alpha aggregate rows are therefore directly
-comparable.
+target value, random simulation length) and is balanced once, at the
+smallest alpha. Alpha only decides when a search stops, so each alpha's
+run is a prefix of that one search (BalanceReport.at_alpha), and the
+per-alpha aggregate rows are directly comparable.
 """
 
 from __future__ import annotations
 
 import random
 import statistics
-import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
-from .balancer import BalanceObjective, BalanceParams, ObjectiveKind, balance
+from .balancer import BalanceObjective, BalanceParams, BalanceReport, ObjectiveKind, balance
 from .generator import GeneratorConfig, generate, random_node_counts
 from .model import EconomyGraph, NodeKind
 from .sim import monitored_node_ids
@@ -102,6 +101,7 @@ class BenchmarkTask:
     pool: str
     target_value: int
     sim_length: int
+    report: BalanceReport  # the search at the spec's smallest alpha
 
 
 @dataclass(frozen=True)
@@ -113,18 +113,10 @@ class BenchmarkRun:
     initially_balanced: bool
     generations: int
     best_fitness: float
-    elapsed_s: float  # console reporting only, never written to files
 
     def to_dict(self) -> dict:
-        return {
-            "graph": self.graph_index,
-            "alpha": self.alpha,
-            "balanced": self.balanced,
-            "improved": self.improved,
-            "initially_balanced": self.initially_balanced,
-            "generations": self.generations,
-            "best_fitness": self.best_fitness,
-        }
+        doc = asdict(self)
+        return {"graph": doc.pop("graph_index"), **doc}
 
 
 @dataclass(frozen=True)
@@ -135,17 +127,9 @@ class BenchmarkRow:
     improved_pct: float
     initial_balanced_pct: float
     median_generations: float
-    median_elapsed_s: float  # console reporting only
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "attempted": self.attempted,
-            "balanced_pct": self.balanced_pct,
-            "improved_pct": self.improved_pct,
-            "initial_balanced_pct": self.initial_balanced_pct,
-            "median_generations": self.median_generations,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -185,7 +169,7 @@ class BenchmarkResult:
 
 
 def run_benchmark(spec: BenchmarkSpec, progress: Callable[[str], None] = None) -> BenchmarkResult:
-    """Generate spec.graphs economies and balance each one per alpha.
+    """Generate spec.graphs economies, balance each once, and report each alpha.
 
     Failures (a node multiset the generator cannot wire within budget)
     are recorded and skipped; they never abort the sweep.
@@ -208,46 +192,38 @@ def run_benchmark(spec: BenchmarkSpec, progress: Callable[[str], None] = None) -
             note(f"graph {graph_index}: generation failed (fitness {result.fitness})")
             continue
         pool = _pick_pool(result.graph, rng)
-        tasks.append(BenchmarkTask(graph_index, result.graph, pool, target_value, sim_length))
+        objective = spec.objective(pool, target_value, sim_length, min(spec.alphas))
+        params = spec.balance_params(derive_seed(spec.seed, "balance", graph_index))
+        report = balance(result.graph, objective, params)
+        if any(b < a for a, b in zip(report.history, report.history[1:])):
+            raise RuntimeError(f"best-fitness history decreased while balancing graph {graph_index}")
+        tasks.append(BenchmarkTask(graph_index, result.graph, pool, target_value, sim_length, report))
 
     runs = []
     rows = []
-    for alpha in spec.alphas:
-        if not tasks:
-            break  # nothing attempted: leave the result table empty
+    for alpha in spec.alphas if tasks else ():  # nothing attempted: leave the table empty
         alpha_runs = []
         for task in tasks:
-            objective = spec.objective(task.pool, task.target_value, task.sim_length, alpha)
-            params = spec.balance_params(derive_seed(spec.seed, "balance", task.graph_index))
-            started = time.perf_counter()
-            report = balance(task.graph, objective, params)
-            elapsed = time.perf_counter() - started
-            if any(b < a for a, b in zip(report.history, report.history[1:])):
-                raise RuntimeError(
-                    f"best-fitness history decreased while balancing graph {task.graph_index}"
-                )
+            cut = task.report.at_alpha(alpha)
             alpha_runs.append(
                 BenchmarkRun(
                     task.graph_index,
                     alpha,
-                    report.balanced,
-                    report.improved,
-                    report.initially_balanced,
-                    report.generations,
-                    report.best_fitness,
-                    elapsed,
+                    cut.balanced,
+                    cut.improved,
+                    cut.initially_balanced,
+                    cut.generations,
+                    cut.best_fitness,
                 )
             )
         runs.extend(alpha_runs)
         rows.append(_aggregate(alpha, alpha_runs))
-        if alpha_runs:
-            note(
-                f"alpha={alpha:g}: balanced {rows[-1].balanced_pct:.1f}% "
-                f"improved {rows[-1].improved_pct:.1f}% "
-                f"initial {rows[-1].initial_balanced_pct:.1f}% "
-                f"median generations {rows[-1].median_generations:g} "
-                f"median time {rows[-1].median_elapsed_s:.2f}s"
-            )
+        note(
+            f"alpha={alpha:g}: balanced {rows[-1].balanced_pct:.1f}% "
+            f"improved {rows[-1].improved_pct:.1f}% "
+            f"initial {rows[-1].initial_balanced_pct:.1f}% "
+            f"median generations {rows[-1].median_generations:g}"
+        )
 
     return BenchmarkResult(spec, tuple(rows), tuple(runs), tuple(tasks), tuple(failures))
 
@@ -259,8 +235,6 @@ def _pick_pool(graph: EconomyGraph, rng: random.Random) -> str:
 
 def _aggregate(alpha: float, alpha_runs: Sequence) -> BenchmarkRow:
     attempted = len(alpha_runs)
-    if attempted == 0:
-        return BenchmarkRow(alpha, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
     pct = lambda flags: 100.0 * sum(flags) / attempted
     return BenchmarkRow(
         alpha,
@@ -269,5 +243,4 @@ def _aggregate(alpha: float, alpha_runs: Sequence) -> BenchmarkRow:
         pct([r.improved for r in alpha_runs]),
         pct([r.initially_balanced for r in alpha_runs]),
         float(statistics.median(r.generations for r in alpha_runs)),
-        float(statistics.median(r.elapsed_s for r in alpha_runs)),
     )

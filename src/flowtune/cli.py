@@ -77,7 +77,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", default=None, help="balance report JSON (default: <out>.report.json)")
     common(p)
 
-    p = sub.add_parser("bench", help="generate economies and balance them per alpha")
+    p = sub.add_parser("bench", help="generate economies, balance each once, and report per alpha")
     p.add_argument("spec", help="benchmark spec JSON")
     p.add_argument("--out", required=True, help="aggregate CSV to write")
     p.add_argument("--json", dest="json_out", default=None, help="detailed JSON (default: <out>.json)")
@@ -105,7 +105,10 @@ def _read_economy(path: str):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise EconomyError(f"cannot read {path}: {exc}") from exc
-    return load_economy(data)
+    try:
+        return load_economy(data)
+    except EconomyError as exc:
+        raise EconomyError(f"{path}: {exc}") from exc
 
 
 def _write(path: str, data: bytes) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 
 
 def derive_seed(*parts) -> int:
@@ -21,14 +22,15 @@ def check_number(name: str, value, integer: bool = False, minimum=None) -> None:
     """Raise ValueError unless value is a finite number (an int when ``integer``).
 
     Bools are rejected even though Python counts them as ints. With
-    ``minimum``, the value must also be at least that large.
+    ``minimum``, the value must also be at least that large. The message
+    echoes a shortened repr, so a huge number cannot flood the error line.
     """
     if integer:
         ok, what = isinstance(value, int), "an integer"
     else:
         ok, what = is_finite_number(value), "a finite number"
     if isinstance(value, bool) or not ok:
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
 

@@ -78,12 +78,21 @@ def test_sim_rejects_zero_steps(tmp_path, torch_file):
     assert main(["sim", torch_file, "--steps", "0", "--quiet"]) == 1
 
 
-def test_sim_rejects_invalid_economy(tmp_path):
+def test_sim_rejects_invalid_economy(tmp_path, capsys):
     bad = write(
         tmp_path / "bad.json",
         {"nodes": [{"id": "s", "kind": "source"}, {"id": "p", "kind": "pool"}], "edges": []},
     )
     assert main(["sim", bad, "--steps", "3", "--quiet"]) == 2
+    # unreadable documents: the one-line message names the file
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "truncated.json").write_text('{"nodes": [{"id": "s", ')
+    for name in ("not_utf8.json", "truncated.json"):
+        path = str(tmp_path / name)
+        capsys.readouterr()
+        assert main(["sim", path, "--steps", "3", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"flowtune: {path}: ") and err.count("\n") == 1
 
 
 def test_balance_absolute_objective(tmp_path, torch_file):
@@ -243,7 +252,7 @@ BASE_DOCS = {
     ],
 )
 def test_non_integer_and_non_finite_parameters_exit_two(
-    tmp_path, torch_file, capsys, monkeypatch, command, change
+    tmp_path, torch_file, capsys, monkeypatch, request, command, change
 ):
     def refuse(*args, **kwargs):
         raise AssertionError("input was not validated before the work started")
@@ -261,6 +270,9 @@ def test_non_integer_and_non_finite_parameters_exit_two(
     err = capsys.readouterr().err
     assert err.startswith("flowtune: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+    if "huge-int" in request.node.callspec.id:
+        # the rejected value is echoed shortened; only the file's path may be long
+        assert len(err.replace(doc, "").encode()) < 120
 
 
 def test_usage_error_on_unknown_flag():
