@@ -91,6 +91,8 @@ def _read_json(path: str) -> dict:
         text = Path(path).read_text("utf-8")
     except OSError as exc:
         raise EconomyError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise EconomyError(f"{path} is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -4,10 +4,11 @@ One step runs five phases in a fixed order so that runs are exactly
 reproducible from a seed:
 
 1. Sources, in ascending node-id order, deliver their edge weight along
-   every outgoing edge. Deliveries into a random gate are routed
-   immediately: the gate samples exactly one outgoing edge by its
-   normalized weight share and forwards the whole batch. Gate deliveries
-   into a converter are staged at that converter for this step only.
+   every outgoing edge, in edge-list order. Deliveries into a random
+   gate are routed immediately: the gate samples exactly one outgoing
+   edge by its normalized weight share and forwards the whole batch.
+   Gate deliveries into a converter are staged at that converter for
+   this step only.
 2. Converters are scanned repeatedly in ascending node-id order until a
    full pass fires none; each converter fires at most once per step. A
    converter fires only when every incoming edge is satisfied: a
@@ -18,11 +19,24 @@ reproducible from a seed:
 3. Each pool->drain edge, in edge-list order, moves its weight into the
    drain's cumulative total if the pool holds enough, else nothing.
 4. Every fixed pool is clamped down to the largest weight among its
-   outgoing edges; the excess is discarded.
+   outgoing edges (one without outgoing edges is not clamped); the
+   excess is discarded.
 5. The state snapshot is recorded; staged amounts that no converter
    consumed are discarded.
 
-All flows are whole resource counts; balances can never go negative.
+A run starts from the declared initial amounts, fixed pools clamped as
+in phase 4, with every drain at 0. All flows are whole resource counts;
+balances can never go negative.
+
+A run with seed s draws from random.Random(s), once per batch a gate
+routes, in the order the batches arrive. The gate's shares are its
+outgoing weights in edge-list order, each divided by their left-to-right
+sum; it takes the draw u = rng.random() and picks the first edge whose
+running (left-to-right) share sum exceeds u, the last edge's sum
+counting as 1.0. No other step draws, so an economy without gates draws
+nothing and every seed gives the same run: simulate_ensemble and
+observe_runs simulate such an economy once and repeat that run for each
+seed (its traces share one snapshot tuple).
 
 The public entry points (simulate, simulate_ensemble, step,
 initial_state) check a graph's connection rules once, when it is first
@@ -35,6 +49,7 @@ the observed step (observe_runs), building no graph.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
@@ -149,11 +164,20 @@ def simulate(
 
 
 def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> RunEnsemble:
-    """m independent runs with seeds base_seed+0 ... base_seed+m-1."""
+    """m independent runs with seeds base_seed+0 ... base_seed+m-1.
+
+    A graph without random gates draws no random numbers, so its runs
+    are identical: it is simulated once, and its m traces (each with its
+    own run_seed) share one snapshot tuple.
+    """
     if m < 1:
         raise ValueError(f"run count must be >= 1, got {m}")
-    traces = tuple(simulate(graph, n, base_seed + i) for i in range(m))
-    return RunEnsemble(graph, base_seed, traces)
+    first = simulate(graph, n, base_seed)
+    if _plan_for(graph).gates:
+        rest = (simulate(graph, n, base_seed + i) for i in range(1, m))
+    else:
+        rest = (SimulationTrace(base_seed + i, first.snapshots) for i in range(1, m))
+    return RunEnsemble(graph, base_seed, (first, *rest))
 
 
 def ensemble_to_csv(ensemble: RunEnsemble) -> str:
@@ -250,10 +274,12 @@ def observe_runs(plan: _Plan, t: int, m: int, base_seed: int) -> list:
 
     Returns one dict per run: every pool's and drain's amount at step t.
     Steps after t cannot change it, so this equals the step-t snapshot
-    of a longer run with the same seed.
+    of a longer run with the same seed. A plan without gates draws no
+    random numbers, so it runs once and the list holds that one dict m
+    times; callers only read the dicts.
     """
     observed = []
-    for seed in range(base_seed, base_seed + m):
+    for seed in range(base_seed, base_seed + (m if plan.gates else 1)):
         rng = random.Random(seed)
         pools = dict(plan.initial_pools)
         drains = dict(plan.initial_drains)
@@ -261,27 +287,26 @@ def observe_runs(plan: _Plan, t: int, m: int, base_seed: int) -> list:
             _execute(plan, pools, drains, rng, None)
         pools.update(drains)
         observed.append(pools)
-    return observed
+    return observed if plan.gates else observed * m
+
+
+def _route_gate(gates, gate_id, amount, pools, staged, rng, on_transfer) -> None:
+    """Send a batch into a gate along the edge picked by one rng draw."""
+    cumulative, targets = gates[gate_id]
+    # the first bound above the draw; the last bound is 1.0, above every draw
+    dst, tag = targets[bisect_right(cumulative, rng.random())]
+    if on_transfer is not None:
+        on_transfer("gate", gate_id, dst, amount)
+    if tag == _POOL:
+        pools[dst] += amount
+    else:
+        key = (gate_id, dst)
+        staged[key] = staged.get(key, 0) + amount
 
 
 def _execute(plan: _Plan, pools, drains, rng, on_transfer) -> None:
+    gates = plan.gates
     staged = {}  # (gate_id, converter_id) -> units staged this step
-
-    def route_gate(gate_id, amount):
-        pick = rng.random()
-        cumulative, targets = plan.gates[gate_id]
-        index = 0
-        for index, bound in enumerate(cumulative):
-            if pick < bound:
-                break
-        dst, tag = targets[index]
-        if on_transfer is not None:
-            on_transfer("gate", gate_id, dst, amount)
-        if tag == _POOL:
-            pools[dst] += amount
-        else:
-            key = (gate_id, dst)
-            staged[key] = staged.get(key, 0) + amount
 
     for source_id, deliveries in plan.sources:
         for dst, tag, amount in deliveries:
@@ -290,17 +315,26 @@ def _execute(plan: _Plan, pools, drains, rng, on_transfer) -> None:
             if tag == _POOL:
                 pools[dst] += amount
             else:
-                route_gate(dst, amount)
+                _route_gate(gates, dst, amount, pools, staged, rng, on_transfer)
 
-    fired = set()
-    while True:
-        progressed = False
-        for conv_id, pool_needs, gate_inputs, out_dst, out_tag, out_amount in plan.converters:
-            if conv_id in fired:
-                continue
-            if any(pools[pool_id] < need for pool_id, need in pool_needs):
-                continue
-            if any(staged.get((g, conv_id), 0) <= 0 for g in gate_inputs):
+    # passes in id order over the converters that have not fired this step
+    waiting = plan.converters
+    while waiting:
+        unfired = []
+        for converter in waiting:
+            conv_id, pool_needs, gate_inputs, out_dst, out_tag, out_amount = converter
+            ready = True
+            for pool_id, need in pool_needs:
+                if pools[pool_id] < need:
+                    ready = False
+                    break
+            if ready:
+                for gate_id in gate_inputs:
+                    if staged.get((gate_id, conv_id), 0) <= 0:
+                        ready = False
+                        break
+            if not ready:
+                unfired.append(converter)
                 continue
             for pool_id, need in pool_needs:
                 pools[pool_id] -= need
@@ -310,16 +344,15 @@ def _execute(plan: _Plan, pools, drains, rng, on_transfer) -> None:
                 taken = staged.pop((gate_id, conv_id))
                 if on_transfer is not None:
                     on_transfer("consume", gate_id, conv_id, taken)
-            fired.add(conv_id)
-            progressed = True
             if on_transfer is not None:
                 on_transfer("produce", conv_id, out_dst, out_amount)
             if out_tag == _POOL:
                 pools[out_dst] += out_amount
             else:
-                route_gate(out_dst, out_amount)
-        if not progressed:
+                _route_gate(gates, out_dst, out_amount, pools, staged, rng, on_transfer)
+        if len(unfired) == len(waiting):
             break
+        waiting = unfired
 
     for pool_id, drain_id, amount in plan.drain_moves:
         if pools[pool_id] >= amount:

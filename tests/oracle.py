@@ -1,9 +1,12 @@
-"""Independent brute-force constraint checker used as a test oracle.
+"""Independent brute-force test oracles: a constraint checker and a simulator.
 
 Deliberately written from scratch against the documented connection
-rules, sharing no code with flowtune.model: kinds are plain strings,
-degrees are recounted by scanning the raw edge list for every node.
+rules and step phases, sharing no code with flowtune.model or
+flowtune.sim: kinds are plain strings, degrees and neighbors are found
+by scanning the raw edge list for every node.
 """
+
+import random
 
 # kind -> (min_in, max_in, min_out, max_out, allowed inputs, allowed outputs)
 RULES = {
@@ -58,3 +61,98 @@ def max_degree_violations(graph, node_id: str) -> int:
     if sum(1 for e in graph.edges if e.src == node_id) > max_out:
         violations += 1
     return violations
+
+
+# --- step phases --------------------------------------------------------------
+#
+# A second simulator, written from the flowtune.sim module docstring alone:
+# plain dicts of amounts, kinds as strings, and every neighbor found by
+# scanning the raw edge list. It assumes a valid economy.
+
+_POOL_KINDS = ("pool", "fixed_pool")
+
+
+def simulate_amounts(graph, n: int, seed: int) -> list:
+    """Amounts of every pool, fixed pool and drain after steps 0..n of run ``seed``."""
+    kinds = {node.id: getattr(node.kind, "value", node.kind) for node in graph.nodes}
+    edges = [(e.src, e.dst, e.weight) for e in graph.edges]
+    rng = random.Random(seed)
+
+    def outgoing(node_id):
+        return [(dst, w) for src, dst, w in edges if src == node_id]
+
+    caps = {}
+    for node_id, kind in kinds.items():
+        if kind == "fixed_pool" and outgoing(node_id):
+            caps[node_id] = max(w for _, w in outgoing(node_id))
+
+    amounts = {}
+    for node in graph.nodes:
+        if kinds[node.id] in _POOL_KINDS:
+            amounts[node.id] = min(node.initial_amount, caps.get(node.id, node.initial_amount))
+        elif kinds[node.id] == "drain":
+            amounts[node.id] = 0
+    history = [dict(amounts)]
+
+    for _ in range(n):
+        staged = {}
+
+        def deliver(src, dst, amount):
+            if kinds[dst] == "random_gate":
+                choices = outgoing(dst)
+                total = 0
+                for _, w in choices:
+                    total += w
+                u = rng.random()
+                running = 0.0
+                for i, (target, w) in enumerate(choices):
+                    running += w / total
+                    if u < (1.0 if i == len(choices) - 1 else running):
+                        break
+                deliver(dst, target, amount)
+            elif kinds[dst] == "converter":
+                staged[(src, dst)] = staged.get((src, dst), 0) + amount
+            else:
+                amounts[dst] += amount
+
+        for source in sorted(i for i, k in kinds.items() if k == "source"):
+            for dst, w in outgoing(source):
+                deliver(source, dst, w)
+
+        converters = sorted(i for i, k in kinds.items() if k == "converter")
+        fired = set()
+        progress = True
+        while progress:
+            progress = False
+            for conv in converters:
+                if conv in fired:
+                    continue
+                inputs = [(src, w) for src, dst, w in edges if dst == conv]
+                satisfied = True
+                for src, w in inputs:
+                    if kinds[src] in _POOL_KINDS:
+                        satisfied = satisfied and amounts[src] >= w
+                    else:
+                        satisfied = satisfied and staged.get((src, conv), 0) > 0
+                if not satisfied:
+                    continue
+                for src, w in inputs:
+                    if kinds[src] in _POOL_KINDS:
+                        amounts[src] -= w
+                    else:
+                        del staged[(src, conv)]
+                fired.add(conv)
+                progress = True
+                (dst, w), = outgoing(conv)
+                deliver(conv, dst, w)
+
+        for src, dst, w in edges:
+            if kinds[src] in _POOL_KINDS and kinds[dst] == "drain" and amounts[src] >= w:
+                amounts[src] -= w
+                amounts[dst] += w
+
+        for pool, cap in caps.items():
+            amounts[pool] = min(amounts[pool], cap)
+
+        history.append(dict(amounts))
+    return history

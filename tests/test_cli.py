@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from flowtune.cli import main
-from flowtune.fixtures import fixture_text
+from flowtune.fixtures import FIXTURE_NAMES, fixture_text
 from flowtune.model import is_valid, load_economy
 
 
@@ -275,6 +276,21 @@ def test_non_integer_and_non_finite_parameters_exit_two(
         assert len(err.replace(doc, "").encode()) < 120
 
 
+@pytest.mark.parametrize("command", ["gen", "balance", "bench"])
+def test_config_that_is_not_utf8_names_its_path(tmp_path, torch_file, capsys, command):
+    doc = tmp_path / "bad.json"
+    doc.write_bytes(b"\xff\xfe{}")
+    out = str(tmp_path / "out")
+    argv = {
+        "gen": ["gen", str(doc), "--out", out],
+        "balance": ["balance", torch_file, "--objective", str(doc), "--out", out],
+        "bench": ["bench", str(doc), "--out", out],
+    }[command]
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"flowtune: {doc} ") and err.count("\n") == 1
+
+
 def test_usage_error_on_unknown_flag():
     assert main(["sim", "--nonsense"]) == 1
 
@@ -308,3 +324,44 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path, torch_file, argv_bui
             p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.suffix in (".json", ".csv")
         }
     assert outputs[first_dir] == outputs[second_dir]
+
+
+#: SHA-256 of known-good outputs for fixed inputs and seeds. Reruns of one
+#: version agreeing is not enough: a kernel change that alters an output,
+#: or the order in which random numbers are drawn, must fail here.
+PINNED_TRACES = {
+    "minecraft_torch": "326c04382205823403cc6d5851048544b897e252dc1e7f910df5982c7e963ef1",
+    "mage": "ea529bf442faf27d2d934a3d3105a0d68e2c82136e180d1c7661451eb74647fb",
+    "archer": "89b471e070e6dbdd22dd83647ad270385c98bf41195fd97a8e283ed68a36483d",
+}
+PINNED_INTER_PAIR_REPORT = "614a9f8bb20d7e790f53b349ab67bdbada6a0351cf4a41d194ab97fa11517604"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_sim_trace_matches_pinned_digest(tmp_path, name):
+    economy = write(tmp_path / f"{name}.json", fixture_text(name))
+    trace = tmp_path / "trace.csv"
+    argv = ["sim", economy, "--steps", "40", "--runs", "5", "--seed", "3", "--trace", str(trace)]
+    assert main(argv + ["--quiet"]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == PINNED_TRACES[name]
+
+
+def test_inter_pair_balance_report_matches_pinned_digest(tmp_path):
+    archer_file = write(tmp_path / "archer.json", fixture_text("archer"))
+    mage_file = write(tmp_path / "mage.json", fixture_text("mage"))
+    objective = write(
+        tmp_path / "obj.json",
+        {
+            "kind": "inter_pair", "pool": "damage_pool", "pool2": "damage_pool",
+            "step": 20, "sim_length": 25, "runs": 6, "alpha": 0,
+            "population": 8, "max_generations": 12, "seed": 11,
+        },
+    )
+    report = tmp_path / "report.json"
+    code = main([
+        "balance", archer_file, "--second", mage_file, "--objective", objective,
+        "--out", str(tmp_path / "a.json"), "--out2", str(tmp_path / "m.json"),
+        "--report", str(report), "--quiet",
+    ])
+    assert code == 2  # not balanced within 12 generations
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == PINNED_INTER_PAIR_REPORT

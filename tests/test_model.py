@@ -1,10 +1,13 @@
+import copy
 import json
 import random
 
 import pytest
 
+from flowtune.fixtures import FIXTURE_NAMES, fixture_text
 from flowtune.model import (
     DanglingEdgeError,
+    EconomyError,
     EconomyGraph,
     EconomySchemaError,
     Edge,
@@ -221,6 +224,65 @@ SOURCE_TO_POOL = (
 def test_load_rejects_malformed_documents(doc):
     with pytest.raises(EconomySchemaError):
         load_economy(doc)
+
+
+JUNK = [
+    None, True, False, 0, -1, 2.5, "", "x", "pool", "random_gate", [], {}, [1], {"a": 1},
+    float("nan"), float("inf"), float("-inf"), 10**400, -(10**400),
+]
+
+
+def _containers(value):
+    if isinstance(value, (dict, list)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _containers(child)
+
+
+def _mutate(doc, rng, ids):
+    """One random edit: drop a key or an element, put junk (or a node id) in,
+    or duplicate an element."""
+    target = rng.choice(list(_containers(doc)))
+    junk = copy.deepcopy(rng.choice(JUNK + ids))
+    if isinstance(target, dict):
+        if not target or rng.random() < 0.1:
+            target[rng.choice(["id", "kind", "weight", "static", "initial", "junk"])] = junk
+            return
+        key = rng.choice(sorted(target))
+        if rng.random() < 0.4:
+            del target[key]
+        else:
+            target[key] = junk
+    elif target:
+        index = rng.randrange(len(target))
+        roll = rng.random()
+        if roll < 0.4:
+            del target[index]
+        elif roll < 0.8:
+            target[index] = junk
+        else:
+            target.append(copy.deepcopy(target[index]))
+    else:
+        target.append(junk)
+
+
+def test_load_raises_only_economy_errors_on_mutated_fixtures():
+    rng = random.Random(5)
+    originals = [json.loads(fixture_text(name)) for name in FIXTURE_NAMES]
+    rejected = 0
+    for i in range(1200):
+        original = rng.choice(originals)
+        doc = copy.deepcopy(original)
+        for _ in range(rng.randint(1, 3)):
+            _mutate(doc, rng, [node["id"] for node in original["nodes"]])
+        text = json.dumps(doc)
+        try:
+            load_economy(text.encode("utf-8") if i % 2 else text)
+        except EconomyError:
+            rejected += 1
+        except Exception as exc:  # noqa: BLE001 - any other error is the failure
+            pytest.fail(f"{type(exc).__name__}: {exc} for document {text[:400]}")
+    assert rejected >= 600
 
 
 def test_duplicate_ids_self_loops_and_parallel_edges_rejected():

@@ -4,18 +4,22 @@ import random
 import pytest
 
 import flowtune.sim
+from flowtune.fixtures import load_fixture
 from flowtune.model import EconomyGraph, Edge, InvalidEconomyError, Node, NodeKind
 from flowtune.sim import (
     SimulationState,
+    compile_plan,
     ensemble_to_csv,
     initial_state,
     monitored_node_ids,
+    observe_runs,
     simulate,
     simulate_ensemble,
     step,
 )
 from flowtune.generator import GeneratorConfig, generate, random_node_counts
 
+import oracle
 from conftest import chain_graph, gate_graph
 
 
@@ -328,3 +332,87 @@ def test_observe_errors(minecraft):
         trace.observe("torch_pool", 4)
     with pytest.raises(ValueError):
         trace.observe("wood_source", 1)
+
+
+def oracle_economies(count: int, rng: random.Random) -> list:
+    """count valid economies: generated topologies, each taken three times
+    with random amounts, gate shares, initial amounts and fixed pools."""
+    economies = []
+    seed = 0
+    while len(economies) < count:
+        seed += 1
+        result = generate(GeneratorConfig(random_node_counts(rng, 4, 12), max_steps=3000, seed=seed))
+        if not result.valid:
+            continue
+        graph = result.graph
+        for _ in range(3):
+            nodes = []
+            for node in graph.nodes:
+                kind, initial = node.kind, 0
+                if kind.is_pool_like:
+                    kind = NodeKind.FIXED_POOL if rng.random() < 0.3 else NodeKind.POOL
+                    initial = rng.randrange(6)
+                nodes.append(Node(node.id, kind, None, initial))
+            edges = []
+            for edge in graph.edges:
+                if graph.node(edge.src).kind is NodeKind.RANDOM_GATE:
+                    weight = rng.uniform(0.05, 2.0)
+                else:
+                    weight = rng.randint(1, 4)
+                edges.append(Edge(edge.src, edge.dst, weight))
+            economies.append(EconomyGraph(tuple(nodes), tuple(edges)))
+    return economies[:count]
+
+
+def test_step_oracle_agrees_with_simulate_and_observe_runs():
+    n, m = 10, 3
+    rng = random.Random(77)
+    economies = oracle_economies(300, rng)
+    seen = {"gate": 0, "gate_into_converter": 0, "converter_chain": 0, "fixed_pool": 0, "seed_matters": 0}
+    for index, graph in enumerate(economies):
+        kinds = {node.id: node.kind for node in graph.nodes}
+        seen["gate"] += NodeKind.RANDOM_GATE in kinds.values()
+        seen["fixed_pool"] += NodeKind.FIXED_POOL in kinds.values()
+        seen["gate_into_converter"] += any(
+            kinds[e.src] is NodeKind.RANDOM_GATE and kinds[e.dst] is NodeKind.CONVERTER for e in graph.edges
+        )
+        fed_by_converter = {e.dst for e in graph.edges if kinds[e.src] is NodeKind.CONVERTER}
+        seen["converter_chain"] += any(
+            e.src in fed_by_converter and kinds[e.dst] is NodeKind.CONVERTER for e in graph.edges
+        )
+
+        base_seed = 1000 * index
+        expected = [oracle.simulate_amounts(graph, n, base_seed + r) for r in range(m)]
+        seen["seed_matters"] += any(runs != expected[0] for runs in expected)
+        for r in range(m):
+            trace = simulate(graph, n, base_seed + r)
+            got = [{**s.pool_balances, **s.drain_totals} for s in trace.snapshots]
+            assert got == expected[r], f"economy {index}, run {r}"
+        plan = compile_plan(graph, [e.weight for e in graph.edges])
+        for t in range(1, n + 1):
+            got = observe_runs(plan, t, m, base_seed)
+            assert got == [expected[r][t] for r in range(m)], f"economy {index}, step {t}"
+    # the sample reaches every documented mechanism, and random routing matters
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("name, gated", [("minecraft_torch", False), ("mage", False), ("archer", True)])
+def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
+    graph = load_fixture(name)
+    plan = compile_plan(graph, [e.weight for e in graph.edges])
+    assert bool(plan.gates) is gated
+    t, n, m, base_seed = 7, 9, 4, 21
+    calls = []
+    real = flowtune.sim._execute
+    monkeypatch.setattr(flowtune.sim, "_execute", lambda *args: calls.append(1) or real(*args))
+    observed = observe_runs(plan, t, m, base_seed)
+    assert len(calls) == (m * t if gated else t)
+    del calls[:]
+    ensemble = simulate_ensemble(graph, n, m, base_seed)
+    assert len(calls) == (m * n if gated else n)
+
+    singles = [simulate(graph, n, base_seed + r) for r in range(m)]
+    assert ensemble.traces == tuple(singles)  # run_seed included
+    assert observed == [
+        {**s.snapshots[t].pool_balances, **s.snapshots[t].drain_totals} for s in singles
+    ]
