@@ -10,6 +10,7 @@ figures are printed to the console only and never written to files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -47,7 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls;
+    each parse_args call fills a new namespace."""
     parser = _Parser(prog="flowtune", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -280,9 +284,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"flowtune: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

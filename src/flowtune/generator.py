@@ -11,6 +11,10 @@ weakly connected, or when the step budget runs out.
 Because insertions are guarded, an individual can only ever violate
 minimum-degree requirements, so its constraint-violation total is
 maintained incrementally in O(1) per mutation.
+
+draw_pair picks the two endpoints of an edge to add exactly as
+random.sample(range(n), 2) does on Python 3.10-3.13, from the same random
+numbers but without that call's overhead, so a seed gives the same economy.
 """
 
 from __future__ import annotations
@@ -75,12 +79,13 @@ class EdgeListGenome:
     carry are unmet minimum degrees (tracked in ``fitness``).
     """
 
-    __slots__ = ("nodes", "edges", "_rules", "_edge_set", "_in_deg", "_out_deg", "_missing")
+    __slots__ = ("nodes", "edges", "_kinds", "_rules", "_edge_set", "_in_deg", "_out_deg", "_missing")
 
     def __init__(self, nodes: tuple):
         self.nodes = nodes
         self.edges = []
-        self._rules = [CONSTRAINTS[n.kind.constraint_kind] for n in nodes]
+        self._kinds = [n.kind.constraint_kind for n in nodes]
+        self._rules = [CONSTRAINTS[kind] for kind in self._kinds]
         self._edge_set = set()
         self._in_deg = [0] * len(nodes)
         self._out_deg = [0] * len(nodes)
@@ -98,9 +103,7 @@ class EdgeListGenome:
         if a == b or (a, b) in self._edge_set:
             return False
         rule_a, rule_b = self._rules[a], self._rules[b]
-        kind_a = self.nodes[a].kind.constraint_kind
-        kind_b = self.nodes[b].kind.constraint_kind
-        if kind_b not in rule_a.allowed_outputs or kind_a not in rule_b.allowed_inputs:
+        if self._kinds[b] not in rule_a.allowed_outputs or self._kinds[a] not in rule_b.allowed_inputs:
             return False
         if self._out_deg[a] >= rule_a.max_out or self._in_deg[b] >= rule_b.max_in:
             return False
@@ -143,6 +146,7 @@ class EdgeListGenome:
         clone = EdgeListGenome.__new__(EdgeListGenome)
         clone.nodes = self.nodes
         clone.edges = list(self.edges)
+        clone._kinds = self._kinds
         clone._rules = self._rules
         clone._edge_set = set(self._edge_set)
         clone._in_deg = list(self._in_deg)
@@ -161,10 +165,22 @@ class EdgeListGenome:
         return normalize_gate_weights(graph) if normalize else graph
 
 
+def draw_pair(rng: random.Random, n: int) -> tuple:
+    """Two distinct indices below n: the pair rng.sample(range(n), 2) gives,
+    from the same draws, without its argument checks."""
+    a = rng.randrange(n)
+    if n <= 21:  # sample's pool-list branch: index n-1 fills a's slot
+        b = rng.randrange(n - 1)
+        return a, (n - 1 if b == a else b)
+    b = rng.randrange(n)  # sample's selected-set branch: redraw a repeat
+    while b == a:
+        b = rng.randrange(n)
+    return a, b
+
+
 def mutate_add_edge(genome: EdgeListGenome, rng: random.Random) -> EdgeListGenome:
-    """Sample two distinct vertices and add the edge if the rules allow it."""
-    a, b = rng.sample(range(len(genome.nodes)), 2)
-    genome.try_add(a, b)
+    """Draw two distinct vertices and add the edge if the rules allow it."""
+    genome.try_add(*draw_pair(rng, len(genome.nodes)))
     return genome
 
 
@@ -217,18 +233,17 @@ def generate(config: GeneratorConfig) -> GenerationResult:
 
     best = population[0].copy()
     history = [best.fitness]
+    n = len(nodes)
     for generation in range(1, config.max_steps + 1):
         for genome in population:
-            mutate_add_edge(genome, rng)
+            genome.try_add(*draw_pair(rng, n))
         mutate_remove_edge(population, rng, config.remove_probability)
 
-        generation_best = min(genome.fitness for genome in population)
+        missing = [genome._missing for genome in population]
+        generation_best = min(missing)
         history.append(generation_best)
         if generation_best < best.fitness:
-            for genome in population:
-                if genome.fitness == generation_best:
-                    best = genome.copy()
-                    break
+            best = population[missing.index(generation_best)].copy()
         if generation_best == 0:
             for genome in population:
                 if genome.fitness == 0 and genome.is_connected():

@@ -21,8 +21,8 @@ reproducible from a seed:
 4. Every fixed pool is clamped down to the largest weight among its
    outgoing edges (one without outgoing edges is not clamped); the
    excess is discarded.
-5. The state snapshot is recorded; staged amounts that no converter
-   consumed are discarded.
+5. The snapshot is recorded; staged amounts that no converter consumed
+   are discarded.
 
 A run starts from the declared initial amounts, fixed pools clamped as
 in phase 4, with every drain at 0. All flows are whole resource counts;
@@ -38,10 +38,14 @@ nothing and every seed gives the same run: simulate_ensemble and
 observe_runs simulate such an economy once and repeat that run for each
 seed (its traces share one snapshot tuple).
 
-The public entry points (simulate, simulate_ensemble, step,
-initial_state) check a graph's connection rules once, when it is first
-used, and cache its compiled step plan on it; later runs of the same
-graph skip both. The balancer instead compiles a plan per candidate
+A snapshot is one dict, node id -> amount, of every pool, fixed pool
+and drain (a drain's amount is its cumulative total); the kernel updates
+one such dict in place and a trace keeps a copy of it per step.
+
+simulate and simulate_ensemble check a graph's connection rules once,
+when it is first simulated, and cache its compiled step plan on it;
+later runs of the same graph skip both. ensemble_to_csv writes their
+traces as a table. The balancer instead compiles a plan per candidate
 weight vector from its genome layout (compile_plan) and runs it only to
 the observed step (observe_runs), building no graph.
 """
@@ -64,24 +68,8 @@ TransferObserver = Callable[[str, str, "str | None", int], None]
 
 
 @dataclass(frozen=True)
-class SimulationState:
-    """Balances after a step: pool contents and cumulative drain totals."""
-
-    pool_balances: dict
-    drain_totals: dict
-    step_index: int
-
-    def amount(self, node_id: str) -> int:
-        if node_id in self.pool_balances:
-            return self.pool_balances[node_id]
-        if node_id in self.drain_totals:
-            return self.drain_totals[node_id]
-        raise ValueError(f"node {node_id!r} is not monitored (not a pool or drain)")
-
-
-@dataclass(frozen=True)
 class SimulationTrace:
-    """Snapshots of one run: index t holds the state after step t."""
+    """Snapshots of one run: index t holds every monitored amount after step t."""
 
     run_seed: int
     snapshots: tuple
@@ -93,7 +81,10 @@ class SimulationTrace:
     def observe(self, node_id: str, t: int) -> int:
         if not 0 <= t <= self.length:
             raise ValueError(f"step {t} outside trace of length {self.length}")
-        return self.snapshots[t].amount(node_id)
+        snapshot = self.snapshots[t]
+        if node_id not in snapshot:
+            raise ValueError(f"node {node_id!r} is not monitored (not a pool or drain)")
+        return snapshot[node_id]
 
 
 @dataclass(frozen=True)
@@ -119,26 +110,6 @@ def monitored_node_ids(graph: EconomyGraph) -> list:
     return sorted(n.id for n in graph.nodes if n.kind in kinds)
 
 
-def initial_state(graph: EconomyGraph) -> SimulationState:
-    """Declared initial amounts (fixed pools clamped to their cap), drains at 0."""
-    plan = _plan_for(graph)
-    return SimulationState(dict(plan.initial_pools), dict(plan.initial_drains), 0)
-
-
-def step(
-    graph: EconomyGraph,
-    state: SimulationState,
-    rng: random.Random,
-    on_transfer: TransferObserver = None,
-) -> SimulationState:
-    """Advance one time step; returns the next state, inputs untouched."""
-    plan = _plan_for(graph)
-    pools = dict(state.pool_balances)
-    drains = dict(state.drain_totals)
-    _execute(plan, pools, drains, rng, on_transfer)
-    return SimulationState(pools, drains, state.step_index + 1)
-
-
 def simulate(
     graph: EconomyGraph,
     n: int,
@@ -154,12 +125,11 @@ def simulate(
         raise ValueError(f"simulation length must be >= 1, got {n}")
     plan = _plan_for(graph)
     rng = random.Random(seed)
-    pools = dict(plan.initial_pools)
-    drains = dict(plan.initial_drains)
-    snapshots = [SimulationState(dict(pools), dict(drains), 0)]
-    for t in range(1, n + 1):
-        _execute(plan, pools, drains, rng, on_transfer)
-        snapshots.append(SimulationState(dict(pools), dict(drains), t))
+    amounts = plan.initial.copy()
+    snapshots = [plan.initial.copy()]
+    for _ in range(n):
+        _execute(plan, amounts, rng, on_transfer)
+        snapshots.append(amounts.copy())
     return SimulationTrace(seed, tuple(snapshots))
 
 
@@ -181,14 +151,26 @@ def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> Ru
 
 
 def ensemble_to_csv(ensemble: RunEnsemble) -> str:
-    """Trace table: run,step,node_id,amount; runs by seed offset, steps ascending."""
+    """Trace table: run,step,node_id,amount; runs by seed offset, steps ascending.
+
+    The step,node_id,amount rows of each distinct snapshot tuple are
+    formatted once; every run then prefixes them with its own run index.
+    """
     monitored = monitored_node_ids(ensemble.graph)
-    lines = ["run,step,node_id,amount"]
+    rows_of = {}  # id of a snapshot tuple -> its rows, each ending in a newline
+    parts = ["run,step,node_id,amount\n"]
     for run, trace in enumerate(ensemble.traces):
-        for t, snapshot in enumerate(trace.snapshots):
-            for node_id in monitored:
-                lines.append(f"{run},{t},{node_id},{snapshot.amount(node_id)}")
-    return "\n".join(lines) + "\n"
+        rows = rows_of.get(id(trace.snapshots))
+        if rows is None:
+            rows = [
+                f"{t},{node_id},{snapshot[node_id]}\n"
+                for t, snapshot in enumerate(trace.snapshots)
+                for node_id in monitored
+            ]
+            rows_of[id(trace.snapshots)] = rows
+        prefix = f"{run},"
+        parts.append(prefix + prefix.join(rows))
+    return "".join(parts)
 
 
 # --- step execution plan -----------------------------------------------------
@@ -199,9 +181,7 @@ _CONVERTER = 2
 
 
 class _Plan:
-    __slots__ = (
-        "sources", "gates", "converters", "drain_moves", "caps", "initial_pools", "initial_drains"
-    )
+    __slots__ = ("sources", "gates", "converters", "drain_moves", "caps", "initial")
 
 
 def _plan_for(graph: EconomyGraph) -> _Plan:
@@ -260,19 +240,19 @@ def compile_plan(graph: EconomyGraph, weights) -> _Plan:
         for n in graph.nodes_of_kind(NodeKind.FIXED_POOL)
         if out[n.id]
     }
-    plan.initial_pools = {
+    plan.initial = {  # the step-0 snapshot
         n.id: min(n.initial_amount, plan.caps.get(n.id, n.initial_amount))
         for n in graph.nodes
         if n.kind.is_pool_like
     }
-    plan.initial_drains = {n.id: 0 for n in graph.nodes_of_kind(NodeKind.DRAIN)}
+    plan.initial.update((n.id, 0) for n in graph.nodes_of_kind(NodeKind.DRAIN))
     return plan
 
 
 def observe_runs(plan: _Plan, t: int, m: int, base_seed: int) -> list:
     """Run seeds base_seed ... base_seed+m-1 to step t, keeping no snapshots.
 
-    Returns one dict per run: every pool's and drain's amount at step t.
+    Returns one snapshot dict per run: every pool's and drain's amount at step t.
     Steps after t cannot change it, so this equals the step-t snapshot
     of a longer run with the same seed. A plan without gates draws no
     random numbers, so it runs once and the list holds that one dict m
@@ -281,16 +261,14 @@ def observe_runs(plan: _Plan, t: int, m: int, base_seed: int) -> list:
     observed = []
     for seed in range(base_seed, base_seed + (m if plan.gates else 1)):
         rng = random.Random(seed)
-        pools = dict(plan.initial_pools)
-        drains = dict(plan.initial_drains)
+        amounts = plan.initial.copy()
         for _ in range(t):
-            _execute(plan, pools, drains, rng, None)
-        pools.update(drains)
-        observed.append(pools)
+            _execute(plan, amounts, rng, None)
+        observed.append(amounts)
     return observed if plan.gates else observed * m
 
 
-def _route_gate(gates, gate_id, amount, pools, staged, rng, on_transfer) -> None:
+def _route_gate(gates, gate_id, amount, amounts, staged, rng, on_transfer) -> None:
     """Send a batch into a gate along the edge picked by one rng draw."""
     cumulative, targets = gates[gate_id]
     # the first bound above the draw; the last bound is 1.0, above every draw
@@ -298,13 +276,14 @@ def _route_gate(gates, gate_id, amount, pools, staged, rng, on_transfer) -> None
     if on_transfer is not None:
         on_transfer("gate", gate_id, dst, amount)
     if tag == _POOL:
-        pools[dst] += amount
+        amounts[dst] += amount
     else:
         key = (gate_id, dst)
         staged[key] = staged.get(key, 0) + amount
 
 
-def _execute(plan: _Plan, pools, drains, rng, on_transfer) -> None:
+def _execute(plan: _Plan, amounts, rng, on_transfer) -> None:
+    """One step: updates the snapshot dict of pool and drain amounts in place."""
     gates = plan.gates
     staged = {}  # (gate_id, converter_id) -> units staged this step
 
@@ -313,9 +292,9 @@ def _execute(plan: _Plan, pools, drains, rng, on_transfer) -> None:
             if on_transfer is not None:
                 on_transfer("source", source_id, dst, amount)
             if tag == _POOL:
-                pools[dst] += amount
+                amounts[dst] += amount
             else:
-                _route_gate(gates, dst, amount, pools, staged, rng, on_transfer)
+                _route_gate(gates, dst, amount, amounts, staged, rng, on_transfer)
 
     # passes in id order over the converters that have not fired this step
     waiting = plan.converters
@@ -325,7 +304,7 @@ def _execute(plan: _Plan, pools, drains, rng, on_transfer) -> None:
             conv_id, pool_needs, gate_inputs, out_dst, out_tag, out_amount = converter
             ready = True
             for pool_id, need in pool_needs:
-                if pools[pool_id] < need:
+                if amounts[pool_id] < need:
                     ready = False
                     break
             if ready:
@@ -337,7 +316,7 @@ def _execute(plan: _Plan, pools, drains, rng, on_transfer) -> None:
                 unfired.append(converter)
                 continue
             for pool_id, need in pool_needs:
-                pools[pool_id] -= need
+                amounts[pool_id] -= need
                 if on_transfer is not None:
                     on_transfer("consume", pool_id, conv_id, need)
             for gate_id in gate_inputs:
@@ -347,23 +326,23 @@ def _execute(plan: _Plan, pools, drains, rng, on_transfer) -> None:
             if on_transfer is not None:
                 on_transfer("produce", conv_id, out_dst, out_amount)
             if out_tag == _POOL:
-                pools[out_dst] += out_amount
+                amounts[out_dst] += out_amount
             else:
-                _route_gate(gates, out_dst, out_amount, pools, staged, rng, on_transfer)
+                _route_gate(gates, out_dst, out_amount, amounts, staged, rng, on_transfer)
         if len(unfired) == len(waiting):
             break
         waiting = unfired
 
     for pool_id, drain_id, amount in plan.drain_moves:
-        if pools[pool_id] >= amount:
-            pools[pool_id] -= amount
-            drains[drain_id] += amount
+        if amounts[pool_id] >= amount:
+            amounts[pool_id] -= amount
+            amounts[drain_id] += amount
             if on_transfer is not None:
                 on_transfer("drain", pool_id, drain_id, amount)
 
     for pool_id, cap in plan.caps.items():
-        excess = pools[pool_id] - cap
+        excess = amounts[pool_id] - cap
         if excess > 0:
-            pools[pool_id] = cap
+            amounts[pool_id] = cap
             if on_transfer is not None:
                 on_transfer("clamp", pool_id, None, excess)

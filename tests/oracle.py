@@ -156,3 +156,23 @@ def simulate_amounts(graph, n: int, seed: int) -> list:
 
         history.append(dict(amounts))
     return history
+
+
+# --- trace table --------------------------------------------------------------
+
+
+def trace_csv(ensemble) -> str:
+    """The run,step,node_id,amount table of an ensemble, written from the
+    README's layout alone: every row's amount is read through
+    RunEnsemble.observe, for every pool, fixed pool and drain by id."""
+    node_ids = sorted(
+        node.id for node in ensemble.graph.nodes if getattr(node.kind, "value", node.kind) in _POOL_KINDS + ("drain",)
+    )
+    steps = range(len(ensemble.traces[0].snapshots))
+    column = {(t, node_id): ensemble.observe(node_id, t) for t in steps for node_id in node_ids}
+    lines = ["run,step,node_id,amount"]
+    for run in range(len(ensemble.traces)):
+        for t in steps:
+            for node_id in node_ids:
+                lines.append(f"{run},{t},{node_id},{column[t, node_id][run]}")
+    return "\n".join(lines) + "\n"

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+import flowtune.cli
 from flowtune.cli import main
 from flowtune.fixtures import FIXTURE_NAMES, fixture_text
-from flowtune.model import is_valid, load_economy
+from flowtune.model import NodeKind, is_valid, load_economy
+from flowtune.sim import monitored_node_ids
 
 
 def write(path, payload):
@@ -295,6 +297,24 @@ def test_usage_error_on_unknown_flag():
     assert main(["sim", "--nonsense"]) == 1
 
 
+def test_consecutive_calls_share_one_parser_and_leak_no_options(tmp_path):
+    config = write(tmp_path / "cfg.json", {"nodes": {"source": 2, "pool": 3, "converter": 1, "drain": 2}, "seed": 2})
+    other_report = tmp_path / "other.report.json"
+    first = tmp_path / "first.json"
+    assert main(["gen", config, "--out", str(first), "--report", str(other_report), "--seed", "3", "--quiet"]) == 0
+    assert other_report.exists() and not (tmp_path / "first.json.report.json").exists()
+    plain = tmp_path / "plain.json"
+    assert main(["gen", config, "--out", str(plain), "--quiet"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "first.json", "other.report.json", "plain.json", "plain.json.report.json"
+    ]
+    # the plain call used the config's seed, not the earlier --seed 3
+    seeded = tmp_path / "seeded.json"
+    assert main(["gen", config, "--out", str(seeded), "--seed", "2", "--quiet"]) == 0
+    assert plain.read_bytes() == seeded.read_bytes() != first.read_bytes()
+    assert flowtune.cli._parser() is flowtune.cli._parser()
+
+
 @pytest.mark.parametrize(
     "argv_builder",
     [
@@ -335,6 +355,27 @@ PINNED_TRACES = {
     "archer": "89b471e070e6dbdd22dd83647ad270385c98bf41195fd97a8e283ed68a36483d",
 }
 PINNED_INTER_PAIR_REPORT = "614a9f8bb20d7e790f53b349ab67bdbada6a0351cf4a41d194ab97fa11517604"
+
+
+#: A generated economy with random gates and 11 monitored nodes, and the
+#: SHA-256 of its trace; the fixture digests above cover only small graphs.
+GATED_CONFIG = {"nodes": {"source": 4, "random_gate": 3, "pool": 7, "converter": 3, "drain": 4},
+                "max_steps": 20000, "seed": 5}
+PINNED_GATED_ECONOMY = "33b58fbac1007512efc49dc73019ce58f513b020afca310cd7e243cf9cdc812c"
+PINNED_GATED_TRACE = "ee003ca3a99a3c76aabb61392da350da5007856639dc2441fb9b00b378bad9d8"
+
+
+def test_generated_gated_trace_matches_pinned_digest(tmp_path):
+    economy = tmp_path / "economy.json"
+    assert main(["gen", write(tmp_path / "cfg.json", GATED_CONFIG), "--out", str(economy), "--quiet"]) == 0
+    assert hashlib.sha256(economy.read_bytes()).hexdigest() == PINNED_GATED_ECONOMY
+    graph = load_economy(economy.read_bytes())
+    assert len(monitored_node_ids(graph)) >= 8
+    assert any(node.kind is NodeKind.RANDOM_GATE for node in graph.nodes)
+    trace = tmp_path / "trace.csv"
+    argv = ["sim", str(economy), "--steps", "60", "--runs", "4", "--seed", "2", "--trace", str(trace), "--quiet"]
+    assert main(argv) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == PINNED_GATED_TRACE
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

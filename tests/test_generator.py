@@ -1,12 +1,15 @@
+import hashlib
 import random
 
 import pytest
 
 from flowtune.model import NodeKind, graph_fitness, is_valid, save_economy
+from flowtune.util import dump_json
 from flowtune.generator import (
     EdgeListGenome,
     GeneratorConfig,
     build_nodes,
+    draw_pair,
     generate,
     mutate_add_edge,
     mutate_remove_edge,
@@ -193,3 +196,49 @@ def test_config_validation():
 def test_build_nodes_ids_are_stable():
     nodes = build_nodes({K.SOURCE: 2, K.POOL: 1})
     assert [n.id for n in nodes] == ["source_0", "source_1", "pool_0"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_draw_pair_is_random_sample_of_two(seed):
+    # both of sample's branches, and both sides of the switch at n = 21
+    for n in range(2, 60):
+        ours = random.Random(seed * 1000 + n)
+        theirs = random.Random(seed * 1000 + n)
+        for _ in range(100):
+            assert draw_pair(ours, n) == tuple(theirs.sample(range(n), 2)), n
+        assert ours.getstate() == theirs.getstate(), n
+
+
+def test_mutate_add_edge_draws_like_random_sample():
+    genome = genome_over({K.SOURCE: 2, K.RANDOM_GATE: 1, K.POOL: 2, K.CONVERTER: 1, K.DRAIN: 1})
+    ours, theirs = random.Random(3), random.Random(3)
+    for _ in range(50):
+        mutate_add_edge(genome, ours)
+        theirs.sample(range(len(genome.nodes)), 2)
+    assert ours.getstate() == theirs.getstate()
+
+
+#: SHA-256 of the economy and report bytes that `flowtune gen` writes for
+#: two multisets, on either side of the node count (21) where the pair draw
+#: changes method. No perfbench workload generates more than 20 nodes.
+PINNED_GENERATIONS = {
+    21: (
+        {K.SOURCE: 4, K.RANDOM_GATE: 3, K.POOL: 7, K.CONVERTER: 3, K.DRAIN: 4}, 5,
+        "33b58fbac1007512efc49dc73019ce58f513b020afca310cd7e243cf9cdc812c",
+        "159c729fd4165e0e0b60be14dafb3a333b06e41a30ffa882b6104e82582180a8",
+    ),
+    30: (
+        {K.SOURCE: 6, K.RANDOM_GATE: 4, K.POOL: 10, K.CONVERTER: 5, K.DRAIN: 5}, 8,
+        "b343bc632cf0b681abfc9670309838b8278568aa4fc61fbb470117583853ffaf",
+        "7562132b01ea90e1f7859a19702ca2a5aa129400c4e6481fcd810213880b1c9a",
+    ),
+}
+
+
+@pytest.mark.parametrize("size", sorted(PINNED_GENERATIONS))
+def test_generate_matches_pinned_digest(size):
+    counts, seed, economy_digest, report_digest = PINNED_GENERATIONS[size]
+    assert sum(counts.values()) == size
+    result = generate(GeneratorConfig(counts, max_steps=20000, seed=seed))
+    assert hashlib.sha256(save_economy(result.graph)).hexdigest() == economy_digest
+    assert hashlib.sha256(dump_json(result.report_dict())).hexdigest() == report_digest

@@ -7,15 +7,12 @@ import flowtune.sim
 from flowtune.fixtures import load_fixture
 from flowtune.model import EconomyGraph, Edge, InvalidEconomyError, Node, NodeKind
 from flowtune.sim import (
-    SimulationState,
     compile_plan,
     ensemble_to_csv,
-    initial_state,
     monitored_node_ids,
     observe_runs,
     simulate,
     simulate_ensemble,
-    step,
 )
 from flowtune.generator import GeneratorConfig, generate, random_node_counts
 
@@ -67,8 +64,10 @@ def test_trace_has_initial_snapshot_plus_one_per_step(minecraft):
     trace = simulate(minecraft, 7, seed=1)
     assert trace.length == 7
     assert len(trace.snapshots) == 8
-    assert trace.snapshots[0].step_index == 0
-    assert trace.snapshots[0].pool_balances["torch_pool"] == 0
+    # snapshot t is the last snapshot of a run of t steps
+    for t in range(1, 8):
+        assert trace.snapshots[t] == simulate(minecraft, t, seed=1).snapshots[-1]
+    assert trace.snapshots[0] == {node_id: 0 for node_id in monitored_node_ids(minecraft)}
 
 
 def test_initial_amounts_respected():
@@ -107,16 +106,19 @@ def test_gate_normalizes_raw_weights_before_routing():
     assert abs(left - 1500) <= 3 * math.sqrt(2000 * 0.75 * 0.25)
 
 
-def test_invalid_graph_refused():
+def test_invalid_graph_refused(monkeypatch):
+    steps = []
+    real = flowtune.sim._execute
+    monkeypatch.setattr(flowtune.sim, "_execute", lambda *args: steps.append(1) or real(*args))
     g = EconomyGraph((Node("s", NodeKind.SOURCE), Node("p", NodeKind.POOL)), ())
-    with pytest.raises(InvalidEconomyError):
-        simulate(g, 5, seed=0)
-    with pytest.raises(InvalidEconomyError):
-        step(g, SimulationState({"p": 0}, {}, 0), random.Random(0))
-    with pytest.raises(InvalidEconomyError):
-        simulate_ensemble(g, 5, 3, 0)
-    with pytest.raises(InvalidEconomyError):
-        initial_state(g)
+    for _ in range(2):  # a refusal is not cached as a plan
+        with pytest.raises(InvalidEconomyError):
+            simulate(g, 1, seed=0)
+        with pytest.raises(InvalidEconomyError):
+            simulate(g, 5, seed=0, on_transfer=lambda *event: None)
+        with pytest.raises(InvalidEconomyError):
+            simulate_ensemble(g, 5, 3, 0)
+    assert steps == []  # refused before a single step ran
     with pytest.raises(ValueError):
         simulate(chain_graph(), 0, seed=0)
 
@@ -130,12 +132,11 @@ def test_validity_checked_once_per_graph(monkeypatch):
     assert calls == [graph]
 
 
-def test_step_matches_simulate(minecraft):
-    state = initial_state(minecraft)
-    rng = random.Random(0)
-    for _ in range(5):
-        state = step(minecraft, state, rng)
-    assert state == simulate(minecraft, 5, seed=0).snapshots[5]
+@pytest.mark.parametrize("graph", [load_fixture("minecraft_torch"), gate_graph(0.7, 0.3)], ids=["torch", "gate"])
+def test_shorter_runs_are_prefixes_of_longer_ones(graph):
+    longer = simulate(graph, 5, seed=0)
+    for t in range(1, 6):
+        assert simulate(graph, t, seed=0).snapshots == longer.snapshots[: t + 1]
 
 
 def test_fixed_pool_clamps_to_largest_outgoing_weight():
@@ -161,7 +162,9 @@ def test_fixed_pool_initial_amount_clamped():
         ),
         (Edge("s", "fp", 1), Edge("fp", "d", 2)),
     )
-    assert initial_state(g).pool_balances["fp"] == 2
+    trace = simulate(g, 1, seed=0)
+    assert trace.snapshots[0] == {"fp": 2, "d": 0}
+    assert trace.observe("fp", 0) == 2
 
 
 def test_converter_cycle_fires_once_per_step():
@@ -272,14 +275,16 @@ def test_gate_into_fixed_pool_still_clamps():
     assert trace.observe("sink", 50) > 0
 
 
-def test_pool_accounting_ledger(minecraft):
+@pytest.mark.parametrize(
+    "graph", [load_fixture("minecraft_torch"), load_fixture("archer"), chain_graph()], ids=["torch", "archer", "chain"]
+)
+def test_pool_accounting_ledger(graph):
     flows = []
-    trace = simulate(
-        minecraft, 12, seed=0, on_transfer=lambda phase, s, d, a: flows.append((phase, s, d, a))
-    )
+    trace = simulate(graph, 12, seed=0, on_transfer=lambda phase, s, d, a: flows.append((phase, s, d, a)))
     # replay the ledger and compare with the recorded snapshots
-    balances = dict(trace.snapshots[0].pool_balances)
-    totals = dict(trace.snapshots[0].drain_totals)
+    drains = {node.id for node in graph.nodes_of_kind(NodeKind.DRAIN)}
+    balances = {k: v for k, v in trace.snapshots[0].items() if k not in drains}
+    totals = {k: v for k, v in trace.snapshots[0].items() if k in drains}
     for phase, src, dst, amount in flows:
         if dst in balances:
             balances[dst] += amount
@@ -289,8 +294,8 @@ def test_pool_accounting_ledger(minecraft):
             balances[src] -= amount
         if dst in totals and phase == "drain":
             totals[dst] += amount
-    assert balances == dict(trace.snapshots[-1].pool_balances)
-    assert totals == dict(trace.snapshots[-1].drain_totals)
+    assert {**balances, **totals} == trace.snapshots[-1]
+    assert sorted(trace.snapshots[-1]) == monitored_node_ids(graph)
 
 
 def test_drain_totals_never_decrease_and_balances_stay_nonnegative():
@@ -303,12 +308,13 @@ def test_drain_totals_never_decrease_and_balances_stay_nonnegative():
             continue
         produced += 1
         trace = simulate(result.graph, 25, seed=i)
+        drains = [node.id for node in result.graph.nodes_of_kind(NodeKind.DRAIN)]
         previous = None
         for snap in trace.snapshots:
-            assert all(v >= 0 for v in snap.pool_balances.values())
+            assert all(v >= 0 for v in snap.values())
             if previous is not None:
-                for drain, total in snap.drain_totals.items():
-                    assert total >= previous.drain_totals[drain]
+                for drain in drains:
+                    assert snap[drain] >= previous[drain]
             previous = snap
     assert produced >= 5
 
@@ -324,6 +330,24 @@ def test_monitored_nodes_and_csv_layout(minecraft):
     assert len(lines) == 1 + 2 * 4 * 4  # runs * (n+1 steps) * monitored nodes
     assert lines[1] == "0,0,coal_pool,0"
     assert "1,3,torch_pool,8" in lines
+
+
+def test_csv_matches_a_table_read_through_observe():
+    rng = random.Random(13)
+    seen = {"gated": 0, "gate_free": 0}
+    seed = 0
+    while min(seen.values()) < 4:
+        seed += 1
+        result = generate(GeneratorConfig(random_node_counts(rng, 5, 14), max_steps=3000, seed=seed))
+        if not result.valid:
+            continue
+        gated = any(node.kind is NodeKind.RANDOM_GATE for node in result.graph.nodes)
+        seen["gated" if gated else "gate_free"] += 1
+        ensemble = simulate_ensemble(result.graph, 15, 4, seed)
+        assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble), f"seed {seed}"
+    for name in ("minecraft_torch", "mage", "archer"):
+        ensemble = simulate_ensemble(load_fixture(name), 12, 3, 5)
+        assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble), name
 
 
 def test_observe_errors(minecraft):
@@ -386,8 +410,7 @@ def test_step_oracle_agrees_with_simulate_and_observe_runs():
         seen["seed_matters"] += any(runs != expected[0] for runs in expected)
         for r in range(m):
             trace = simulate(graph, n, base_seed + r)
-            got = [{**s.pool_balances, **s.drain_totals} for s in trace.snapshots]
-            assert got == expected[r], f"economy {index}, run {r}"
+            assert list(trace.snapshots) == expected[r], f"economy {index}, run {r}"
         plan = compile_plan(graph, [e.weight for e in graph.edges])
         for t in range(1, n + 1):
             got = observe_runs(plan, t, m, base_seed)
@@ -413,6 +436,4 @@ def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
 
     singles = [simulate(graph, n, base_seed + r) for r in range(m)]
     assert ensemble.traces == tuple(singles)  # run_seed included
-    assert observed == [
-        {**s.snapshots[t].pool_balances, **s.snapshots[t].drain_totals} for s in singles
-    ]
+    assert observed == [s.snapshots[t] for s in singles]
