@@ -14,6 +14,12 @@ Weights flagged static in the graph are never altered. Weights on edges
 leaving a random gate evolve as raw positive reals ("probability genes")
 and are normalized per gate when compiled into a step plan or written
 into a graph; all other genes are positive integers ("amount genes").
+
+balance checks each input economy once, then measures a genome on one
+step plan per economy run to the observed step, building no graph. The
+report's observations are that measurement of the best genome under
+seeds of their own; the balanced graphs carry the measured weights, so
+simulating them reproduces it. sim_length only bounds observe_step.
 """
 
 from __future__ import annotations
@@ -25,11 +31,16 @@ from enum import Enum
 from typing import Sequence, Union
 
 from .model import EconomyGraph, InvalidEconomyError, NodeKind, gate_shares, is_valid
-from .sim import compile_plan, observe_runs, simulate_ensemble
+from .sim import compile_plan, observe_runs
 from .util import check_number, derive_seed, float_sum
 
 #: A genome reaching this fitness is balanced and stops the search.
 BALANCED_FITNESS = 1.0
+
+#: Largest step of one mutation: a whole count for an amount gene, a real
+#: for a probability gene.
+AMOUNT_DELTA_MAX = 3
+PROBABILITY_DELTA_MAX = 0.25
 
 _OBSERVABLE = (NodeKind.POOL, NodeKind.FIXED_POOL, NodeKind.DRAIN)
 
@@ -91,8 +102,6 @@ class BalanceParams:
     max_generations: int = 100
     seed: int = 0
     mutations_per_generation: int = 1
-    amount_delta_max: int = 3
-    probability_delta_max: float = 0.25
 
     def __post_init__(self):
         check_number("population_size", self.population_size, integer=True)
@@ -101,10 +110,6 @@ class BalanceParams:
         check_number("max_generations", self.max_generations, integer=True, minimum=0)
         check_number("seed", self.seed, integer=True)
         check_number("mutations_per_generation", self.mutations_per_generation, integer=True, minimum=0)
-        check_number("amount_delta_max", self.amount_delta_max, integer=True, minimum=1)
-        check_number("probability_delta_max", self.probability_delta_max)
-        if not self.probability_delta_max > 0:
-            raise ValueError("probability_delta_max must be > 0")
 
 
 def prop(s: float, x: float) -> float:
@@ -174,19 +179,18 @@ class GenomeLayout:
                 values.append(rng.randint(1, 5))
         return WeightGenome(self, values)
 
+    def shares(self, genome: "WeightGenome"):
+        """(graph, its weights from the genome, gate shares normalized) per graph."""
+        for (start, end), graph in zip(self.spans, self.graphs):
+            yield graph, gate_shares(graph, genome.values[start:end])
+
     def apply(self, genome: "WeightGenome") -> tuple:
-        """Write the genome into fresh graphs, normalizing gate shares."""
-        return tuple(
-            graph.with_weights(gate_shares(graph, genome.values[start:end]))
-            for (start, end), graph in zip(self.spans, self.graphs)
-        )
+        """Write the genome into fresh graphs."""
+        return tuple(graph.with_weights(weights) for graph, weights in self.shares(genome))
 
     def plans(self, genome: "WeightGenome") -> tuple:
         """One step plan per graph for the genome's weights; no graph is built."""
-        return tuple(
-            compile_plan(graph, gate_shares(graph, genome.values[start:end]))
-            for (start, end), graph in zip(self.spans, self.graphs)
-        )
+        return tuple(compile_plan(graph, weights) for graph, weights in self.shares(genome))
 
 
 class WeightGenome:
@@ -235,12 +239,7 @@ def crossover(parent_k: WeightGenome, parent_l: WeightGenome, rng: random.Random
     return WeightGenome(layout, values)
 
 
-def mutate(
-    population: list,
-    rng: random.Random,
-    amount_delta_max: int = 3,
-    probability_delta_max: float = 0.25,
-):
+def mutate(population: list, rng: random.Random):
     """Nudge one random non-static gene of one random individual.
 
     The mutated vector is appended as a new individual; the original is
@@ -256,9 +255,9 @@ def mutate(
     index = mutable[rng.randrange(len(mutable))]
     gene = target.layout.genes[index]
     if gene.probability:
-        delta = probability_delta_max * (1.0 - rng.random())  # (0, max]
+        delta = PROBABILITY_DELTA_MAX * (1.0 - rng.random())  # (0, max]
     else:
-        delta = rng.randint(1, amount_delta_max)
+        delta = rng.randint(1, AMOUNT_DELTA_MAX)
     if rng.random() < 0.5:
         value = target.values[index] + delta
     else:
@@ -411,19 +410,24 @@ def balance(
     rng = random.Random(params.seed)
     cache = {}
 
+    def observe(genome: WeightGenome, *tag) -> list:
+        """Per observed pool, its amount at observe_step in each run; economy i
+        is run once, with seeds from derive_seed(params.seed, *tag, i, key)."""
+        key = genome.key()
+        runs = [
+            observe_runs(plan, objective.observe_step, objective.runs, derive_seed(params.seed, *tag, i, key))
+            for i, plan in enumerate(layout.plans(genome))
+        ]
+        return [[run[pool] for run in runs[index]] for index, pool in observed]
+
     def evaluate(genome: WeightGenome) -> None:
         if genome.mean is not None:
             return
         key = genome.key()
         if key not in cache:
-            t, m = objective.observe_step, objective.runs
-            runs = [
-                observe_runs(plan, t, m, derive_seed(params.seed, i, key))
-                for i, plan in enumerate(layout.plans(genome))
-            ]
-            values = [[run[pool] for run in runs[index]] for index, pool in observed]
+            values = observe(genome)
             if objective.kind is ObjectiveKind.ABSOLUTE:
-                values.append([objective.target_value] * m)
+                values.append([objective.target_value] * objective.runs)
             cache[key] = fitness(values[0], values[1], 0.0)
         genome.mean = cache[key]
 
@@ -443,7 +447,7 @@ def balance(
         for i in range(0, len(order) - 1, 2):
             candidates.append(crossover(population[order[i]], population[order[i + 1]], rng))
         for _ in range(params.mutations_per_generation):
-            candidates = mutate(candidates, rng, params.amount_delta_max, params.probability_delta_max)
+            candidates = mutate(candidates, rng)
         for genome in candidates:
             evaluate(genome)
         candidates.sort(key=lambda g: g.mean, reverse=True)
@@ -451,30 +455,14 @@ def balance(
         means.append(population[0].mean)
 
     best = population[0]
-    final_graphs = layout.apply(best)
-    ensembles = [
-        simulate_ensemble(
-            graph, objective.sim_length, objective.runs, derive_seed(params.seed, "report", i, best.key())
-        )
-        for i, graph in enumerate(final_graphs)
-    ]
-    observations = []
-    for economy_index, pool in observed:
-        values = ensembles[economy_index].observe(pool, objective.observe_step)
-        observations.append(
-            ObservationStats(
-                economy_index,
-                pool,
-                statistics.fmean(values),
-                statistics.pstdev(values),
-                len(values),
-            )
-        )
-
+    observations = tuple(
+        ObservationStats(index, pool, statistics.fmean(values), statistics.pstdev(values), len(values))
+        for (index, pool), values in zip(observed, observe(best, "report"))
+    )
     return BalanceReport(
         best_weights=tuple(best.values),
         alpha=objective.alpha,
         means=tuple(means),
-        observations=tuple(observations),
-        balanced_graphs=final_graphs,
+        observations=observations,
+        balanced_graphs=layout.apply(best),
     )

@@ -47,6 +47,8 @@ class BenchmarkSpec:
             if lo > hi:
                 raise ValueError(f"{name} is empty: [{lo}, {hi}]")
             object.__setattr__(self, name, (lo, hi))
+        if self.node_range[0] < 2:
+            raise ValueError("node_range low must be >= 2: an economy needs two nodes")
         check_number("graphs", self.graphs, integer=True, minimum=0)
         check_number("seed", self.seed, integer=True)
         if not isinstance(self.alphas, (list, tuple)) or not self.alphas:

@@ -14,6 +14,7 @@ import functools
 import json
 import statistics
 import sys
+import time
 from pathlib import Path
 
 from .balancer import (
@@ -156,17 +157,19 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         raise EconomyError(f"{args.config}: {exc}") from exc
 
+    started = time.perf_counter()
     result = generate(config)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
     _write(args.out, save_economy(result.graph))
     report_path = args.report or f"{args.out}.report.json"
     _write(report_path, dump_json(result.report_dict()))
     if result.valid:
-        _say(args, f"valid economy after {result.generations} generations ({result.elapsed_ms:.1f} ms)")
+        _say(args, f"valid economy after {result.generations} generations ({elapsed_ms:.1f} ms)")
         return EXIT_OK
     _say(
         args,
         f"no valid economy within {result.generations} generations; "
-        f"best fitness {result.fitness} ({result.elapsed_ms:.1f} ms)",
+        f"best fitness {result.fitness} ({elapsed_ms:.1f} ms)",
     )
     return EXIT_DOMAIN
 
@@ -261,12 +264,12 @@ def _cmd_balance(args) -> int:
 
 def _cmd_bench(args) -> int:
     doc = _read_json(args.spec)
+    if args.seed is not None:
+        doc = {**doc, "seed": args.seed}
     try:
         spec = BenchmarkSpec.from_dict(doc)
     except (TypeError, ValueError) as exc:
         raise EconomyError(f"{args.spec}: {exc}") from exc
-    if args.seed is not None:
-        spec = BenchmarkSpec.from_dict({**doc, "seed": args.seed})
     progress = None if args.quiet else lambda message: print(message)
     result = run_benchmark(spec, progress)
     _write(args.out, result.to_csv().encode("utf-8"))

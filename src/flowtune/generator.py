@@ -20,7 +20,6 @@ numbers but without that call's overhead, so a seed gives the same economy.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -200,7 +199,6 @@ class GenerationResult:
     generations: int
     fitness: int
     fitness_history: tuple
-    elapsed_ms: float
 
     def report_dict(self) -> dict:
         return {
@@ -226,7 +224,6 @@ def generate(config: GeneratorConfig) -> GenerationResult:
     uniform) or, after max_steps generations, the best individual seen
     with its remaining constraint-violation count.
     """
-    started = time.perf_counter()
     rng = random.Random(config.seed)
     nodes = build_nodes(config.node_counts)
     population = [EdgeListGenome(nodes) for _ in range(config.population_size)]
@@ -247,24 +244,20 @@ def generate(config: GeneratorConfig) -> GenerationResult:
         if generation_best == 0:
             for genome in population:
                 if genome.fitness == 0 and genome.is_connected():
-                    elapsed = (time.perf_counter() - started) * 1000.0
                     return GenerationResult(
                         genome.to_graph(normalize=True),
                         True,
                         generation,
                         0,
                         tuple(history),
-                        elapsed,
                     )
 
-    elapsed = (time.perf_counter() - started) * 1000.0
     return GenerationResult(
         best.to_graph(normalize=False),
         False,
         config.max_steps,
         best.fitness,
         tuple(history),
-        elapsed,
     )
 
 

@@ -306,20 +306,27 @@ def gate_shares(graph: EconomyGraph, weights: Sequence) -> list:
     scaled to sum to one.
 
     Gates whose weights already sum to one (within GATE_WEIGHT_TOLERANCE)
-    and non-gate weights are returned unchanged.
+    and non-gate weights are returned unchanged; a gate whose weights do
+    not sum to a finite positive number raises GateNormalizationError.
     """
     shares = list(weights)
     for gate in graph.nodes_of_kind(NodeKind.RANDOM_GATE):
         indices = [i for i, e in enumerate(graph.edges) if e.src == gate.id]
-        total = float_sum(weights[i] for i in indices)
-        if not indices or total <= 0:
-            raise GateNormalizationError(
-                f"gate {gate.id!r} has no positive outgoing weights to normalize"
-            )
+        total = check_gate_total(gate.id, float_sum(weights[i] for i in indices))
         if abs(total - 1.0) > GATE_WEIGHT_TOLERANCE:
             for i in indices:
                 shares[i] = weights[i] / total
     return shares
+
+
+def check_gate_total(gate_id: str, total):
+    """The sum of a gate's outgoing weights, if they can be scaled into shares:
+    finite as a float and positive (a gate without outgoing edges sums to 0)."""
+    if not (is_finite_number(total) and total > 0):
+        raise GateNormalizationError(
+            f"gate {gate_id!r}: outgoing weights do not sum to a finite positive number"
+        )
+    return total
 
 
 def normalize_gate_weights(graph: EconomyGraph) -> EconomyGraph:

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
 
-from .model import EconomyGraph, InvalidEconomyError, NodeKind, is_valid
+from .model import EconomyGraph, InvalidEconomyError, NodeKind, check_gate_total, is_valid
 from .util import float_sum
 
 #: Optional flow observer: called as fn(phase, src, dst, amount) for every
@@ -199,8 +199,9 @@ def compile_plan(graph: EconomyGraph, weights) -> _Plan:
     """Step plan of the graph with edge i carrying weights[i].
 
     Amount weights are whole counts; gate weights are routing shares,
-    normally normalized per gate (see model.gate_shares). The graph's own
-    weights are ignored, and its validity is not checked.
+    normally normalized per gate (see model.gate_shares), and must sum to a
+    finite positive number per gate. The graph's own weights are ignored,
+    and its validity is not checked.
     """
     kind = {n.id: n.kind for n in graph.nodes}
     out = {n.id: [] for n in graph.nodes}
@@ -215,7 +216,7 @@ def compile_plan(graph: EconomyGraph, weights) -> _Plan:
     plan = _Plan()
     plan.gates = {}  # gate -> (running probability bounds, last 1.0; [(dst, _POOL | _CONVERTER)])
     for node in graph.nodes_of_kind(NodeKind.RANDOM_GATE):
-        total = float(float_sum(w for _, w in out[node.id]))
+        total = float(check_gate_total(node.id, float_sum(w for _, w in out[node.id])))
         cumulative = list(accumulate(w / total for _, w in out[node.id]))
         cumulative[-1] = 1.0
         targets = [(dst, _POOL if kind[dst].is_pool_like else _CONVERTER) for dst, _ in out[node.id]]

@@ -1,4 +1,5 @@
 import random
+import statistics
 from collections import Counter
 
 import pytest
@@ -257,8 +258,9 @@ def test_balance_checks_and_rebuilds_graphs_independently_of_generations(minecra
             return fn(*args, **kwargs)
         return wrapper
 
+    checked = counted("is_valid", flowtune.model.is_valid)
     for module in (flowtune.model, flowtune.sim, flowtune.balancer):
-        monkeypatch.setattr(module, "is_valid", counted("is_valid", flowtune.model.is_valid))
+        monkeypatch.setattr(module, "is_valid", checked)
     monkeypatch.setattr(EconomyGraph, "with_weights", counted("with_weights", EconomyGraph.with_weights))
     unreachable = objective_for_torch(alpha=0.0, value=5000, runs=2)
     counts = []
@@ -270,7 +272,47 @@ def test_balance_checks_and_rebuilds_graphs_independently_of_generations(minecra
         assert report.generations == generations
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    assert counts[0]["is_valid"] >= 1 and counts[0]["with_weights"] >= 1
+    assert counts[0]["is_valid"] == 1 and counts[0]["with_weights"] >= 1
+
+
+@pytest.mark.parametrize("case", ["absolute-torch", "intra-mage", "inter-mage-archer", "absolute-gated"])
+def test_report_observations_are_what_the_balanced_graphs_simulate(case, minecraft, mage, archer):
+    if case == "absolute-torch":
+        graphs = [minecraft]
+        objective = BalanceObjective(
+            ObjectiveKind.ABSOLUTE, "torch_pool", observe_step=10, sim_length=14, runs=4, target_value=50
+        )
+    elif case == "intra-mage":
+        graphs = [mage]
+        objective = BalanceObjective(
+            ObjectiveKind.INTRA_PAIR, "damage_pool", observe_step=12, sim_length=20, runs=4,
+            second_pool="mana_pool",
+        )
+    elif case == "inter-mage-archer":
+        graphs = [mage, archer]
+        objective = BalanceObjective(
+            ObjectiveKind.INTER_PAIR, "damage_pool", observe_step=15, sim_length=15, runs=5,
+            second_pool="damage_pool",
+        )
+    else:
+        graphs = generated_economies(1)
+        objective = BalanceObjective(
+            ObjectiveKind.ABSOLUTE, monitored_node_ids(graphs[0])[0], observe_step=9, sim_length=12,
+            runs=6, target_value=30,
+        )
+    seed = 4
+    report = balance(graphs, objective, BalanceParams(population_size=6, max_generations=5, seed=seed))
+    assert len(report.observations) == (1 if objective.kind is ObjectiveKind.ABSOLUTE else 2)
+    for observation in report.observations:
+        i = observation.economy_index
+        ensemble = simulate_ensemble(
+            report.balanced_graphs[i], objective.sim_length, objective.runs,
+            derive_seed(seed, "report", i, report.best_weights),
+        )
+        values = ensemble.observe(observation.pool, objective.observe_step)
+        assert (observation.mean, observation.stddev, observation.runs) == (
+            statistics.fmean(values), statistics.pstdev(values), len(values)
+        )
 
 
 # --- balance ----------------------------------------------------------------
@@ -533,4 +575,4 @@ def test_params_validation():
     with pytest.raises(ValueError):
         BalanceParams(population_size=1)
     with pytest.raises(ValueError):
-        BalanceParams(amount_delta_max=0)
+        BalanceParams(max_generations=-1)

@@ -225,6 +225,50 @@ def test_bench_rejects_unknown_keys(tmp_path):
     assert main(["bench", spec, "--out", str(tmp_path / "b.csv"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("seed_flag", [[], ["--seed", "3"]], ids=["spec-seed", "seed-override"])
+def test_bench_rejects_node_range_below_two_before_sweeping(tmp_path, capsys, monkeypatch, seed_flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spec was not checked before the sweep started")
+
+    monkeypatch.setattr("flowtune.cli.run_benchmark", refuse)
+    spec = write(tmp_path / "spec.json", {"graphs": 1, "node_range": [1, 5]})
+    assert main(["bench", spec, "--out", str(tmp_path / "b.csv"), "--quiet", *seed_flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"flowtune: {spec}: ") and "node_range" in err and err.count("\n") == 1
+    assert not (tmp_path / "b.csv").exists()
+
+
+#: A gate whose two outgoing weights are finite but sum to infinity.
+OVERFLOWING_GATE = {
+    "nodes": [
+        {"id": "s", "kind": "source"}, {"id": "g", "kind": "random_gate"},
+        {"id": "a", "kind": "pool"}, {"id": "b", "kind": "pool"},
+    ],
+    "edges": [
+        {"from": "s", "to": "g", "weight": 1},
+        {"from": "g", "to": "a", "weight": 1e308},
+        {"from": "g", "to": "b", "weight": 1e308},
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["sim", "balance"])
+def test_gate_weights_summing_to_infinity_exit_two(tmp_path, capsys, command):
+    economy = write(tmp_path / "gate.json", OVERFLOWING_GATE)
+    out = tmp_path / "out.json"
+    argv = {
+        "sim": ["sim", economy, "--steps", "3", "--trace", str(out)],
+        "balance": [
+            "balance", economy, "--out", str(out), "--objective",
+            write(tmp_path / "o.json", {"kind": "absolute", "pool": "a", "value": 5, "step": 3, "sim_length": 3}),
+        ],
+    }[command]
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flowtune: gate 'g': ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 BASE_DOCS = {
     "balance": {"kind": "absolute", "pool": "torch_pool", "value": 60, "step": 16, "sim_length": 16},
     "gen": {"nodes": {"source": 1, "pool": 1, "drain": 1}},

@@ -116,7 +116,9 @@ def test_generate_unique_minimal_topology():
 
 
 def test_generate_reports_failure_for_unwirable_multiset():
-    result = generate(GeneratorConfig({K.RANDOM_GATE: 1, K.POOL: 2}, max_steps=400, seed=2))
+    config = GeneratorConfig({K.RANDOM_GATE: 1, K.POOL: 2}, max_steps=400, seed=2)
+    result = generate(config)
+    assert result == generate(config)
     assert not result.valid
     assert result.fitness >= 1
     assert result.generations == 400
@@ -127,9 +129,9 @@ def test_generate_is_deterministic():
     config = GeneratorConfig({K.SOURCE: 2, K.POOL: 3, K.CONVERTER: 1, K.DRAIN: 1}, seed=77)
     a = generate(config)
     b = generate(config)
-    assert a.valid and b.valid
+    assert a.valid
+    assert a == b
     assert save_economy(a.graph) == save_economy(b.graph)
-    assert a.generations == b.generations
 
 
 def test_generated_graphs_satisfy_oracle():

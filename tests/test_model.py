@@ -25,6 +25,7 @@ from flowtune.model import (
     save_economy,
     validate_node,
 )
+from flowtune.sim import compile_plan
 
 from conftest import chain_graph, gate_graph, random_wellformed_graph
 import oracle
@@ -164,6 +165,14 @@ def test_normalize_gate_without_outputs_fails():
     )
     with pytest.raises(GateNormalizationError):
         normalize_gate_weights(g)
+
+
+def test_gate_weights_summing_to_infinity_cannot_be_normalized():
+    g = gate_graph(1e308, 1e308)
+    with pytest.raises(GateNormalizationError):
+        normalize_gate_weights(g)
+    with pytest.raises(GateNormalizationError):
+        compile_plan(g, [e.weight for e in g.edges])
 
 
 def test_roundtrip_preserves_semantics(minecraft, mage, archer):
