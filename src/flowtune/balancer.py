@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence, Union
 
-from .model import EconomyGraph, InvalidEconomyError, NodeKind, gate_shares, is_valid
+from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, gate_shares, is_valid
 from .sim import compile_plan, observe_runs
 from .util import check_number, derive_seed, float_sum
 
@@ -400,9 +400,14 @@ def balance(
         raise ValueError(
             f"{objective.kind.value} objective needs {expected} economy graph(s), got {len(graphs)}"
         )
-    for graph in graphs:
-        if not is_valid(graph):
-            raise InvalidEconomyError("cannot balance an invalid economy graph")
+    for index, graph in enumerate(graphs):
+        try:
+            if not is_valid(graph):
+                raise InvalidEconomyError("cannot balance an invalid economy graph")
+            gate_shares(graph, [e.weight for e in graph.edges])  # raises if a gate cannot be normalized
+        except EconomyError as exc:
+            exc.economy_index = index
+            raise
     for (economy_index, pool), role in zip(observed, ("target pool", "second pool")):
         _check_pool(graphs[economy_index], pool, role)
 

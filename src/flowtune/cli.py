@@ -181,7 +181,10 @@ def _cmd_sim(args) -> int:
         raise _UsageError("--runs must be >= 1")
     graph = _read_economy(args.economy)
     seed = args.seed if args.seed is not None else 0
-    ensemble = simulate_ensemble(graph, args.steps, args.runs, seed)
+    try:
+        ensemble = simulate_ensemble(graph, args.steps, args.runs, seed)
+    except EconomyError as exc:
+        raise EconomyError(f"{args.economy}: {exc}") from exc
     if args.trace:
         _write(args.trace, ensemble_to_csv(ensemble).encode("utf-8"))
     if not args.quiet:
@@ -240,11 +243,14 @@ def _cmd_balance(args) -> int:
         if args.out2 is not None:
             raise _UsageError("--out2 is only valid with an inter_pair objective")
 
-    graphs = [_read_economy(args.economy)]
-    if args.second is not None:
-        graphs.append(_read_economy(args.second))
-
-    report = balance(graphs, objective, params)
+    paths = [args.economy] if args.second is None else [args.economy, args.second]
+    graphs = [_read_economy(path) for path in paths]
+    try:
+        report = balance(graphs, objective, params)
+    except EconomyError as exc:
+        if exc.economy_index is None:
+            raise
+        raise EconomyError(f"{paths[exc.economy_index]}: {exc}") from exc
     _write(args.out, save_economy(report.balanced_graphs[0]))
     if args.out2 is not None:
         _write(args.out2, save_economy(report.balanced_graphs[1]))

@@ -1,0 +1,148 @@
+"""Step kernels generated per economy topology.
+
+A kernel is Python source, generated from a graph's node kinds and edges,
+that runs t steps per call, straight-line, on local variables, with the
+phases and draws the sim docstring states; a second one from the same
+emitter also reports every transfer. The source names node k's amount nk,
+edge e's amount we, the batch staged on gate edge e se, gate k's share
+bounds bk_j and fixed pool k's cap ck. Node ids and weights enter only as
+data (ids and monitored in its namespace, a plan's params), so no id a
+document holds can change what runs. sim imports this module with the
+first topology it compiles, not with the package.
+"""
+
+from .model import EconomyGraph, NodeKind
+
+
+class Topology:
+    """A graph's structure as its step kernels read it, and the kernels."""
+
+    def __init__(self, graph: EconomyGraph):
+        index = {node.id: k for k, node in enumerate(graph.nodes)}
+        self.ids = tuple(index)
+        self.kinds = kinds = [node.kind for node in graph.nodes]
+        self.ends = [(index[e.src], index[e.dst]) for e in graph.edges]
+        self.out = [[] for _ in kinds]  # per node, its outgoing edges in edge order
+        for e, (src, _) in enumerate(self.ends):
+            self.out[src].append(e)
+        pools = [k for k, kind in enumerate(kinds) if kind.is_pool_like]
+        self.held = pools + [k for k, kind in enumerate(kinds) if kind is NodeKind.DRAIN]
+        self.monitored = tuple(self.ids[k] for k in self.held)
+        self.initial = [graph.nodes[k].initial_amount for k in self.held]
+        # the params, in kernel order: the amount of every edge that does not
+        # leave a gate, the bounds of every gate, the cap of every fixed pool
+        # with outgoing edges (one without is not clamped)
+        self.amount_edges = [e for e, (src, _) in enumerate(self.ends) if kinds[src] is not NodeKind.RANDOM_GATE]
+        self.gates = [k for k, kind in enumerate(kinds) if kind is NodeKind.RANDOM_GATE]
+        self.caps = [k for k in pools if kinds[k] is NodeKind.FIXED_POOL and self.out[k]]
+        self._kernels = {}
+
+    def __getstate__(self):  # a compiled function does not pickle; it is compiled again on use
+        return {**self.__dict__, "_kernels": {}}
+
+    def kernel(self, events: bool):
+        """kernel(params, initial, rng, t, record, on_transfer) runs t steps and
+        returns the amounts of self.monitored; record, unless None, gets each
+        step's snapshot dict. Compiled on first use."""
+        kernel = self._kernels.get(events)
+        if kernel is None:
+            namespace = {"__builtins__": {}, "range": range, "dict": dict, "zip": zip}
+            namespace.update(ids=self.ids, monitored=self.monitored)
+            namespace.update((p.upper(), p) for p in ("source", "gate", "consume", "produce", "drain", "clamp"))
+            exec(compile(self.source(events), "<flowtune step kernel>", "exec"), namespace)
+            kernel = self._kernels[events] = namespace.pop("kernel")  # no cycle through its globals
+        return kernel
+
+    def source(self, events: bool) -> str:
+        """The kernel's Python source; with events, it reports every transfer."""
+        kinds, ends, out = self.kinds, self.ends, self.out
+        gate, converter = NodeKind.RANDOM_GATE, NodeKind.CONVERTER
+        lines = []
+
+        def put(depth, text):
+            lines.append("    " * depth + text)
+
+        def event(depth, phase, src, dst, amount):
+            if events:
+                put(depth, f"ev({phase}, ids[{src}], {'None' if dst is None else f'ids[{dst}]'}, {amount})")
+
+        def deliver(depth, e, amount):
+            """Move amount along edge e; a gate forwards it along one edge, by one draw."""
+            dst = ends[e][1]
+            if kinds[dst] is not gate:
+                put(depth, f"n{dst} += {amount}")
+                return
+            put(depth, "u = draw()")
+            last = len(out[dst]) - 1
+            for j, target in enumerate(out[dst]):
+                if j < last:
+                    put(depth, f"{'elif' if j else 'if'} u < b{dst}_{j}:")
+                elif j:
+                    put(depth, "else:")
+                to = ends[target][1]
+                event(depth + (last > 0), "GATE", dst, to, amount)
+                put(depth + (last > 0), f"n{to} += {amount}" if kinds[to].is_pool_like else f"s{target} += {amount}")
+
+        def by_id(kind):
+            return sorted((k for k, node_kind in enumerate(kinds) if node_kind is kind), key=self.ids.__getitem__)
+
+        held = "".join(f"n{k}, " for k in self.held)
+        params = [f"w{e}" for e in self.amount_edges]
+        params += [f"b{k}_{j}" for k in self.gates for j in range(len(out[k]) - 1)]
+        params += [f"c{k}" for k in self.caps]
+        staged = [e for e, (src, dst) in enumerate(ends) if kinds[src] is gate and not kinds[dst].is_pool_like]
+        put(0, "def kernel(p, a, rng, t, record, ev):")
+        put(1, f"({''.join(f'{name}, ' for name in params)}) = p")
+        put(1, f"({held}) = a")
+        put(1, "draw = rng.random")
+        put(1, "for _ in range(t):")
+        if staged:  # staged batches last one step
+            put(2, " = ".join(f"s{e}" for e in staged) + " = 0")
+        for k in by_id(NodeKind.SOURCE):
+            for e in out[k]:
+                event(2, "SOURCE", k, ends[e][1], f"w{e}")
+                deliver(2, e, f"w{e}")
+        # converters: passes in id order over those not fired this step,
+        # until a pass fires none (one converter needs one pass)
+        converters = by_id(converter)
+        passes = len(converters) > 1
+        if passes:
+            put(2, " = ".join(f"f{k}" for k in converters) + " = 1")
+            put(2, "while True:")
+            put(3, "fired = 0")
+        depth = 2 + passes
+        for k in converters:
+            into = [e for e, (_, dst) in enumerate(ends) if dst == k]
+            needs = [e for e in into if kinds[ends[e][0]] is not gate]
+            batches = [e for e in into if kinds[ends[e][0]] is gate]
+            tests = [f"f{k}"] if passes else []
+            tests += [f"n{ends[e][0]} >= w{e}" for e in needs] + [f"s{e} > 0" for e in batches]
+            put(depth, f"if {' and '.join(tests) or 'True'}:")
+            if passes:
+                put(depth + 1, f"f{k}, fired = 0, 1")
+            for e in needs:
+                put(depth + 1, f"n{ends[e][0]} -= w{e}")
+                event(depth + 1, "CONSUME", ends[e][0], k, f"w{e}")
+            for e in batches:
+                event(depth + 1, "CONSUME", ends[e][0], k, f"s{e}")
+                put(depth + 1, f"s{e} = 0")
+            e = out[k][0]
+            event(depth + 1, "PRODUCE", k, ends[e][1], f"w{e}")
+            deliver(depth + 1, e, f"w{e}")
+        if passes:
+            put(3, "if not fired:")
+            put(4, "break")
+        for e, (src, dst) in enumerate(ends):
+            if kinds[src].is_pool_like and kinds[dst] is NodeKind.DRAIN:
+                put(2, f"if n{src} >= w{e}:")
+                put(3, f"n{src} -= w{e}")
+                put(3, f"n{dst} += w{e}")
+                event(3, "DRAIN", src, dst, f"w{e}")
+        for k in self.caps:
+            put(2, f"if n{k} > c{k}:")
+            event(3, "CLAMP", k, None, f"n{k} - c{k}")
+            put(3, f"n{k} = c{k}")
+        put(2, "if record is not None:")
+        put(3, f"record(dict(zip(monitored, ({held}))))")
+        put(1, f"return ({held})")
+        return "\n".join(lines) + "\n"

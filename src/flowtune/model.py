@@ -26,6 +26,9 @@ GATE_WEIGHT_TOLERANCE = 1e-9
 class EconomyError(Exception):
     """Base class for economy model errors."""
 
+    #: Which input of a call taking several economies (balance) the error is about.
+    economy_index = None
+
 
 class EconomySchemaError(EconomyError):
     """Malformed economy document or graph structure."""

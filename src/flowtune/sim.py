@@ -38,25 +38,29 @@ nothing and every seed gives the same run: simulate_ensemble and
 observe_runs simulate such an economy once and repeat that run for each
 seed (its traces share one snapshot tuple).
 
+Steps run in one kernel per topology (flowtune.kernel), compiled once
+per graph object, on first use, and cached there; node ids and weights
+enter it as data, never as source text.
+
 A snapshot is one dict, node id -> amount, of every pool, fixed pool
-and drain (a drain's amount is its cumulative total); the kernel updates
-one such dict in place and a trace keeps a copy of it per step.
+and drain (a drain's amount is its cumulative total); for simulate, the
+kernel builds one per step.
 
 simulate and simulate_ensemble check a graph's connection rules once,
-when it is first simulated, and cache its compiled step plan on it;
-later runs of the same graph skip both. ensemble_to_csv writes their
-traces as a table. The balancer instead compiles a plan per candidate
-weight vector from its genome layout (compile_plan) and runs it only to
-the observed step (observe_runs), building no graph.
+when it is first simulated, and cache its step plan on it; later runs of
+the same graph skip both. ensemble_to_csv writes their traces as a table.
+The balancer instead compiles a plan per candidate weight vector from its
+genome layout (compile_plan: the graph's kernel with that vector's flat
+params) and runs it only to the observed step (observe_runs), building
+no graph.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import EconomyGraph, InvalidEconomyError, NodeKind, check_gate_total, is_valid
 from .util import float_sum
@@ -124,12 +128,10 @@ def simulate(
     if n < 1:
         raise ValueError(f"simulation length must be >= 1, got {n}")
     plan = _plan_for(graph)
-    rng = random.Random(seed)
-    amounts = plan.initial.copy()
-    snapshots = [plan.initial.copy()]
-    for _ in range(n):
-        _execute(plan, amounts, rng, on_transfer)
-        snapshots.append(amounts.copy())
+    topology = plan.topology
+    snapshots = [dict(zip(topology.monitored, plan.initial))]
+    kernel = topology.kernel(on_transfer is not None)
+    kernel(plan.params, plan.initial, random.Random(seed), n, snapshots.append, on_transfer)
     return SimulationTrace(seed, tuple(snapshots))
 
 
@@ -143,7 +145,7 @@ def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> Ru
     if m < 1:
         raise ValueError(f"run count must be >= 1, got {m}")
     first = simulate(graph, n, base_seed)
-    if _plan_for(graph).gates:
+    if _plan_for(graph).gated:
         rest = (simulate(graph, n, base_seed + i) for i in range(1, m))
     else:
         rest = (SimulationTrace(base_seed + i, first.snapshots) for i in range(1, m))
@@ -173,15 +175,16 @@ def ensemble_to_csv(ensemble: RunEnsemble) -> str:
     return "".join(parts)
 
 
-# --- step execution plan -----------------------------------------------------
-
-_POOL = 0
-_GATE = 1
-_CONVERTER = 2
+# --- step kernels ----------------------------------------------------------------
 
 
-class _Plan:
-    __slots__ = ("sources", "gates", "converters", "drain_moves", "caps", "initial")
+class _Plan(NamedTuple):
+    """A weight vector on a compiled topology: the per-genome data only."""
+
+    topology: "Topology"
+    params: tuple  # whole amounts, gate share bounds and fixed-pool caps, in kernel order
+    initial: tuple  # the step-0 amounts of topology.monitored
+    gated: bool  # whether a run draws random numbers
 
 
 def _plan_for(graph: EconomyGraph) -> _Plan:
@@ -201,53 +204,24 @@ def compile_plan(graph: EconomyGraph, weights) -> _Plan:
     Amount weights are whole counts; gate weights are routing shares,
     normally normalized per gate (see model.gate_shares), and must sum to a
     finite positive number per gate. The graph's own weights are ignored,
-    and its validity is not checked.
+    and its validity is not checked. Its topology is compiled once and
+    cached on it.
     """
-    kind = {n.id: n.kind for n in graph.nodes}
-    out = {n.id: [] for n in graph.nodes}
-    into = {n.id: [] for n in graph.nodes}
-    for e, w in zip(graph.edges, weights):
-        out[e.src].append((e.dst, w))
-        into[e.dst].append((e.src, w))
+    topology = getattr(graph, "_sim_topology", None)
+    if topology is None:
+        from .kernel import Topology  # the emitter loads with the first topology, not with flowtune
 
-    def tag(dst):
-        return _GATE if kind[dst] is NodeKind.RANDOM_GATE else _POOL
-
-    plan = _Plan()
-    plan.gates = {}  # gate -> (running probability bounds, last 1.0; [(dst, _POOL | _CONVERTER)])
-    for node in graph.nodes_of_kind(NodeKind.RANDOM_GATE):
-        total = float(check_gate_total(node.id, float_sum(w for _, w in out[node.id])))
-        cumulative = list(accumulate(w / total for _, w in out[node.id]))
-        cumulative[-1] = 1.0
-        targets = [(dst, _POOL if kind[dst].is_pool_like else _CONVERTER) for dst, _ in out[node.id]]
-        plan.gates[node.id] = (cumulative, targets)
-    plan.sources = [
-        (node.id, [(dst, tag(dst), int(w)) for dst, w in out[node.id]])
-        for node in sorted(graph.nodes_of_kind(NodeKind.SOURCE), key=lambda n: n.id)
-    ]
-    plan.converters = []  # (id, [(pool, need)], [gate], out_dst, out_tag, out_amount)
-    for node in sorted(graph.nodes_of_kind(NodeKind.CONVERTER), key=lambda n: n.id):
-        pool_needs = [(src, int(w)) for src, w in into[node.id] if tag(src) == _POOL]
-        gate_inputs = [src for src, _ in into[node.id] if tag(src) == _GATE]
-        out_dst, out_weight = out[node.id][0]
-        plan.converters.append((node.id, pool_needs, gate_inputs, out_dst, tag(out_dst), int(out_weight)))
-    plan.drain_moves = [
-        (e.src, e.dst, int(w))
-        for e, w in zip(graph.edges, weights)
-        if kind[e.src].is_pool_like and kind[e.dst] is NodeKind.DRAIN
-    ]
-    plan.caps = {  # uncapped when nothing flows out
-        n.id: max(int(w) for _, w in out[n.id])
-        for n in graph.nodes_of_kind(NodeKind.FIXED_POOL)
-        if out[n.id]
-    }
-    plan.initial = {  # the step-0 snapshot
-        n.id: min(n.initial_amount, plan.caps.get(n.id, n.initial_amount))
-        for n in graph.nodes
-        if n.kind.is_pool_like
-    }
-    plan.initial.update((n.id, 0) for n in graph.nodes_of_kind(NodeKind.DRAIN))
-    return plan
+        topology = Topology(graph)
+        object.__setattr__(graph, "_sim_topology", topology)
+    params = [int(weights[e]) for e in topology.amount_edges]
+    for k in topology.gates:
+        shares = [weights[e] for e in topology.out[k]]
+        total = float(check_gate_total(topology.ids[k], float_sum(shares)))
+        # running share sums; the last edge takes every draw above them (its sum counts as 1.0)
+        params += list(accumulate(w / total for w in shares))[:-1]
+    caps = {k: max(int(weights[e]) for e in topology.out[k]) for k in topology.caps}
+    initial = tuple(min(amount, caps.get(k, amount)) for k, amount in zip(topology.held, topology.initial))
+    return _Plan(topology, (*params, *caps.values()), initial, bool(topology.gates))
 
 
 def observe_runs(plan: _Plan, t: int, m: int, base_seed: int) -> list:
@@ -259,91 +233,9 @@ def observe_runs(plan: _Plan, t: int, m: int, base_seed: int) -> list:
     random numbers, so it runs once and the list holds that one dict m
     times; callers only read the dicts.
     """
-    observed = []
-    for seed in range(base_seed, base_seed + (m if plan.gates else 1)):
-        rng = random.Random(seed)
-        amounts = plan.initial.copy()
-        for _ in range(t):
-            _execute(plan, amounts, rng, None)
-        observed.append(amounts)
-    return observed if plan.gates else observed * m
-
-
-def _route_gate(gates, gate_id, amount, amounts, staged, rng, on_transfer) -> None:
-    """Send a batch into a gate along the edge picked by one rng draw."""
-    cumulative, targets = gates[gate_id]
-    # the first bound above the draw; the last bound is 1.0, above every draw
-    dst, tag = targets[bisect_right(cumulative, rng.random())]
-    if on_transfer is not None:
-        on_transfer("gate", gate_id, dst, amount)
-    if tag == _POOL:
-        amounts[dst] += amount
-    else:
-        key = (gate_id, dst)
-        staged[key] = staged.get(key, 0) + amount
-
-
-def _execute(plan: _Plan, amounts, rng, on_transfer) -> None:
-    """One step: updates the snapshot dict of pool and drain amounts in place."""
-    gates = plan.gates
-    staged = {}  # (gate_id, converter_id) -> units staged this step
-
-    for source_id, deliveries in plan.sources:
-        for dst, tag, amount in deliveries:
-            if on_transfer is not None:
-                on_transfer("source", source_id, dst, amount)
-            if tag == _POOL:
-                amounts[dst] += amount
-            else:
-                _route_gate(gates, dst, amount, amounts, staged, rng, on_transfer)
-
-    # passes in id order over the converters that have not fired this step
-    waiting = plan.converters
-    while waiting:
-        unfired = []
-        for converter in waiting:
-            conv_id, pool_needs, gate_inputs, out_dst, out_tag, out_amount = converter
-            ready = True
-            for pool_id, need in pool_needs:
-                if amounts[pool_id] < need:
-                    ready = False
-                    break
-            if ready:
-                for gate_id in gate_inputs:
-                    if staged.get((gate_id, conv_id), 0) <= 0:
-                        ready = False
-                        break
-            if not ready:
-                unfired.append(converter)
-                continue
-            for pool_id, need in pool_needs:
-                amounts[pool_id] -= need
-                if on_transfer is not None:
-                    on_transfer("consume", pool_id, conv_id, need)
-            for gate_id in gate_inputs:
-                taken = staged.pop((gate_id, conv_id))
-                if on_transfer is not None:
-                    on_transfer("consume", gate_id, conv_id, taken)
-            if on_transfer is not None:
-                on_transfer("produce", conv_id, out_dst, out_amount)
-            if out_tag == _POOL:
-                amounts[out_dst] += out_amount
-            else:
-                _route_gate(gates, out_dst, out_amount, amounts, staged, rng, on_transfer)
-        if len(unfired) == len(waiting):
-            break
-        waiting = unfired
-
-    for pool_id, drain_id, amount in plan.drain_moves:
-        if amounts[pool_id] >= amount:
-            amounts[pool_id] -= amount
-            amounts[drain_id] += amount
-            if on_transfer is not None:
-                on_transfer("drain", pool_id, drain_id, amount)
-
-    for pool_id, cap in plan.caps.items():
-        excess = amounts[pool_id] - cap
-        if excess > 0:
-            amounts[pool_id] = cap
-            if on_transfer is not None:
-                on_transfer("clamp", pool_id, None, excess)
+    kernel, monitored = plan.topology.kernel(False), plan.topology.monitored
+    observed = [
+        dict(zip(monitored, kernel(plan.params, plan.initial, random.Random(seed), t, None, None)))
+        for seed in range(base_seed, base_seed + (m if plan.gated else 1))
+    ]
+    return observed if plan.gated else observed * m

@@ -265,7 +265,27 @@ def test_gate_weights_summing_to_infinity_exit_two(tmp_path, capsys, command):
     }[command]
     assert main(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("flowtune: gate 'g': ") and err.count("\n") == 1
+    assert err.startswith(f"flowtune: {economy}: gate 'g': ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sim", "balance-first", "balance-second"])
+def test_invalid_economy_message_names_its_file(tmp_path, capsys, command):
+    # well formed, but a source and a pool without an edge are not a valid economy
+    bad = write(tmp_path / "bad.json", {"nodes": [{"id": "s", "kind": "source"}, {"id": "p", "kind": "pool"}], "edges": []})
+    mage = write(tmp_path / "mage.json", fixture_text("mage"))
+    out = tmp_path / "out.json"
+    objective = write(tmp_path / "o.json", {
+        "kind": "inter_pair", "pool": "damage_pool", "pool2": "damage_pool", "step": 3, "sim_length": 3,
+    })
+    balance = ["balance", "--objective", objective, "--out", str(out), "--out2", str(tmp_path / "out2.json")]
+    argv, message = {
+        "sim": (["sim", bad, "--steps", "3", "--trace", str(out)], "refusing to simulate an invalid economy graph"),
+        "balance-first": (balance + [bad, "--second", mage], "cannot balance an invalid economy graph"),
+        "balance-second": (balance + [mage, "--second", bad], "cannot balance an invalid economy graph"),
+    }[command]
+    assert main(argv + ["--quiet"]) == 2
+    assert capsys.readouterr().err == f"flowtune: {bad}: {message}\n"
     assert not out.exists()
 
 

@@ -1,8 +1,11 @@
+import hashlib
 import math
+import pickle
 import random
 
 import pytest
 
+import flowtune.kernel
 import flowtune.sim
 from flowtune.fixtures import load_fixture
 from flowtune.model import EconomyGraph, Edge, InvalidEconomyError, Node, NodeKind
@@ -106,10 +109,21 @@ def test_gate_normalizes_raw_weights_before_routing():
     assert abs(left - 1500) <= 3 * math.sqrt(2000 * 0.75 * 0.25)
 
 
-def test_invalid_graph_refused(monkeypatch):
+def count_kernel_steps(monkeypatch) -> list:
+    """Make every step kernel log the step count of each call; returns the log."""
     steps = []
-    real = flowtune.sim._execute
-    monkeypatch.setattr(flowtune.sim, "_execute", lambda *args: steps.append(1) or real(*args))
+    real = flowtune.kernel.Topology.kernel
+
+    def counting(topology, events):
+        kernel = real(topology, events)
+        return lambda p, a, rng, t, record, ev: steps.append(t) or kernel(p, a, rng, t, record, ev)
+
+    monkeypatch.setattr(flowtune.kernel.Topology, "kernel", counting)
+    return steps
+
+
+def test_invalid_graph_refused(monkeypatch):
+    steps = count_kernel_steps(monkeypatch)
     g = EconomyGraph((Node("s", NodeKind.SOURCE), Node("p", NodeKind.POOL)), ())
     for _ in range(2):  # a refusal is not cached as a plan
         with pytest.raises(InvalidEconomyError):
@@ -298,6 +312,76 @@ def test_pool_accounting_ledger(graph):
     assert sorted(trace.snapshots[-1]) == monitored_node_ids(graph)
 
 
+def transfer_stream_economies() -> list:
+    """The three fixtures and 30 generated economies with random gates."""
+    economies = [load_fixture(name) for name in ("minecraft_torch", "mage", "archer")]
+    rng = random.Random(31)
+    seed = 0
+    while len(economies) < 33:
+        seed += 1
+        counts = random_node_counts(rng, 5, 14)
+        if NodeKind.RANDOM_GATE not in counts:
+            continue
+        result = generate(GeneratorConfig(counts, max_steps=3000, seed=seed))
+        if result.valid:
+            economies.append(result.graph)
+    return economies
+
+
+#: SHA-256 of every on_transfer event (phase, src, dst, amount), in order,
+#: of transfer_stream_economies() at 20 steps and seeds 0-2.
+PINNED_TRANSFER_STREAM = "017db389da30f9917e31cf1d8755cae106a023960bd7c002c057f2e86f28c069"
+
+
+def test_transfer_event_stream_matches_pinned_digest():
+    digest = hashlib.sha256()
+    for index, graph in enumerate(transfer_stream_economies()):
+        for seed in range(3):
+            events = []
+            simulate(graph, 20, seed, on_transfer=lambda *event: events.append(event))
+            digest.update(f"{index} {seed}\n".encode())
+            digest.update("".join(f"{event!r}\n" for event in events).encode())
+    assert digest.hexdigest() == PINNED_TRANSFER_STREAM
+
+
+#: Node ids that would break, or run, kernel source that spliced them in.
+HOSTILE_IDS = ['say "hi"', "it's", "back\\slash", "line\nbreak", '__import__("os").system("x")', "lambda", "ñandú 火"]
+
+
+def test_hostile_node_ids_enter_kernels_as_data():
+    for graph in transfer_stream_economies()[:12]:
+        count = len(graph.nodes)
+        hostile = HOSTILE_IDS + [f"{HOSTILE_IDS[i % 7]} {i}" for i in range(7, count)]
+        # the same id order as the plain ids, so sources and converters run in the same order
+        names = dict(zip(sorted(node.id for node in graph.nodes), sorted(hostile[:count])))
+        twin = EconomyGraph(
+            tuple(Node(names[n.id], n.kind, n.label, n.initial_amount) for n in graph.nodes),
+            tuple(Edge(names[e.src], names[e.dst], e.weight, e.static) for e in graph.edges),
+        )
+        for seed in range(3):
+            plain_events, twin_events = [], []
+            plain = simulate(graph, 15, seed, on_transfer=lambda *event: plain_events.append(event))
+            got = simulate(twin, 15, seed, on_transfer=lambda *event: twin_events.append(event))
+            assert list(got.snapshots) == [{names[k]: v for k, v in s.items()} for s in plain.snapshots]
+            assert twin_events == [(p, names[s], names.get(d), a) for p, s, d, a in plain_events]
+            assert simulate(twin, 15, seed) == got
+        plain = observe_runs(compile_plan(graph, [e.weight for e in graph.edges]), 9, 3, 5)
+        got = observe_runs(compile_plan(twin, [e.weight for e in twin.edges]), 9, 3, 5)
+        assert got == [{names[k]: v for k, v in run.items()} for run in plain]
+        for events in (False, True):
+            source = compile_plan(twin, [e.weight for e in twin.edges]).topology.source(events)
+            assert not set("'\"\\") & set(source)
+            assert not any(node.id in source for node in twin.nodes)
+
+
+def test_simulated_graph_pickles():
+    graph = load_fixture("archer")
+    expected = simulate(graph, 12, seed=4)  # caches the compiled kernel on the graph
+    again = pickle.loads(pickle.dumps(graph))
+    assert again == graph
+    assert simulate(again, 12, seed=4) == expected
+
+
 def test_drain_totals_never_decrease_and_balances_stay_nonnegative():
     rng = random.Random(5)
     produced = 0
@@ -423,16 +507,14 @@ def test_step_oracle_agrees_with_simulate_and_observe_runs():
 def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
     graph = load_fixture(name)
     plan = compile_plan(graph, [e.weight for e in graph.edges])
-    assert bool(plan.gates) is gated
+    assert plan.gated is gated
     t, n, m, base_seed = 7, 9, 4, 21
-    calls = []
-    real = flowtune.sim._execute
-    monkeypatch.setattr(flowtune.sim, "_execute", lambda *args: calls.append(1) or real(*args))
+    steps = count_kernel_steps(monkeypatch)
     observed = observe_runs(plan, t, m, base_seed)
-    assert len(calls) == (m * t if gated else t)
-    del calls[:]
+    assert sum(steps) == (m * t if gated else t)
+    del steps[:]
     ensemble = simulate_ensemble(graph, n, m, base_seed)
-    assert len(calls) == (m * n if gated else n)
+    assert sum(steps) == (m * n if gated else n)
 
     singles = [simulate(graph, n, base_seed + r) for r in range(m)]
     assert ensemble.traces == tuple(singles)  # run_seed included
