@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence, Union
 
-from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, gate_shares, is_valid
+from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, gate_shares, is_valid
 from .sim import compile_plan, observe_runs
 from .util import check_number, derive_seed, float_sum
 
@@ -403,7 +403,7 @@ def balance(
     for index, graph in enumerate(graphs):
         try:
             if not is_valid(graph):
-                raise InvalidEconomyError("cannot balance an invalid economy graph")
+                raise InvalidEconomyError(f"cannot balance an invalid economy graph: {broken_rule(graph)}")
             gate_shares(graph, [e.weight for e in graph.edges])  # raises if a gate cannot be normalized
         except EconomyError as exc:
             exc.economy_index = index

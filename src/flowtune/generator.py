@@ -166,14 +166,25 @@ class EdgeListGenome:
 
 def draw_pair(rng: random.Random, n: int) -> tuple:
     """Two distinct indices below n: the pair rng.sample(range(n), 2) gives,
-    from the same draws, without its argument checks."""
-    a = rng.randrange(n)
-    if n <= 21:  # sample's pool-list branch: index n-1 fills a's slot
-        b = rng.randrange(n - 1)
+    from the same draws, without its argument checks.
+
+    randrange(n) draws getrandbits(n.bit_length()) until the value is below
+    n; this draws the same way, through the public getrandbits.
+    """
+    bits = rng.getrandbits
+    k = n.bit_length()
+    a = bits(k)
+    while a >= n:
+        a = bits(k)
+    if n <= 21:  # sample's pool-list branch: b = randrange(n-1), index n-1 fills a's slot
+        k = (n - 1).bit_length()
+        b = bits(k)
+        while b >= n - 1:
+            b = bits(k)
         return a, (n - 1 if b == a else b)
-    b = rng.randrange(n)  # sample's selected-set branch: redraw a repeat
-    while b == a:
-        b = rng.randrange(n)
+    b = bits(k)  # sample's selected-set branch: b = randrange(n), redrawn while it repeats a
+    while b >= n or b == a:
+        b = bits(k)
     return a, b
 
 

@@ -6,9 +6,9 @@ phases and draws the sim docstring states; a second one from the same
 emitter also reports every transfer. The source names node k's amount nk,
 edge e's amount we, the batch staged on gate edge e se, gate k's share
 bounds bk_j and fixed pool k's cap ck. Node ids and weights enter only as
-data (ids and monitored in its namespace, a plan's params), so no id a
-document holds can change what runs. sim imports this module with the
-first topology it compiles, not with the package.
+data (ids in its namespace, a plan's params), so no id a document holds
+can change what runs. sim imports this module with the first topology it
+compiles, not with the package.
 """
 
 from .model import EconomyGraph, NodeKind
@@ -43,11 +43,10 @@ class Topology:
     def kernel(self, events: bool):
         """kernel(params, initial, rng, t, record, on_transfer) runs t steps and
         returns the amounts of self.monitored; record, unless None, gets each
-        step's snapshot dict. Compiled on first use."""
+        step's tuple of those amounts. Compiled on first use."""
         kernel = self._kernels.get(events)
         if kernel is None:
-            namespace = {"__builtins__": {}, "range": range, "dict": dict, "zip": zip}
-            namespace.update(ids=self.ids, monitored=self.monitored)
+            namespace = {"__builtins__": {}, "range": range, "ids": self.ids}
             namespace.update((p.upper(), p) for p in ("source", "gate", "consume", "produce", "drain", "clamp"))
             exec(compile(self.source(events), "<flowtune step kernel>", "exec"), namespace)
             kernel = self._kernels[events] = namespace.pop("kernel")  # no cycle through its globals
@@ -143,6 +142,6 @@ class Topology:
             event(3, "CLAMP", k, None, f"n{k} - c{k}")
             put(3, f"n{k} = c{k}")
         put(2, "if record is not None:")
-        put(3, f"record(dict(zip(monitored, ({held}))))")
+        put(3, f"record(({held}))")
         put(1, f"return ({held})")
         return "\n".join(lines) + "\n"

@@ -244,27 +244,39 @@ def validate_node(node: Union[Node, str], graph: EconomyGraph) -> int:
     Each unmet degree bound counts one, plus one per incident edge whose
     opposite endpoint has a disallowed kind. Zero means fully satisfied.
     """
-    node_id = node.id if isinstance(node, Node) else node
+    return sum(1 for _ in _violations(node.id if isinstance(node, Node) else node, graph))
+
+
+def _violations(node_id: str, graph: EconomyGraph):
+    """One line per dissatisfied connection constraint of one node."""
     found = graph.node(node_id)
     rule = constraint_for(found.kind)
-    violations = 0
-    d_in = graph.in_degree(node_id)
-    d_out = graph.out_degree(node_id)
-    if d_in < rule.min_in:
-        violations += 1
-    if d_in > rule.max_in:
-        violations += 1
-    if d_out < rule.min_out:
-        violations += 1
-    if d_out > rule.max_out:
-        violations += 1
+    name = f"{found.kind.value} {node_id!r}"
+    for direction, degree, low, high in (
+        ("in", graph.in_degree(node_id), rule.min_in, rule.max_in),
+        ("out", graph.out_degree(node_id), rule.min_out, rule.max_out),
+    ):
+        if degree < low:
+            yield f"{name} has {direction}-degree {degree}, needs at least {low}"
+        if degree > high:
+            yield f"{name} has {direction}-degree {degree}, allows at most {high}"
     for edge in graph.in_edges(node_id):
-        if graph.node(edge.src).kind.constraint_kind not in rule.allowed_inputs:
-            violations += 1
+        kind = graph.node(edge.src).kind
+        if kind.constraint_kind not in rule.allowed_inputs:
+            yield f"{name} cannot take an edge from {kind.value} {edge.src!r}"
     for edge in graph.out_edges(node_id):
-        if graph.node(edge.dst).kind.constraint_kind not in rule.allowed_outputs:
-            violations += 1
-    return violations
+        kind = graph.node(edge.dst).kind
+        if kind.constraint_kind not in rule.allowed_outputs:
+            yield f"{name} cannot have an edge to {kind.value} {edge.dst!r}"
+
+
+def broken_rule(graph: EconomyGraph) -> str | None:
+    """The first connection rule an invalid graph breaks (nodes in order, then
+    "not weakly connected"), for its error message; None for a valid graph."""
+    for node in graph.nodes:
+        for violation in _violations(node.id, graph):
+            return violation
+    return None if is_weakly_connected(graph) else "not weakly connected"
 
 
 def graph_fitness(graph: EconomyGraph) -> int:

@@ -36,15 +36,17 @@ running (left-to-right) share sum exceeds u, the last edge's sum
 counting as 1.0. No other step draws, so an economy without gates draws
 nothing and every seed gives the same run: simulate_ensemble and
 observe_runs simulate such an economy once and repeat that run for each
-seed (its traces share one snapshot tuple).
+seed (its traces share one rows tuple).
 
 Steps run in one kernel per topology (flowtune.kernel), compiled once
 per graph object, on first use, and cached there; node ids and weights
 enter it as data, never as source text.
 
-A snapshot is one dict, node id -> amount, of every pool, fixed pool
-and drain (a drain's amount is its cumulative total); for simulate, the
-kernel builds one per step.
+A trace keeps one row per step: the tuple of amounts of every pool,
+fixed pool and drain (a drain's amount is its cumulative total), in the
+order of its monitored ids. The kernel records one per step; a trace
+builds the dict form, node id -> amount, only when its snapshots are
+read, and observe and ensemble_to_csv read the rows by position.
 
 simulate and simulate_ensemble check a graph's connection rules once,
 when it is first simulated, and cache its step plan on it; later runs of
@@ -59,10 +61,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, chain
+from operator import add, itemgetter
 from typing import Callable, NamedTuple
 
-from .model import EconomyGraph, InvalidEconomyError, NodeKind, check_gate_total, is_valid
+from .model import EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, check_gate_total, is_valid
 from .util import float_sum
 
 #: Optional flow observer: called as fn(phase, src, dst, amount) for every
@@ -73,22 +77,27 @@ TransferObserver = Callable[[str, str, "str | None", int], None]
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Snapshots of one run: index t holds every monitored amount after step t."""
+    """One run: rows[t] holds the amounts of monitored after step t."""
 
     run_seed: int
-    snapshots: tuple
+    monitored: tuple  # ids of the pools, then of the drains, in node order
+    rows: tuple
+
+    @cached_property
+    def snapshots(self) -> tuple:
+        """One dict per step, monitored id -> amount; built on first read."""
+        return tuple(dict(zip(self.monitored, row)) for row in self.rows)
 
     @property
     def length(self) -> int:
-        return len(self.snapshots) - 1
+        return len(self.rows) - 1
 
     def observe(self, node_id: str, t: int) -> int:
         if not 0 <= t <= self.length:
             raise ValueError(f"step {t} outside trace of length {self.length}")
-        snapshot = self.snapshots[t]
-        if node_id not in snapshot:
+        if node_id not in self.monitored:
             raise ValueError(f"node {node_id!r} is not monitored (not a pool or drain)")
-        return snapshot[node_id]
+        return self.rows[t][self.monitored.index(node_id)]
 
 
 @dataclass(frozen=True)
@@ -129,10 +138,10 @@ def simulate(
         raise ValueError(f"simulation length must be >= 1, got {n}")
     plan = _plan_for(graph)
     topology = plan.topology
-    snapshots = [dict(zip(topology.monitored, plan.initial))]
+    rows = [plan.initial]
     kernel = topology.kernel(on_transfer is not None)
-    kernel(plan.params, plan.initial, random.Random(seed), n, snapshots.append, on_transfer)
-    return SimulationTrace(seed, tuple(snapshots))
+    kernel(plan.params, plan.initial, random.Random(seed), n, rows.append, on_transfer)
+    return SimulationTrace(seed, topology.monitored, tuple(rows))
 
 
 def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> RunEnsemble:
@@ -140,7 +149,7 @@ def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> Ru
 
     A graph without random gates draws no random numbers, so its runs
     are identical: it is simulated once, and its m traces (each with its
-    own run_seed) share one snapshot tuple.
+    own run_seed) share one rows tuple.
     """
     if m < 1:
         raise ValueError(f"run count must be >= 1, got {m}")
@@ -148,30 +157,43 @@ def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> Ru
     if _plan_for(graph).gated:
         rest = (simulate(graph, n, base_seed + i) for i in range(1, m))
     else:
-        rest = (SimulationTrace(base_seed + i, first.snapshots) for i in range(1, m))
+        rest = (SimulationTrace(base_seed + i, first.monitored, first.rows) for i in range(1, m))
     return RunEnsemble(graph, base_seed, (first, *rest))
+
+
+class _Texts(dict):
+    """amount -> str(amount), each formatted once: a trace repeats few amounts."""
+
+    def __missing__(self, amount):
+        text = self[amount] = str(amount)
+        return text
 
 
 def ensemble_to_csv(ensemble: RunEnsemble) -> str:
     """Trace table: run,step,node_id,amount; runs by seed offset, steps ascending.
 
-    The step,node_id,amount rows of each distinct snapshot tuple are
+    The step,node_id,amount lines of each distinct rows tuple are
     formatted once; every run then prefixes them with its own run index.
+    An economy without pools and drains gives the header alone.
     """
-    monitored = monitored_node_ids(ensemble.graph)
-    rows_of = {}  # id of a snapshot tuple -> its rows, each ending in a newline
+    monitored = ensemble.traces[0].monitored
+    order = sorted(range(len(monitored)), key=monitored.__getitem__)  # node ids ascending
+    heads = [f"{t},{monitored[k]}," for t in range(ensemble.length + 1) for k in order]
+    if len(order) > 1:
+        pick = itemgetter(*order)
+    else:  # itemgetter of one index returns the amount itself; a slice returns a tuple
+        pick = itemgetter(slice(order[0], order[0] + 1) if order else slice(0))
+    text = _Texts().__getitem__
+    lines_of = {}  # id of a rows tuple -> its step,node_id,amount lines
     parts = ["run,step,node_id,amount\n"]
     for run, trace in enumerate(ensemble.traces):
-        rows = rows_of.get(id(trace.snapshots))
-        if rows is None:
-            rows = [
-                f"{t},{node_id},{snapshot[node_id]}\n"
-                for t, snapshot in enumerate(trace.snapshots)
-                for node_id in monitored
-            ]
-            rows_of[id(trace.snapshots)] = rows
-        prefix = f"{run},"
-        parts.append(prefix + prefix.join(rows))
+        lines = lines_of.get(id(trace.rows))
+        if lines is None:
+            amounts = chain.from_iterable(map(pick, trace.rows))
+            lines = lines_of[id(trace.rows)] = list(map(add, heads, map(text, amounts)))
+        if lines:
+            prefix = f"{run},"
+            parts.append(prefix + f"\n{prefix}".join(lines) + "\n")
     return "".join(parts)
 
 
@@ -192,7 +214,7 @@ def _plan_for(graph: EconomyGraph) -> _Plan:
     cached = getattr(graph, "_sim_plan", None)
     if cached is None:
         if not is_valid(graph):
-            raise InvalidEconomyError("refusing to simulate an invalid economy graph")
+            raise InvalidEconomyError(f"refusing to simulate an invalid economy graph: {broken_rule(graph)}")
         cached = compile_plan(graph, [e.weight for e in graph.edges])
         object.__setattr__(graph, "_sim_plan", cached)
     return cached

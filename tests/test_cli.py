@@ -284,8 +284,9 @@ def test_invalid_economy_message_names_its_file(tmp_path, capsys, command):
         "balance-first": (balance + [bad, "--second", mage], "cannot balance an invalid economy graph"),
         "balance-second": (balance + [mage, "--second", bad], "cannot balance an invalid economy graph"),
     }[command]
+    rule = "source 's' has out-degree 0, needs at least 1"
     assert main(argv + ["--quiet"]) == 2
-    assert capsys.readouterr().err == f"flowtune: {bad}: {message}\n"
+    assert capsys.readouterr().err == f"flowtune: {bad}: {message}: {rule}\n"
     assert not out.exists()
 
 

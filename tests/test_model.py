@@ -16,6 +16,7 @@ from flowtune.model import (
     NodeKind,
     NonPositiveWeightError,
     UnknownNodeKindError,
+    broken_rule,
     constraint_for,
     graph_fitness,
     is_valid,
@@ -129,6 +130,31 @@ def test_is_valid_rejects_disconnected_union():
     assert graph_fitness(g) == 0
     assert not is_weakly_connected(g)
     assert not is_valid(g)
+
+
+def test_broken_rule_names_the_first_violation(minecraft):
+    gate = EconomyGraph(
+        (Node("s", NodeKind.SOURCE), Node("g", NodeKind.RANDOM_GATE), Node("p", NodeKind.POOL)),
+        (Edge("s", "g", 1), Edge("g", "p", 1)),
+    )
+    assert broken_rule(gate) == "random_gate 'g' has out-degree 1, needs at least 2"
+    wrong = EconomyGraph((Node("s", NodeKind.SOURCE), Node("d", NodeKind.DRAIN)), (Edge("s", "d", 1),))
+    assert broken_rule(wrong) == "source 's' cannot have an edge to drain 'd'"
+    assert broken_rule(EconomyGraph(wrong.nodes[::-1], wrong.edges)) == "drain 'd' cannot take an edge from source 's'"
+    crowded = EconomyGraph(
+        (*(Node(f"s{i}", NodeKind.SOURCE) for i in range(3)), Node("p", NodeKind.FIXED_POOL)),
+        tuple(Edge(f"s{i}", "p", 1) for i in range(3)),
+    )
+    assert broken_rule(crowded) == "fixed_pool 'p' has in-degree 3, allows at most 2"
+    one = chain_graph()
+    union = EconomyGraph(one.nodes + tuple(Node(f"{n.id}2", n.kind) for n in one.nodes),
+                         one.edges + tuple(Edge(f"{e.src}2", f"{e.dst}2", e.weight) for e in one.edges))
+    assert broken_rule(union) == "not weakly connected"
+    assert broken_rule(minecraft) is None
+    rng = random.Random(11)
+    for _ in range(300):
+        g = random_wellformed_graph(rng)
+        assert (broken_rule(g) is None) == is_valid(g)
 
 
 def test_normalize_even_weights():

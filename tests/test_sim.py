@@ -365,6 +365,8 @@ def test_hostile_node_ids_enter_kernels_as_data():
             assert list(got.snapshots) == [{names[k]: v for k, v in s.items()} for s in plain.snapshots]
             assert twin_events == [(p, names[s], names.get(d), a) for p, s, d, a in plain_events]
             assert simulate(twin, 15, seed) == got
+        ensemble = simulate_ensemble(twin, 15, 3, 5)
+        assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble)
         plain = observe_runs(compile_plan(graph, [e.weight for e in graph.edges]), 9, 3, 5)
         got = observe_runs(compile_plan(twin, [e.weight for e in twin.edges]), 9, 3, 5)
         assert got == [{names[k]: v for k, v in run.items()} for run in plain]
@@ -416,6 +418,32 @@ def test_monitored_nodes_and_csv_layout(minecraft):
     assert "1,3,torch_pool,8" in lines
 
 
+def _economy(nodes, edges) -> EconomyGraph:
+    return EconomyGraph(tuple(Node(i, NodeKind(k)) for i, k in nodes), tuple(Edge(*e) for e in edges))
+
+
+#: Economies whose monitored ids, ascending, are not in node order, or that
+#: monitor one node or none.
+CSV_EDGE_CASES = {
+    "gated, drain id first": _economy(
+        [("s", "source"), ("g", "random_gate"), ("p", "pool"), ("q", "pool"), ("a", "drain")],
+        [("s", "g", 3), ("g", "p", 1), ("g", "q", 1), ("p", "a", 1)],
+    ),
+    "gate-free, drain id first": _economy(
+        [("s", "source"), ("z", "pool"), ("m", "pool"), ("c", "converter"), ("b", "drain")],
+        [("s", "z", 2), ("z", "c", 1), ("c", "m", 2), ("m", "b", 1)],
+    ),
+    "one monitored node": _economy([("s", "source"), ("p", "pool")], [("s", "p", 3)]),
+    # gates feed converters and converters feed gates: valid, yet nothing is monitored
+    "no pool or drain": _economy(
+        [("s", "source"), ("g1", "random_gate"), ("g2", "random_gate"), ("g3", "random_gate"),
+         ("c1", "converter"), ("c2", "converter")],
+        [("s", "g1", 1), *((g, c, 1) for g in ("g1", "g2", "g3") for c in ("c1", "c2")),
+         ("c1", "g2", 1), ("c2", "g3", 1)],
+    ),
+}
+
+
 def test_csv_matches_a_table_read_through_observe():
     rng = random.Random(13)
     seen = {"gated": 0, "gate_free": 0}
@@ -432,14 +460,39 @@ def test_csv_matches_a_table_read_through_observe():
     for name in ("minecraft_torch", "mage", "archer"):
         ensemble = simulate_ensemble(load_fixture(name), 12, 3, 5)
         assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble), name
+    for name, graph in CSV_EDGE_CASES.items():
+        ensemble = simulate_ensemble(graph, 6, 3, 2)
+        assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble), name
+        if not graph.nodes_of_kind(NodeKind.RANDOM_GATE):  # its traces share one rows tuple
+            assert all(trace.rows is ensemble.traces[0].rows for trace in ensemble.traces), name
+    assert ensemble_to_csv(simulate_ensemble(CSV_EDGE_CASES["no pool or drain"], 6, 3, 2)) == "run,step,node_id,amount\n"
+
+
+def test_snapshots_are_step_dicts_built_on_first_read():
+    economies = [load_fixture(name) for name in ("minecraft_torch", "mage", "archer")]
+    economies += [*CSV_EDGE_CASES.values(), *oracle_economies(30, random.Random(5))]
+    for index, graph in enumerate(economies):
+        ensemble = simulate_ensemble(graph, 10, 2, 3)
+        trace = ensemble.traces[1]
+        ensemble_to_csv(ensemble)
+        for node_id in trace.monitored:
+            ensemble.observe(node_id, 4)
+        assert "snapshots" not in vars(trace)  # observe and the table read the rows
+        # the old form: one dict per step, pools then drains in node order
+        keys = [n.id for n in graph.nodes if n.kind.is_pool_like] + [n.id for n in graph.nodes if n.kind is NodeKind.DRAIN]
+        assert [list(snapshot) for snapshot in trace.snapshots] == [keys] * 11, index
+        assert list(trace.snapshots) == oracle.simulate_amounts(graph, 10, 4), index
+        assert trace.snapshots is trace.snapshots
 
 
 def test_observe_errors(minecraft):
-    trace = simulate(minecraft, 3, seed=0)
-    with pytest.raises(ValueError):
-        trace.observe("torch_pool", 4)
-    with pytest.raises(ValueError):
-        trace.observe("wood_source", 1)
+    ensemble = simulate_ensemble(minecraft, 3, 2, 0)
+    for observe in (ensemble.traces[0].observe, ensemble.observe):
+        for t in (4, -1):
+            with pytest.raises(ValueError, match=f"^step {t} outside trace of length 3$"):
+                observe("torch_pool", t)
+        with pytest.raises(ValueError, match=r"^node 'wood_source' is not monitored \(not a pool or drain\)$"):
+            observe("wood_source", 1)
 
 
 def oracle_economies(count: int, rng: random.Random) -> list:
