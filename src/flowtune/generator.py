@@ -12,9 +12,11 @@ Because insertions are guarded, an individual can only ever violate
 minimum-degree requirements, so its constraint-violation total is
 maintained incrementally in O(1) per mutation.
 
-draw_pair picks the two endpoints of an edge to add exactly as
-random.sample(range(n), 2) does on Python 3.10-3.13, from the same random
-numbers but without that call's overhead, so a seed gives the same economy.
+generate draws the two endpoints of each edge to add inline, exactly as
+random.sample(range(n), 2) does on Python 3.10-3.13 and from the same
+random numbers, so a seed gives the same economy. Most draws pair two
+kinds that no neighbor-kind rule lets connect; one lookup in a kind-pair
+table (_KIND_PAIRS) drops those before try_add is called.
 """
 
 from __future__ import annotations
@@ -70,6 +72,17 @@ class GeneratorConfig:
             raise ValueError("remove_probability must be in [0, 1]")
 
 
+#: _KIND_PAIRS[5 * i + j] is 1 when an edge from the i-th to the j-th
+#: constraint kind (CONSTRAINTS order) passes both neighbor-kind rules: the
+#: source's allowed outputs and the destination's allowed inputs.
+_TABLE_KINDS = tuple(CONSTRAINTS)
+_KIND_PAIRS = bytes(
+    dst in CONSTRAINTS[src].allowed_outputs and src in CONSTRAINTS[dst].allowed_inputs
+    for src in _TABLE_KINDS
+    for dst in _TABLE_KINDS
+)
+
+
 class EdgeListGenome:
     """One individual: a growing edge list over a shared node tuple.
 
@@ -78,13 +91,16 @@ class EdgeListGenome:
     carry are unmet minimum degrees (tracked in ``fitness``).
     """
 
-    __slots__ = ("nodes", "edges", "_kinds", "_rules", "_edge_set", "_in_deg", "_out_deg", "_missing")
+    __slots__ = ("nodes", "edges", "_row", "_col", "_rules", "_edge_set", "_in_deg", "_out_deg", "_missing")
 
     def __init__(self, nodes: tuple):
         self.nodes = nodes
         self.edges = []
-        self._kinds = [n.kind.constraint_kind for n in nodes]
-        self._rules = [CONSTRAINTS[kind] for kind in self._kinds]
+        kinds = [n.kind.constraint_kind for n in nodes]
+        # a->b passes the neighbor-kind rules when _KIND_PAIRS[_row[a] + _col[b]]
+        self._col = [_TABLE_KINDS.index(kind) for kind in kinds]
+        self._row = [len(_TABLE_KINDS) * i for i in self._col]
+        self._rules = [CONSTRAINTS[kind] for kind in kinds]
         self._edge_set = set()
         self._in_deg = [0] * len(nodes)
         self._out_deg = [0] * len(nodes)
@@ -99,12 +115,9 @@ class EdgeListGenome:
 
     def try_add(self, a: int, b: int) -> bool:
         """Add the directed edge a->b if every rule allows it."""
-        if a == b or (a, b) in self._edge_set:
+        if a == b or not _KIND_PAIRS[self._row[a] + self._col[b]] or (a, b) in self._edge_set:
             return False
-        rule_a, rule_b = self._rules[a], self._rules[b]
-        if self._kinds[b] not in rule_a.allowed_outputs or self._kinds[a] not in rule_b.allowed_inputs:
-            return False
-        if self._out_deg[a] >= rule_a.max_out or self._in_deg[b] >= rule_b.max_in:
+        if self._out_deg[a] >= self._rules[a].max_out or self._in_deg[b] >= self._rules[b].max_in:
             return False
         self._bump_out(a, 1)
         self._bump_in(b, 1)
@@ -145,7 +158,8 @@ class EdgeListGenome:
         clone = EdgeListGenome.__new__(EdgeListGenome)
         clone.nodes = self.nodes
         clone.edges = list(self.edges)
-        clone._kinds = self._kinds
+        clone._row = self._row
+        clone._col = self._col
         clone._rules = self._rules
         clone._edge_set = set(self._edge_set)
         clone._in_deg = list(self._in_deg)
@@ -162,36 +176,6 @@ class EdgeListGenome:
         edges = tuple(Edge(self.nodes[a].id, self.nodes[b].id, 1) for a, b in self.edges)
         graph = EconomyGraph(self.nodes, edges)
         return normalize_gate_weights(graph) if normalize else graph
-
-
-def draw_pair(rng: random.Random, n: int) -> tuple:
-    """Two distinct indices below n: the pair rng.sample(range(n), 2) gives,
-    from the same draws, without its argument checks.
-
-    randrange(n) draws getrandbits(n.bit_length()) until the value is below
-    n; this draws the same way, through the public getrandbits.
-    """
-    bits = rng.getrandbits
-    k = n.bit_length()
-    a = bits(k)
-    while a >= n:
-        a = bits(k)
-    if n <= 21:  # sample's pool-list branch: b = randrange(n-1), index n-1 fills a's slot
-        k = (n - 1).bit_length()
-        b = bits(k)
-        while b >= n - 1:
-            b = bits(k)
-        return a, (n - 1 if b == a else b)
-    b = bits(k)  # sample's selected-set branch: b = randrange(n), redrawn while it repeats a
-    while b >= n or b == a:
-        b = bits(k)
-    return a, b
-
-
-def mutate_add_edge(genome: EdgeListGenome, rng: random.Random) -> EdgeListGenome:
-    """Draw two distinct vertices and add the edge if the rules allow it."""
-    genome.try_add(*draw_pair(rng, len(genome.nodes)))
-    return genome
 
 
 def mutate_remove_edge(population, rng: random.Random, remove_probability: float):
@@ -237,14 +221,40 @@ def generate(config: GeneratorConfig) -> GenerationResult:
     """
     rng = random.Random(config.seed)
     nodes = build_nodes(config.node_counts)
-    population = [EdgeListGenome(nodes) for _ in range(config.population_size)]
+    first = EdgeListGenome(nodes)  # the others are copies, sharing its per-index lists
+    population = [first] + [first.copy() for _ in range(config.population_size - 1)]
 
     best = population[0].copy()
     history = [best.fitness]
+    # each pair is rng.sample(range(n), 2), drawn through getrandbits as
+    # randrange draws: for n <= 21 sample's pool-list branch (b = randrange(n-1),
+    # index n-1 fills a's slot), above it the selected-set branch (b =
+    # randrange(n), redrawn while it repeats a)
     n = len(nodes)
+    last = n - 1
+    bits = rng.getrandbits
+    k = n.bit_length()
+    k_last = last.bit_length()
+    pool_branch = n <= 21
+    table = _KIND_PAIRS
+    row, col = first._row, first._col
     for generation in range(1, config.max_steps + 1):
         for genome in population:
-            genome.try_add(*draw_pair(rng, n))
+            a = bits(k)
+            while a >= n:
+                a = bits(k)
+            if pool_branch:
+                b = bits(k_last)
+                while b >= last:
+                    b = bits(k_last)
+                if b == a:
+                    b = last
+            else:
+                b = bits(k)
+                while b >= n or b == a:
+                    b = bits(k)
+            if table[row[a] + col[b]]:
+                genome.try_add(a, b)
         mutate_remove_edge(population, rng, config.remove_probability)
 
         missing = [genome._missing for genome in population]

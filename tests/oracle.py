@@ -63,6 +63,88 @@ def max_degree_violations(graph, node_id: str) -> int:
     return violations
 
 
+# --- topology search ----------------------------------------------------------
+#
+# The generator's evolutionary loop, written from the flowtune.generator
+# module docstring alone: each pair is drawn by rng.sample itself, every
+# rule is read from RULES, and fitness and connectivity are recounted from
+# the raw edge list.
+
+#: Node id order of a generated economy: kind by kind, numbered within each.
+_KIND_ORDER = ("source", "random_gate", "pool", "fixed_pool", "converter", "drain")
+
+
+def _unmet_minimums(kinds, edges) -> int:
+    in_degree = [0] * len(kinds)
+    out_degree = [0] * len(kinds)
+    for a, b in edges:
+        out_degree[a] += 1
+        in_degree[b] += 1
+    unmet = 0
+    for kind, d_in, d_out in zip(kinds, in_degree, out_degree):
+        min_in, _, min_out, _, _, _ = RULES[kind]
+        unmet += (d_in < min_in) + (d_out < min_out)
+    return unmet
+
+
+def _weakly_connected(count: int, edges) -> bool:
+    reached = {0}
+    grew = True
+    while grew:
+        grew = False
+        for a, b in edges:
+            if (a in reached) != (b in reached):
+                reached.update((a, b))
+                grew = True
+    return len(reached) == count
+
+
+def reference_generate(counts, population: int, max_steps: int, remove_probability: float, seed: int):
+    """(valid, generations, fitness, fitness_history, edges) of one search.
+
+    ``counts`` maps node kinds (or their names) to counts; ``edges`` are
+    (src id, dst id) pairs in insertion order, of the first valid
+    individual or else of the best one seen.
+    """
+    counts = {getattr(kind, "value", kind): count for kind, count in counts.items()}
+    ids, kinds = [], []
+    for kind in _KIND_ORDER:
+        for i in range(counts.get(kind, 0)):
+            ids.append(f"{kind}_{i}")
+            kinds.append("pool" if kind == "fixed_pool" else kind)
+    n = len(ids)
+    rng = random.Random(seed)
+
+    def try_add(edges, a, b):
+        _, max_in, _, _, allowed_in, _ = RULES[kinds[b]]
+        _, _, _, max_out, _, allowed_out = RULES[kinds[a]]
+        if (a, b) in edges or kinds[b] not in allowed_out or kinds[a] not in allowed_in:
+            return
+        if sum(1 for e in edges if e[0] == a) >= max_out or sum(1 for e in edges if e[1] == b) >= max_in:
+            return
+        edges.append((a, b))
+
+    individuals = [[] for _ in range(population)]
+    best, best_unmet = [], _unmet_minimums(kinds, [])
+    history = [best_unmet]
+    for generation in range(1, max_steps + 1):
+        for edges in individuals:
+            try_add(edges, *rng.sample(range(n), 2))
+        if rng.random() < remove_probability:
+            edges = individuals[rng.randrange(population)]
+            if edges:
+                del edges[rng.randrange(len(edges))]
+        unmet = [_unmet_minimums(kinds, edges) for edges in individuals]
+        history.append(min(unmet))
+        if min(unmet) < best_unmet:
+            best, best_unmet = list(individuals[unmet.index(min(unmet))]), min(unmet)
+        if min(unmet) == 0:
+            for edges, missing in zip(individuals, unmet):
+                if missing == 0 and _weakly_connected(n, edges):
+                    return True, generation, 0, tuple(history), [(ids[a], ids[b]) for a, b in edges]
+    return False, max_steps, best_unmet, tuple(history), [(ids[a], ids[b]) for a, b in best]
+
+
 # --- step phases --------------------------------------------------------------
 #
 # A second simulator, written from the flowtune.sim module docstring alone:

@@ -1,17 +1,17 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
-from flowtune.model import NodeKind, graph_fitness, is_valid, save_economy
+from flowtune import generator
+from flowtune.model import Node, NodeKind, graph_fitness, is_valid, save_economy
 from flowtune.util import dump_json
 from flowtune.generator import (
     EdgeListGenome,
     GeneratorConfig,
     build_nodes,
-    draw_pair,
     generate,
-    mutate_add_edge,
     mutate_remove_edge,
     plausible_node_counts,
     random_node_counts,
@@ -62,7 +62,7 @@ def test_mutate_add_edge_only_ever_adds_allowed_edges():
     rng = random.Random(0)
     g = genome_over({K.SOURCE: 2, K.RANDOM_GATE: 1, K.POOL: 2, K.CONVERTER: 1, K.DRAIN: 1})
     for _ in range(500):
-        mutate_add_edge(g, rng)
+        g.try_add(*rng.sample(range(len(g.nodes)), 2))
     materialized = g.to_graph(normalize=False)
     for node in materialized.nodes:
         assert oracle.max_degree_violations(materialized, node.id) == 0
@@ -100,7 +100,7 @@ def test_incremental_fitness_matches_graph_fitness_through_mutations():
     for trial in range(10):
         g = genome_over({K.SOURCE: 2, K.RANDOM_GATE: 1, K.POOL: 3, K.CONVERTER: 2, K.DRAIN: 1})
         for _ in range(200):
-            mutate_add_edge(g, rng)
+            g.try_add(*rng.sample(range(len(g.nodes)), 2))
             mutate_remove_edge([g], rng, 0.3)
         assert g.fitness == graph_fitness(g.to_graph(normalize=False))
 
@@ -200,24 +200,110 @@ def test_build_nodes_ids_are_stable():
     assert [n.id for n in nodes] == ["source_0", "source_1", "pool_0"]
 
 
+def any_kinds(rng: random.Random, n: int) -> dict:
+    """n nodes of uniformly drawn kinds, fixed pools included; often unwirable."""
+    counts = {}
+    for _ in range(n):
+        kind = rng.choice(list(K))
+        counts[kind] = counts.get(kind, 0) + 1
+    return counts
+
+
+def reference_configs(seed: int, count: int = 38) -> list:
+    """Search configs for the reference comparison: 2-40 nodes (both of
+    sample's branches), fixed pools, unwirable multisets, population 1-12,
+    removal probability 0, 0.1 or 1, and at most 300 steps."""
+    rng = random.Random(seed)
+    configs = []
+    for i in range(count):
+        if i % 3 == 0:  # a plausible multiset, some of its pools fixed
+            counts = random_node_counts(rng, 3, 40)
+            fixed = rng.randint(0, counts[K.POOL] - 1)
+            counts[K.POOL] -= fixed
+            counts[K.FIXED_POOL] = fixed
+        else:  # every third one tiny
+            counts = any_kinds(rng, rng.randint(2, 6) if i % 3 == 1 else rng.randint(2, 40))
+        configs.append(
+            GeneratorConfig(
+                counts,
+                population_size=rng.randint(1, 12),
+                max_steps=rng.randint(1, 300),
+                remove_probability=rng.choice((0.0, 0.1, 1.0)),
+                seed=rng.randrange(10**6),
+            )
+        )
+    return configs
+
+
+def search_outcome(config) -> tuple:
+    result = generate(config)
+    edges = [(e.src, e.dst) for e in result.graph.edges]
+    return result.valid, result.generations, result.fitness, result.fitness_history, edges
+
+
+def reference_outcome(config) -> tuple:
+    return oracle.reference_generate(
+        config.node_counts, config.population_size, config.max_steps, config.remove_probability, config.seed
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
-def test_draw_pair_is_random_sample_of_two(seed):
-    # both of sample's branches, and both sides of the switch at n = 21
+def test_generate_matches_reference_search(seed):
+    # the reference draws each pair with rng.sample(range(n), 2) itself, so this
+    # also holds generate's inline draw to sample's pairs and random stream
+    configs = reference_configs(seed)
+    sizes = [sum(c.node_counts.values()) for c in configs]
+    assert min(sizes) <= 21 < max(sizes)
+    assert any(c.node_counts.get(K.FIXED_POOL) for c in configs)
+    outcomes = []
+    for config in configs:
+        outcome = search_outcome(config)
+        assert outcome == reference_outcome(config), config
+        outcomes.append(outcome[0])
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_generate_draws_like_random_sample(seed):
+    # every size on both sides of sample's switch at n = 21
     for n in range(2, 60):
-        ours = random.Random(seed * 1000 + n)
-        theirs = random.Random(seed * 1000 + n)
-        for _ in range(100):
-            assert draw_pair(ours, n) == tuple(theirs.sample(range(n), 2)), n
-        assert ours.getstate() == theirs.getstate(), n
+        counts = any_kinds(random.Random(seed * 1000 + n), n)
+        config = GeneratorConfig(counts, population_size=1 + n % 4, max_steps=25, seed=seed * 1000 + n)
+        assert search_outcome(config) == reference_outcome(config), n
 
 
-def test_mutate_add_edge_draws_like_random_sample():
-    genome = genome_over({K.SOURCE: 2, K.RANDOM_GATE: 1, K.POOL: 2, K.CONVERTER: 1, K.DRAIN: 1})
-    ours, theirs = random.Random(3), random.Random(3)
-    for _ in range(50):
-        mutate_add_edge(genome, ours)
-        theirs.sample(range(len(genome.nodes)), 2)
-    assert ours.getstate() == theirs.getstate()
+def test_reference_search_catches_a_dropped_kind_pair(monkeypatch):
+    kinds = generator._TABLE_KINDS
+    table = bytearray(generator._KIND_PAIRS)
+    dropped = kinds.index(K.POOL) * len(kinds) + kinds.index(K.DRAIN)
+    assert table[dropped]
+    table[dropped] = 0
+    monkeypatch.setattr(generator, "_KIND_PAIRS", bytes(table))
+    assert any(search_outcome(c) != reference_outcome(c) for c in reference_configs(0))
+
+
+@pytest.mark.parametrize("src", list(K))
+def test_kind_pair_table_matches_oracle_rules(src):
+    name = oracle._kind_name
+    for dst in K:
+        _, _, _, _, _, allowed_out = oracle.RULES[name(src)]
+        _, _, _, _, allowed_in, _ = oracle.RULES[name(dst)]
+        expected = name(dst) in allowed_out and name(src) in allowed_in
+        genome = EdgeListGenome((Node("a", src), Node("b", dst)))
+        assert generator._KIND_PAIRS[genome._row[0] + genome._col[1]] == expected, (src, dst)
+        # no degree bound binds on an empty genome, so only the kinds decide
+        assert genome.try_add(0, 1) == expected, (src, dst)
+
+
+def test_generate_memory_is_linear_in_node_count():
+    config = GeneratorConfig({K.SOURCE: 2000, K.POOL: 2000}, max_steps=3)
+    tracemalloc.start()
+    try:
+        generate(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 #: SHA-256 of the economy and report bytes that `flowtune gen` writes for
