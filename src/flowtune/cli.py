@@ -100,7 +100,7 @@ def _read_json(path: str) -> dict:
         raise EconomyError(f"{path} is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long to convert
         raise EconomyError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise EconomyError(f"{path}: top level must be an object")

@@ -119,8 +119,8 @@ class EdgeListGenome:
             return False
         if self._out_deg[a] >= self._rules[a].max_out or self._in_deg[b] >= self._rules[b].max_in:
             return False
-        self._bump_out(a, 1)
-        self._bump_in(b, 1)
+        self._bump(self._out_deg, a, 1, self._rules[a].min_out)
+        self._bump(self._in_deg, b, 1, self._rules[b].min_in)
         self._edge_set.add((a, b))
         self.edges.append((a, b))
         return True
@@ -128,28 +128,18 @@ class EdgeListGenome:
     def remove_index(self, index: int) -> None:
         a, b = self.edges.pop(index)
         self._edge_set.discard((a, b))
-        self._bump_out(a, -1)
-        self._bump_in(b, -1)
+        self._bump(self._out_deg, a, -1, self._rules[a].min_out)
+        self._bump(self._in_deg, b, -1, self._rules[b].min_in)
 
-    def _bump_out(self, v: int, delta: int) -> None:
-        minimum = self._rules[v].min_out
-        old = self._out_deg[v]
+    def _bump(self, degrees: list, v: int, delta: int, minimum: int) -> None:
+        """Add delta to degrees[v], counting a minimum it starts or stops meeting."""
+        old = degrees[v]
         new = old + delta
         if old < minimum <= new:
             self._missing -= 1
         elif new < minimum <= old:
             self._missing += 1
-        self._out_deg[v] = new
-
-    def _bump_in(self, v: int, delta: int) -> None:
-        minimum = self._rules[v].min_in
-        old = self._in_deg[v]
-        new = old + delta
-        if old < minimum <= new:
-            self._missing -= 1
-        elif new < minimum <= old:
-            self._missing += 1
-        self._in_deg[v] = new
+        degrees[v] = new
 
     def is_connected(self) -> bool:
         return indices_connected(len(self.nodes), self.edges)

@@ -7,8 +7,9 @@ emitter also reports every transfer. The source names node k's amount nk,
 edge e's amount we, the batch staged on gate edge e se, gate k's share
 bounds bk_j and fixed pool k's cap ck. Node ids and weights enter only as
 data (ids in its namespace, a plan's params), so no id a document holds
-can change what runs. sim imports this module with the first topology it
-compiles, not with the package.
+can change what runs. The adjacency the emitter walks is the graph's own
+(see model); this module builds none. sim imports this module with the
+first topology it compiles, not with the package.
 """
 
 from .model import EconomyGraph, NodeKind
@@ -18,13 +19,10 @@ class Topology:
     """A graph's structure as its step kernels read it, and the kernels."""
 
     def __init__(self, graph: EconomyGraph):
-        index = {node.id: k for k, node in enumerate(graph.nodes)}
-        self.ids = tuple(index)
+        self.ids = tuple(node.id for node in graph.nodes)
         self.kinds = kinds = [node.kind for node in graph.nodes]
-        self.ends = [(index[e.src], index[e.dst]) for e in graph.edges]
-        self.out = [[] for _ in kinds]  # per node, its outgoing edges in edge order
-        for e, (src, _) in enumerate(self.ends):
-            self.out[src].append(e)
+        # the graph's adjacency, by position: each edge's ends, each node's edges out and in
+        self.ends, self.out, self.into = graph._ends, graph._out, graph._in
         pools = [k for k, kind in enumerate(kinds) if kind.is_pool_like]
         self.held = pools + [k for k, kind in enumerate(kinds) if kind is NodeKind.DRAIN]
         self.monitored = tuple(self.ids[k] for k in self.held)
@@ -54,7 +52,7 @@ class Topology:
 
     def source(self, events: bool) -> str:
         """The kernel's Python source; with events, it reports every transfer."""
-        kinds, ends, out = self.kinds, self.ends, self.out
+        kinds, ends, out, into = self.kinds, self.ends, self.out, self.into
         gate, converter = NodeKind.RANDOM_GATE, NodeKind.CONVERTER
         lines = []
 
@@ -111,9 +109,8 @@ class Topology:
             put(3, "fired = 0")
         depth = 2 + passes
         for k in converters:
-            into = [e for e, (_, dst) in enumerate(ends) if dst == k]
-            needs = [e for e in into if kinds[ends[e][0]] is not gate]
-            batches = [e for e in into if kinds[ends[e][0]] is gate]
+            needs = [e for e in into[k] if kinds[ends[e][0]] is not gate]
+            batches = [e for e in into[k] if kinds[ends[e][0]] is gate]
             tests = [f"f{k}"] if passes else []
             tests += [f"n{ends[e][0]} >= w{e}" for e in needs] + [f"s{e} > 0" for e in batches]
             put(depth, f"if {' and '.join(tests) or 'True'}:")

@@ -9,6 +9,10 @@ incoming batch along them.
 Each node kind has a connection rule: bounds on in/out degree plus the
 kinds it may be wired to. A graph is valid when every node satisfies
 its rule and the graph is weakly connected.
+
+This module owns a graph's adjacency: EconomyGraph indexes, once, each
+edge's end positions and each node's edge positions out and in, and the
+validity checks, gate normalization and step kernels all read that index.
 """
 
 from __future__ import annotations
@@ -138,11 +142,11 @@ class EconomyGraph:
     def __post_init__(self):
         nodes = tuple(self.nodes)
         object.__setattr__(self, "nodes", nodes)
-        by_id = {}
-        for node in nodes:
+        index = {}  # node id -> position
+        for k, node in enumerate(nodes):
             if not isinstance(node.id, str) or not node.id:
                 raise EconomySchemaError(f"node id must be a nonempty string, got {node.id!r}")
-            if node.id in by_id:
+            if node.id in index:
                 raise EconomySchemaError(f"duplicate node id {node.id!r}")
             if not isinstance(node.kind, NodeKind):
                 raise UnknownNodeKindError(f"node {node.id!r} has unknown kind {node.kind!r}")
@@ -155,57 +159,57 @@ class EconomyGraph:
                 raise EconomySchemaError(
                     f"node {node.id!r}: only pools may declare an initial amount"
                 )
-            by_id[node.id] = node
+            index[node.id] = k
 
         edges = []
+        ends = []  # per edge, the positions of its source and destination
+        outgoing = [[] for _ in nodes]  # per node, the positions of its edges, in edge order
+        incoming = [[] for _ in nodes]
         seen = set()
         for edge in self.edges:
-            if edge.src not in by_id:
+            src, dst = index.get(edge.src), index.get(edge.dst)
+            if src is None:
                 raise DanglingEdgeError(f"edge {edge.src!r}->{edge.dst!r}: unknown node {edge.src!r}")
-            if edge.dst not in by_id:
+            if dst is None:
                 raise DanglingEdgeError(f"edge {edge.src!r}->{edge.dst!r}: unknown node {edge.dst!r}")
-            if edge.src == edge.dst:
+            if src == dst:
                 raise EconomySchemaError(f"self loop on node {edge.src!r}")
-            if (edge.src, edge.dst) in seen:
+            if (src, dst) in seen:
                 raise EconomySchemaError(f"duplicate edge {edge.src!r}->{edge.dst!r}")
-            seen.add((edge.src, edge.dst))
-            edges.append(_coerce_weight(edge, by_id[edge.src].kind))
+            seen.add((src, dst))
+            outgoing[src].append(len(edges))
+            incoming[dst].append(len(edges))
+            ends.append((src, dst))
+            edges.append(_coerce_weight(edge, nodes[src].kind))
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_ends", tuple(ends))
+        object.__setattr__(self, "_out", tuple(map(tuple, outgoing)))
+        object.__setattr__(self, "_in", tuple(map(tuple, incoming)))
 
-        outgoing = {node.id: [] for node in nodes}
-        incoming = {node.id: [] for node in nodes}
-        for edge in self.edges:
-            outgoing[edge.src].append(edge)
-            incoming[edge.dst].append(edge)
-        object.__setattr__(self, "_out", {k: tuple(v) for k, v in outgoing.items()})
-        object.__setattr__(self, "_in", {k: tuple(v) for k, v in incoming.items()})
-
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._by_id
-
-    def node(self, node_id: str) -> Node:
+    def _position(self, node_id: str) -> int:
         try:
-            return self._by_id[node_id]
+            return self._index[node_id]
         except KeyError:
             raise ValueError(f"no node {node_id!r} in graph") from None
 
+    def has_node(self, node_id: str) -> bool:
+        return node_id in self._index
+
+    def node(self, node_id: str) -> Node:
+        return self.nodes[self._position(node_id)]
+
     def out_edges(self, node_id: str) -> tuple:
-        self.node(node_id)
-        return self._out[node_id]
+        return tuple(self.edges[e] for e in self._out[self._position(node_id)])
 
     def in_edges(self, node_id: str) -> tuple:
-        self.node(node_id)
-        return self._in[node_id]
+        return tuple(self.edges[e] for e in self._in[self._position(node_id)])
 
     def out_degree(self, node_id: str) -> int:
-        return len(self.out_edges(node_id))
+        return len(self._out[self._position(node_id)])
 
     def in_degree(self, node_id: str) -> int:
-        return len(self.in_edges(node_id))
-
-    def nodes_of_kind(self, *kinds: NodeKind) -> tuple:
-        return tuple(n for n in self.nodes if n.kind in kinds)
+        return len(self._in[self._position(node_id)])
 
     def with_weights(self, weights: Sequence) -> "EconomyGraph":
         """New graph with edge weights replaced positionally."""
@@ -286,8 +290,7 @@ def graph_fitness(graph: EconomyGraph) -> int:
 
 def is_weakly_connected(graph: EconomyGraph) -> bool:
     """True when the graph forms one component ignoring edge direction."""
-    index = {node.id: i for i, node in enumerate(graph.nodes)}
-    return indices_connected(len(index), [(index[e.src], index[e.dst]) for e in graph.edges])
+    return indices_connected(len(graph.nodes), graph._ends)
 
 
 def indices_connected(count: int, pairs) -> bool:
@@ -325,8 +328,9 @@ def gate_shares(graph: EconomyGraph, weights: Sequence) -> list:
     not sum to a finite positive number raises GateNormalizationError.
     """
     shares = list(weights)
-    for gate in graph.nodes_of_kind(NodeKind.RANDOM_GATE):
-        indices = [i for i, e in enumerate(graph.edges) if e.src == gate.id]
+    for gate, indices in zip(graph.nodes, graph._out):
+        if gate.kind is not NodeKind.RANDOM_GATE:
+            continue
         total = check_gate_total(gate.id, float_sum(weights[i] for i in indices))
         if abs(total - 1.0) > GATE_WEIGHT_TOLERANCE:
             for i in indices:
@@ -372,7 +376,7 @@ def load_economy(data: Union[bytes, str]) -> EconomyGraph:
             raise EconomySchemaError(f"not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long to convert
         raise EconomySchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise EconomySchemaError("top level must be an object")

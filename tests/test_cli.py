@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -356,6 +357,20 @@ def test_config_that_is_not_utf8_names_its_path(tmp_path, torch_file, capsys, co
     assert main(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"flowtune: {doc} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("reader", ["economy", "config"])
+@pytest.mark.parametrize("kind", ["deep", "long-int"])
+def test_json_the_parser_cannot_hold_names_its_path(tmp_path, capsys, reader, kind):
+    if kind == "long-int" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    text = "[" * 200_000 + "]" * 200_000 if kind == "deep" else '{"initial": ' + "1" * 5000 + "}"
+    doc = write(tmp_path / "doc.json", text)
+    argv = ["sim", doc, "--steps", "1"] if reader == "economy" else ["gen", doc, "--out", str(tmp_path / "out")]
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"flowtune: {doc}") and err.count("\n") == 1
+    assert "not valid JSON" in err
 
 
 def test_usage_error_on_unknown_flag():

@@ -2,13 +2,14 @@ import hashlib
 import math
 import pickle
 import random
+import time
 
 import pytest
 
 import flowtune.kernel
 import flowtune.sim
 from flowtune.fixtures import load_fixture
-from flowtune.model import EconomyGraph, Edge, InvalidEconomyError, Node, NodeKind
+from flowtune.model import EconomyGraph, Edge, InvalidEconomyError, Node, NodeKind, gate_shares, is_valid
 from flowtune.sim import (
     compile_plan,
     ensemble_to_csv,
@@ -296,7 +297,7 @@ def test_pool_accounting_ledger(graph):
     flows = []
     trace = simulate(graph, 12, seed=0, on_transfer=lambda phase, s, d, a: flows.append((phase, s, d, a)))
     # replay the ledger and compare with the recorded snapshots
-    drains = {node.id for node in graph.nodes_of_kind(NodeKind.DRAIN)}
+    drains = {node.id for node in graph.nodes if node.kind is NodeKind.DRAIN}
     balances = {k: v for k, v in trace.snapshots[0].items() if k not in drains}
     totals = {k: v for k, v in trace.snapshots[0].items() if k in drains}
     for phase, src, dst, amount in flows:
@@ -376,6 +377,55 @@ def test_hostile_node_ids_enter_kernels_as_data():
             assert not any(node.id in source for node in twin.nodes)
 
 
+#: SHA-256 of Topology(graph).source(events), events False then True, over
+#: transfer_stream_economies() and oracle_economies(30, random.Random(5)).
+PINNED_KERNEL_SOURCE = "caaa67e5c07c7d9cc94659999d9670188ad35b9d44940e9d60e636a5c69590d3"
+
+
+def test_emitted_kernel_source_matches_pinned_digest():
+    digest = hashlib.sha256()
+    for graph in transfer_stream_economies() + oracle_economies(30, random.Random(5)):
+        for events in (False, True):
+            digest.update(flowtune.kernel.Topology(graph).source(events).encode())
+    assert digest.hexdigest() == PINNED_KERNEL_SOURCE
+
+
+def gate_ladder(gates: int) -> EconomyGraph:
+    """A valid economy of `gates` units s_i->g_i, g_i->a_i, g_i->b_i,
+    a_i->c_i, c_i->p_i, each converter c_i also fed by the pool b_(i-1)."""
+    kinds = {"s": NodeKind.SOURCE, "g": NodeKind.RANDOM_GATE, "a": NodeKind.POOL,
+             "b": NodeKind.POOL, "c": NodeKind.CONVERTER, "p": NodeKind.POOL}
+    nodes = [Node(f"{name}{i}", kind) for i in range(gates) for name, kind in kinds.items()]
+    edges = []
+    for i in range(gates):
+        edges += [Edge(f"s{i}", f"g{i}", 1), Edge(f"g{i}", f"a{i}", 1.0), Edge(f"g{i}", f"b{i}", 2.0)]
+        edges += [Edge(f"a{i}", f"c{i}", 1), Edge(f"c{i}", f"p{i}", 1)]
+        if i:
+            edges.append(Edge(f"b{i - 1}", f"c{i}", 1))
+    return EconomyGraph(tuple(nodes), tuple(edges))
+
+
+def test_emitting_and_normalizing_grow_linearly():
+    def best_of_3(call):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    growth = {}
+    small, large = gate_ladder(300), gate_ladder(1200)
+    assert is_valid(small) and is_valid(large)
+    for name, call in (
+        ("emit", lambda graph: flowtune.kernel.Topology(graph).source(False)),
+        ("gate_shares", lambda graph: gate_shares(graph, [e.weight for e in graph.edges])),
+    ):
+        growth[name] = best_of_3(lambda: call(large)) / best_of_3(lambda: call(small))
+    # 4 times the nodes: linear work grows about 4 times, quadratic about 16
+    assert max(growth.values()) < 8, growth
+
+
 def test_simulated_graph_pickles():
     graph = load_fixture("archer")
     expected = simulate(graph, 12, seed=4)  # caches the compiled kernel on the graph
@@ -394,7 +444,7 @@ def test_drain_totals_never_decrease_and_balances_stay_nonnegative():
             continue
         produced += 1
         trace = simulate(result.graph, 25, seed=i)
-        drains = [node.id for node in result.graph.nodes_of_kind(NodeKind.DRAIN)]
+        drains = [node.id for node in result.graph.nodes if node.kind is NodeKind.DRAIN]
         previous = None
         for snap in trace.snapshots:
             assert all(v >= 0 for v in snap.values())
@@ -463,7 +513,7 @@ def test_csv_matches_a_table_read_through_observe():
     for name, graph in CSV_EDGE_CASES.items():
         ensemble = simulate_ensemble(graph, 6, 3, 2)
         assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble), name
-        if not graph.nodes_of_kind(NodeKind.RANDOM_GATE):  # its traces share one rows tuple
+        if not any(node.kind is NodeKind.RANDOM_GATE for node in graph.nodes):  # its traces share one rows tuple
             assert all(trace.rows is ensemble.traces[0].rows for trace in ensemble.traces), name
     assert ensemble_to_csv(simulate_ensemble(CSV_EDGE_CASES["no pool or drain"], 6, 3, 2)) == "run,step,node_id,amount\n"
 
