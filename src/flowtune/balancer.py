@@ -1,11 +1,12 @@
 """Evolutionary tuning of economy edge weights against a play objective.
 
-An individual is the weight vector of one economy (or the concatenated
-vectors of two). Fitness comes from simulating the economy m times with
-the candidate weights and comparing the observed amount in a chosen pool
-at a chosen step against either a fixed target value or the observation
-of a second pool. The proportion of the two quantities is averaged over
-the runs, and genomes are ranked by that mean alone. A vector counts as
+A genome is a plain tuple of weights: one per edge of one economy, or of
+two economies in turn. Fitness comes from simulating the economy m times
+with the candidate weights and comparing the observed amount in a chosen
+pool at a chosen step against either a fixed target value or the
+observation of a second pool. The proportion of the two quantities is
+averaged over the runs, and genomes are ranked by that mean alone, cached
+per distinct tuple; a genome keeps no other state. A vector counts as
 balanced once its fitness, a slack term alpha plus the mean proportion,
 reaches 1.0; alpha only decides when the search stops, so a run at a
 larger alpha is a prefix of the same search (BalanceReport.at_alpha).
@@ -31,7 +32,7 @@ from enum import Enum
 from typing import Sequence, Union
 
 from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, gate_shares, is_valid
-from .sim import compile_plan, observe_runs
+from .sim import compile_plan, monitored_node_ids, observe_runs
 from .util import check_number, derive_seed, float_sum
 
 #: A genome reaching this fitness is balanced and stops the search.
@@ -41,8 +42,6 @@ BALANCED_FITNESS = 1.0
 #: for a probability gene.
 AMOUNT_DELTA_MAX = 3
 PROBABILITY_DELTA_MAX = 0.25
-
-_OBSERVABLE = (NodeKind.POOL, NodeKind.FIXED_POOL, NodeKind.DRAIN)
 
 
 class ObjectiveKind(str, Enum):
@@ -149,7 +148,7 @@ class _Gene:
 
 
 class GenomeLayout:
-    """Maps genome positions to graph edges and fixes each gene's kind."""
+    """Maps the positions of a genome, a tuple of weights, to graph edges and fixes each gene's kind."""
 
     def __init__(self, graphs: Sequence):
         self.graphs = tuple(graphs)
@@ -165,10 +164,10 @@ class GenomeLayout:
         self.spans = tuple(spans)
         self.mutable = tuple(i for i, g in enumerate(genes) if not g.static)
 
-    def declared_genome(self) -> "WeightGenome":
-        return WeightGenome(self, [g.declared for g in self.genes])
+    def declared_genome(self) -> tuple:
+        return tuple(g.declared for g in self.genes)
 
-    def random_genome(self, rng: random.Random) -> "WeightGenome":
+    def random_genome(self, rng: random.Random) -> tuple:
         values = []
         for gene in self.genes:
             if gene.static:
@@ -177,34 +176,20 @@ class GenomeLayout:
                 values.append(1.0 - rng.random())  # (0, 1]
             else:
                 values.append(rng.randint(1, 5))
-        return WeightGenome(self, values)
+        return tuple(values)
 
-    def shares(self, genome: "WeightGenome"):
+    def shares(self, genome: tuple):
         """(graph, its weights from the genome, gate shares normalized) per graph."""
         for (start, end), graph in zip(self.spans, self.graphs):
-            yield graph, gate_shares(graph, genome.values[start:end])
+            yield graph, gate_shares(graph, genome[start:end])
 
-    def apply(self, genome: "WeightGenome") -> tuple:
+    def apply(self, genome: tuple) -> tuple:
         """Write the genome into fresh graphs."""
         return tuple(graph.with_weights(weights) for graph, weights in self.shares(genome))
 
-    def plans(self, genome: "WeightGenome") -> tuple:
+    def plans(self, genome: tuple) -> tuple:
         """One step plan per graph for the genome's weights; no graph is built."""
         return tuple(compile_plan(graph, weights) for graph, weights in self.shares(genome))
-
-
-class WeightGenome:
-    """One candidate weight vector; its mean proportion is filled in by evaluation."""
-
-    __slots__ = ("layout", "values", "mean")
-
-    def __init__(self, layout: GenomeLayout, values):
-        self.layout = layout
-        self.values = list(values)
-        self.mean = None
-
-    def key(self) -> tuple:
-        return tuple(self.values)
 
 
 def clamp_positive(value: float, probability: bool) -> float:
@@ -214,18 +199,14 @@ def clamp_positive(value: float, probability: bool) -> float:
     return 0.01 if probability else 1
 
 
-def crossover(parent_k: WeightGenome, parent_l: WeightGenome, rng: random.Random) -> WeightGenome:
-    """Child from two parents: per gene keep either value, their sum, or difference."""
-    if parent_k.layout is not parent_l.layout:
-        raise ValueError("parents are not aligned to the same graphs")
-    layout = parent_k.layout
+def crossover(layout: GenomeLayout, parent_k: tuple, parent_l: tuple, rng: random.Random) -> tuple:
+    """Child from two parents: per gene keep either value, their sum, or difference.
+    Parents whose length differs from the layout's raise ValueError."""
     values = []
-    for i, gene in enumerate(layout.genes):
+    for gene, wk, wl in zip(layout.genes, parent_k, parent_l, strict=True):
         if gene.static:
             values.append(gene.declared)
             continue
-        wk = parent_k.values[i]
-        wl = parent_l.values[i]
         op = rng.randrange(4)
         if op == 0:
             v = wk
@@ -236,36 +217,31 @@ def crossover(parent_k: WeightGenome, parent_l: WeightGenome, rng: random.Random
         else:
             v = wk - wl
         values.append(clamp_positive(v, gene.probability))
-    return WeightGenome(layout, values)
+    return tuple(values)
 
 
-def mutate(population: list, rng: random.Random):
+def mutate(layout: GenomeLayout, population: list, rng: random.Random) -> None:
     """Nudge one random non-static gene of one random individual.
 
     The mutated vector is appended as a new individual; the original is
     kept so selection can always fall back on it (this keeps the best
-    fitness of a population monotone under truncation selection).
+    fitness of a population monotone under truncation selection). An
+    empty population raises ValueError.
     """
-    if not population:
-        raise ValueError("population must be nonempty")
     target = population[rng.randrange(len(population))]
-    mutable = target.layout.mutable
-    if not mutable:
-        return population
-    index = mutable[rng.randrange(len(mutable))]
-    gene = target.layout.genes[index]
+    if not layout.mutable:
+        return
+    index = layout.mutable[rng.randrange(len(layout.mutable))]
+    gene = layout.genes[index]
     if gene.probability:
         delta = PROBABILITY_DELTA_MAX * (1.0 - rng.random())  # (0, max]
     else:
         delta = rng.randint(1, AMOUNT_DELTA_MAX)
     if rng.random() < 0.5:
-        value = target.values[index] + delta
+        value = target[index] + delta
     else:
-        value = target.values[index] - delta
-    values = list(target.values)
-    values[index] = clamp_positive(value, gene.probability)
-    population.append(WeightGenome(target.layout, values))
-    return population
+        value = target[index] - delta
+    population.append((*target[:index], clamp_positive(value, gene.probability), *target[index + 1:]))
 
 
 # --- the balancing loop --------------------------------------------------------
@@ -374,7 +350,7 @@ def _observed_pools(objective: BalanceObjective) -> list:
 def _check_pool(graph: EconomyGraph, pool: str, role: str) -> None:
     if not graph.has_node(pool):
         raise ValueError(f"{role} {pool!r} does not exist in the economy")
-    if graph.node(pool).kind not in _OBSERVABLE:
+    if pool not in monitored_node_ids(graph):
         raise ValueError(f"{role} {pool!r} is not a pool or drain")
 
 
@@ -413,51 +389,44 @@ def balance(
 
     layout = GenomeLayout(graphs)
     rng = random.Random(params.seed)
-    cache = {}
+    means = {}
 
-    def observe(genome: WeightGenome, *tag) -> list:
+    def observe(genome: tuple, *tag) -> list:
         """Per observed pool, its amount at observe_step in each run; economy i
-        is run once, with seeds from derive_seed(params.seed, *tag, i, key)."""
-        key = genome.key()
+        is run once, with seeds from derive_seed(params.seed, *tag, i, genome)."""
         runs = [
-            observe_runs(plan, objective.observe_step, objective.runs, derive_seed(params.seed, *tag, i, key))
+            observe_runs(plan, objective.observe_step, objective.runs, derive_seed(params.seed, *tag, i, genome))
             for i, plan in enumerate(layout.plans(genome))
         ]
         return [[run[pool] for run in runs[index]] for index, pool in observed]
 
-    def evaluate(genome: WeightGenome) -> None:
-        if genome.mean is not None:
-            return
-        key = genome.key()
-        if key not in cache:
+    def mean(genome: tuple) -> float:
+        """The genome's mean proportion; equal tuples share the first one's."""
+        if genome not in means:
             values = observe(genome)
             if objective.kind is ObjectiveKind.ABSOLUTE:
                 values.append([objective.target_value] * objective.runs)
-            cache[key] = fitness(values[0], values[1], 0.0)
-        genome.mean = cache[key]
+            means[genome] = fitness(values[0], values[1], 0.0)
+        return means[genome]
 
     population = [layout.declared_genome()]
     population.extend(layout.random_genome(rng) for _ in range(params.population_size - 1))
-    for genome in population:
-        evaluate(genome)
-    population.sort(key=lambda g: g.mean, reverse=True)
+    population.sort(key=mean, reverse=True)  # keys are computed in list order
 
-    means = [population[0].mean]
+    best_means = [mean(population[0])]
     for _ in range(params.max_generations):
-        if objective.alpha + means[-1] >= BALANCED_FITNESS:
+        if objective.alpha + best_means[-1] >= BALANCED_FITNESS:
             break
         order = list(range(len(population)))
         rng.shuffle(order)
         candidates = list(population)
         for i in range(0, len(order) - 1, 2):
-            candidates.append(crossover(population[order[i]], population[order[i + 1]], rng))
+            candidates.append(crossover(layout, population[order[i]], population[order[i + 1]], rng))
         for _ in range(params.mutations_per_generation):
-            candidates = mutate(candidates, rng)
-        for genome in candidates:
-            evaluate(genome)
-        candidates.sort(key=lambda g: g.mean, reverse=True)
+            mutate(layout, candidates, rng)
+        candidates.sort(key=mean, reverse=True)
         population = candidates[: params.population_size]
-        means.append(population[0].mean)
+        best_means.append(mean(population[0]))
 
     best = population[0]
     observations = tuple(
@@ -465,9 +434,9 @@ def balance(
         for (index, pool), values in zip(observed, observe(best, "report"))
     )
     return BalanceReport(
-        best_weights=tuple(best.values),
+        best_weights=best,
         alpha=objective.alpha,
-        means=tuple(means),
+        means=tuple(best_means),
         observations=observations,
         balanced_graphs=layout.apply(best),
     )

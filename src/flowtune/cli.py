@@ -130,10 +130,24 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+#: Document keys passed on as keywords, so an absent key takes the dataclass's default.
+_GEN_OPTIONS = {"population": "population_size", "max_steps": "max_steps",
+                "remove_probability": "remove_probability", "seed": "seed"}
+_OBJECTIVE_OPTIONS = {"pool2": "second_pool", "value": "target_value", "runs": "runs", "alpha": "alpha"}
+_PARAMS_OPTIONS = {"population": "population_size", "max_generations": "max_generations", "seed": "seed"}
+
+
+def _options(doc: dict, keywords: dict, seed_override=None) -> dict:
+    """doc's entries named in ``keywords``, under their keyword names; a seed override wins."""
+    options = {keyword: doc[key] for key, keyword in keywords.items() if key in doc}
+    if seed_override is not None:
+        options["seed"] = seed_override
+    return options
+
+
 def _cmd_gen(args) -> int:
     doc = _read_json(args.config)
-    known = {"nodes", "population", "max_steps", "remove_probability", "seed"}
-    extra = set(doc) - known
+    extra = set(doc) - {"nodes", *_GEN_OPTIONS}
     if extra:
         raise EconomyError(f"{args.config}: unknown config keys {sorted(extra)}")
     raw_nodes = doc.get("nodes")
@@ -147,13 +161,7 @@ def _cmd_gen(args) -> int:
             raise EconomyError(f"{args.config}: unknown node kind {kind_name!r}") from None
         counts[kind] = count
     try:
-        config = GeneratorConfig(
-            counts,
-            population_size=doc.get("population", 10),
-            max_steps=doc.get("max_steps", 50000),
-            remove_probability=doc.get("remove_probability", 0.1),
-            seed=args.seed if args.seed is not None else doc.get("seed", 0),
-        )
+        config = GeneratorConfig(counts, **_options(doc, _GEN_OPTIONS, args.seed))
     except ValueError as exc:
         raise EconomyError(f"{args.config}: {exc}") from exc
 
@@ -197,11 +205,7 @@ def _cmd_sim(args) -> int:
 
 
 def _parse_objective(doc: dict, path: str, seed_override):
-    known = {
-        "kind", "pool", "pool2", "value", "step", "sim_length", "runs",
-        "alpha", "population", "max_generations", "seed",
-    }
-    extra = set(doc) - known
+    extra = set(doc) - {"kind", "pool", "step", "sim_length", *_OBJECTIVE_OPTIONS, *_PARAMS_OPTIONS}
     if extra:
         raise EconomyError(f"{path}: unknown objective keys {sorted(extra)}")
     try:
@@ -214,16 +218,9 @@ def _parse_objective(doc: dict, path: str, seed_override):
             doc.get("pool"),
             observe_step=doc.get("step", doc.get("sim_length", 0)),
             sim_length=doc.get("sim_length", 0),
-            runs=doc.get("runs", 10),
-            alpha=doc.get("alpha", 0.0),
-            second_pool=doc.get("pool2"),
-            target_value=doc.get("value"),
+            **_options(doc, _OBJECTIVE_OPTIONS),
         )
-        params = BalanceParams(
-            population_size=doc.get("population", 10),
-            max_generations=doc.get("max_generations", 100),
-            seed=seed_override if seed_override is not None else doc.get("seed", 0),
-        )
+        params = BalanceParams(**_options(doc, _PARAMS_OPTIONS, seed_override))
     except (TypeError, ValueError) as exc:
         raise EconomyError(f"{path}: {exc}") from exc
     return objective, params
@@ -305,6 +302,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (EconomyError, ValueError) as exc:
         print(f"flowtune: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except (OverflowError, MemoryError) as exc:  # e.g. a run count too large to hold
+        print(f"flowtune: input too large: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import statistics
 from collections import Counter
@@ -8,9 +9,9 @@ import flowtune.balancer
 import flowtune.model
 import flowtune.sim
 from flowtune.generator import GeneratorConfig, generate
-from flowtune.model import EconomyGraph, Edge, InvalidEconomyError, Node, NodeKind
+from flowtune.model import EconomyGraph, Edge, InvalidEconomyError, Node, NodeKind, save_economy
 from flowtune.sim import compile_plan, monitored_node_ids, observe_runs, simulate_ensemble
-from flowtune.util import derive_seed
+from flowtune.util import derive_seed, dump_json
 from flowtune.balancer import (
     BALANCED_FITNESS,
     BalanceObjective,
@@ -121,14 +122,10 @@ def test_clamp_positive_examples():
 
 def test_crossover_gene_arithmetic():
     layout = GenomeLayout([chain_graph()])
-    k = layout.declared_genome()
-    l = layout.declared_genome()
-    k.values = [3, 3]
-    l.values = [2, 2]
     seen = set()
     for seed in range(200):
-        child = crossover(k, l, random.Random(seed))
-        for value in child.values:
+        child = crossover(layout, (3, 3), (2, 2), random.Random(seed))
+        for value in child:
             assert value in {3, 2, 5, 1}  # keep k, keep l, sum, difference
             seen.add(value)
     assert seen == {3, 2, 5, 1}
@@ -136,12 +133,10 @@ def test_crossover_gene_arithmetic():
 
 def test_crossover_identical_parents_subtraction_clamps_to_one():
     layout = GenomeLayout([chain_graph()])
-    parent = layout.declared_genome()
-    parent.values = [4, 4]
     seen = set()
     for seed in range(100):
-        child = crossover(parent, parent, random.Random(seed))
-        seen.update(child.values)
+        child = crossover(layout, (4, 4), (4, 4), random.Random(seed))
+        seen.update(child)
     assert seen == {4, 8, 1}
 
 
@@ -151,17 +146,19 @@ def test_crossover_keeps_static_genes(archer):
     a = layout.random_genome(rng)
     b = layout.random_genome(rng)
     for seed in range(50):
-        child = crossover(a, b, random.Random(seed))
+        child = crossover(layout, a, b, random.Random(seed))
         for i, gene in enumerate(layout.genes):
             if gene.static:
-                assert child.values[i] == gene.declared == 1
+                assert child[i] == gene.declared == 1
 
 
 def test_crossover_rejects_misaligned_parents(archer, mage):
-    a = GenomeLayout([archer]).declared_genome()
+    layout = GenomeLayout([archer])
+    a = layout.declared_genome()
     b = GenomeLayout([mage]).declared_genome()
+    assert len(a) != len(b)
     with pytest.raises(ValueError):
-        crossover(a, b, random.Random(0))
+        crossover(layout, a, b, random.Random(0))
 
 
 def test_mutate_appends_single_gene_variant():
@@ -169,12 +166,11 @@ def test_mutate_appends_single_gene_variant():
     base = layout.declared_genome()
     for seed in range(80):
         population = [base]
-        result = mutate(population, random.Random(seed))
-        assert result is population
-        assert len(result) == 2
-        changed = [i for i in range(2) if result[1].values[i] != base.values[i]]
+        assert mutate(layout, population, random.Random(seed)) is None
+        assert len(population) == 2
+        changed = [i for i in range(2) if population[1][i] != base[i]]
         assert len(changed) <= 1
-        new = result[1].values[changed[0]] if changed else None
+        new = population[1][changed[0]] if changed else None
         if new is not None:
             # declared weight 1 with delta in 1..3: grows to 2..4 or clamps to 1
             assert new in {1, 2, 3, 4}
@@ -182,12 +178,11 @@ def test_mutate_appends_single_gene_variant():
 
 def test_mutate_subtraction_clamps_to_one():
     layout = GenomeLayout([chain_graph()])
-    base = layout.declared_genome()
-    base.values = [2, 2]
     clamped = False
     for seed in range(200):
-        result = mutate([base], random.Random(seed))
-        if len(result) == 2 and 1 in result[1].values:
+        result = [(2, 2)]
+        mutate(layout, result, random.Random(seed))
+        if len(result) == 2 and 1 in result[1]:
             clamped = True  # 2 - 3 would be negative, lands on 1
     assert clamped
 
@@ -199,21 +194,30 @@ def test_mutate_all_static_population_is_noop():
     )
     layout = GenomeLayout([graph])
     population = [layout.declared_genome()]
-    assert mutate(population, random.Random(0)) is population
+    rng = random.Random(0)
+    mutate(layout, population, rng)
     assert len(population) == 1
+    # the target is still drawn, so the random stream does not depend on the layout
+    expected = random.Random(0)
+    expected.randrange(1)
+    assert rng.getstate() == expected.getstate()
+
+
+def test_mutate_empty_population_raises():
+    with pytest.raises(ValueError):
+        mutate(GenomeLayout([chain_graph()]), [], random.Random(0))
 
 
 def test_mutate_probability_genes_stay_positive(archer):
     layout = GenomeLayout([archer])
-    genome = layout.declared_genome()
-    population = [genome]
+    population = [layout.declared_genome()]
     rng = random.Random(5)
     for _ in range(300):
-        population = mutate(population, rng)
-        population = population[-1:]  # keep mutating the newest variant
+        mutate(layout, population, rng)
+        del population[:-1]  # keep mutating the newest variant
     for i, gene in enumerate(layout.genes):
         if gene.probability:
-            assert population[0].values[i] > 0
+            assert population[0][i] > 0
 
 
 # --- step plans per genome ------------------------------------------------------
@@ -576,3 +580,71 @@ def test_params_validation():
         BalanceParams(population_size=1)
     with pytest.raises(ValueError):
         BalanceParams(max_generations=-1)
+
+
+# --- pinned reports -----------------------------------------------------------
+
+def whole_gate_economy(left=1, right=3):
+    """A gate whose weights are declared as whole numbers. Crossover mixes
+    them with random real genes, so a search can meet an int and a float
+    gene that are equal as cache keys but whose reprs seed runs differently."""
+    return EconomyGraph(
+        (
+            Node("src", NodeKind.SOURCE),
+            Node("gate", NodeKind.RANDOM_GATE),
+            Node("left", NodeKind.POOL),
+            Node("right", NodeKind.POOL),
+        ),
+        (Edge("src", "gate", 2, static=True), Edge("gate", "left", left), Edge("gate", "right", right)),
+    )
+
+
+def absolute_case(graph, pool, value):
+    return [graph], BalanceObjective(
+        ObjectiveKind.ABSOLUTE, pool, observe_step=10, sim_length=12, runs=4, target_value=value
+    )
+
+
+def pair_case(kind, graphs, pool, second):
+    return graphs, BalanceObjective(kind, pool, observe_step=12, sim_length=12, runs=4, second_pool=second)
+
+
+def pinned_balance_cases(minecraft, mage, archer):
+    """(graphs, objective, seed): every objective kind on the fixtures, a
+    whole-number gate and generated gated economies, at seeds 1 and 2."""
+    cases = [
+        absolute_case(minecraft, "torch_pool", 45),
+        absolute_case(whole_gate_economy(), "left", 9),
+        pair_case(ObjectiveKind.INTRA_PAIR, [mage], "damage_pool", "mana_pool"),
+        pair_case(ObjectiveKind.INTRA_PAIR, [whole_gate_economy()], "left", "right"),
+        pair_case(ObjectiveKind.INTER_PAIR, [mage, archer], "damage_pool", "damage_pool"),
+        pair_case(ObjectiveKind.INTER_PAIR, [archer, whole_gate_economy()], "damage_pool", "right"),
+    ]
+    for i, graph in enumerate(generated_economies(6)):
+        pools = monitored_node_ids(graph)
+        if i % 2:
+            cases.append(pair_case(ObjectiveKind.INTRA_PAIR, [graph], pools[0], pools[-1]))
+        else:
+            cases.append(absolute_case(graph, pools[i % len(pools)], 20 + i))
+    seeded = [(*case, seed) for seed in (1, 2) for case in cases]
+    # these searches each evaluate a genome equal to an earlier one but
+    # holding a float where it held an int; the earlier one's mean stands
+    seeded.append((*absolute_case(whole_gate_economy(2, 3), "left", 9), 8))
+    seeded.append((*pair_case(ObjectiveKind.INTRA_PAIR, [whole_gate_economy(1, 1)], "left", "right"), 14))
+    return seeded
+
+
+#: SHA-256 over the report JSON and the balanced economies of every case
+#: above. A change to how genomes are drawn, seeded, cached or ranked
+#: must fail here.
+PINNED_BALANCE_REPORTS = "2a081929e16966b715f33126cdabe406f0e65fe4e6f62ed8ca5b007b6fd366e7"
+
+
+def test_balance_reports_match_pinned_digest(minecraft, mage, archer):
+    digest = hashlib.sha256()
+    for graphs, objective, seed in pinned_balance_cases(minecraft, mage, archer):
+        report = balance(graphs, objective, BalanceParams(population_size=6, max_generations=15, seed=seed))
+        digest.update(dump_json(report.to_dict()))
+        for graph in report.balanced_graphs:
+            digest.update(save_economy(graph))
+    assert digest.hexdigest() == PINNED_BALANCE_REPORTS

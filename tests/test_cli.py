@@ -189,6 +189,33 @@ def test_balance_timeout_exits_two(tmp_path, torch_file):
     assert main(["balance", torch_file, "--objective", objective, "--out", str(tmp_path / "o.json"), "--quiet"]) == 2
 
 
+def test_balance_run_count_too_large_to_index_exits_two(tmp_path, torch_file, capsys):
+    # a gate-free economy repeats its one run "runs" times, which no list can
+    # hold: the repetition raises OverflowError before anything is allocated
+    objective = write(
+        tmp_path / "obj.json",
+        {"kind": "absolute", "pool": "torch_pool", "value": 60, "step": 16, "sim_length": 16, "runs": 10**20},
+    )
+    out = tmp_path / "o.json"
+    assert main(["balance", torch_file, "--objective", objective, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flowtune: input too large: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_of_memory_is_one_line(tmp_path, torch_file, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError  # stands in for a run count too large to hold, allocating nothing
+
+    monkeypatch.setattr(flowtune.cli, "balance", exhausted)
+    objective = write(
+        tmp_path / "obj.json",
+        {"kind": "absolute", "pool": "torch_pool", "value": 60, "step": 16, "sim_length": 16},
+    )
+    assert main(["balance", torch_file, "--objective", objective, "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == "flowtune: input too large: out of memory\n"
+
+
 def test_bench_zero_graphs_writes_empty_table(tmp_path):
     spec = write(tmp_path / "spec.json", {"graphs": 0})
     out = tmp_path / "bench.csv"
