@@ -178,18 +178,16 @@ class GenomeLayout:
                 values.append(rng.randint(1, 5))
         return tuple(values)
 
-    def shares(self, genome: tuple):
-        """(graph, its weights from the genome, gate shares normalized) per graph."""
-        for (start, end), graph in zip(self.spans, self.graphs):
-            yield graph, gate_shares(graph, genome[start:end])
-
     def apply(self, genome: tuple) -> tuple:
-        """Write the genome into fresh graphs."""
-        return tuple(graph.with_weights(weights) for graph, weights in self.shares(genome))
+        """Write the genome into fresh graphs, gate shares normalized."""
+        return tuple(
+            graph.with_weights(gate_shares(graph, genome[start:end]))
+            for (start, end), graph in zip(self.spans, self.graphs)
+        )
 
     def plans(self, genome: tuple) -> tuple:
         """One step plan per graph for the genome's weights; no graph is built."""
-        return tuple(compile_plan(graph, weights) for graph, weights in self.shares(genome))
+        return tuple(compile_plan(graph, genome, start, True) for (start, _), graph in zip(self.spans, self.graphs))
 
 
 def clamp_positive(value: float, probability: bool) -> float:
@@ -203,11 +201,14 @@ def crossover(layout: GenomeLayout, parent_k: tuple, parent_l: tuple, rng: rando
     """Child from two parents: per gene keep either value, their sum, or difference.
     Parents whose length differs from the layout's raise ValueError."""
     values = []
+    bits = rng.getrandbits
     for gene, wk, wl in zip(layout.genes, parent_k, parent_l, strict=True):
         if gene.static:
             values.append(gene.declared)
             continue
-        op = rng.randrange(4)
+        op = bits(3)  # rng.randrange(4), drawn as randrange draws it
+        while op >= 4:
+            op = bits(3)
         if op == 0:
             v = wk
         elif op == 1:
@@ -388,6 +389,9 @@ def balance(
         _check_pool(graphs[economy_index], pool, role)
 
     layout = GenomeLayout(graphs)
+    # each observed pool's position in its economy's run tuples
+    monitored = [plan.topology.monitored for plan in layout.plans(layout.declared_genome())]
+    positions = [(index, monitored[index].index(pool)) for index, pool in observed]
     rng = random.Random(params.seed)
     means = {}
 
@@ -398,7 +402,7 @@ def balance(
             observe_runs(plan, objective.observe_step, objective.runs, derive_seed(params.seed, *tag, i, genome))
             for i, plan in enumerate(layout.plans(genome))
         ]
-        return [[run[pool] for run in runs[index]] for index, pool in observed]
+        return [[run[k] for run in runs[index]] for index, k in positions]
 
     def mean(genome: tuple) -> float:
         """The genome's mean proportion; equal tuples share the first one's."""

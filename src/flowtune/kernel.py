@@ -3,7 +3,9 @@
 A kernel is Python source, generated from a graph's node kinds and edges,
 that runs t steps per call, straight-line, on local variables, with the
 phases and draws the sim docstring states; a second one from the same
-emitter also reports every transfer. The source names node k's amount nk,
+emitter also reports every transfer, and a third runs t steps once per
+seed of a list, reseeding one generator in C before each run, and
+returns each run's final amounts. The source names node k's amount nk,
 edge e's amount we, the batch staged on gate edge e se, gate k's share
 bounds bk_j and fixed pool k's cap ck. Node ids and weights enter only as
 data (ids in its namespace, a plan's params), so no id a document holds
@@ -11,6 +13,8 @@ can change what runs. The adjacency the emitter walks is the graph's own
 (see model); this module builds none. sim imports this module with the
 first topology it compiles, not with the package.
 """
+
+import _random
 
 from .model import EconomyGraph, NodeKind
 
@@ -26,32 +30,43 @@ class Topology:
         pools = [k for k, kind in enumerate(kinds) if kind.is_pool_like]
         self.held = pools + [k for k, kind in enumerate(kinds) if kind is NodeKind.DRAIN]
         self.monitored = tuple(self.ids[k] for k in self.held)
-        self.initial = [graph.nodes[k].initial_amount for k in self.held]
+        self.initial = tuple(graph.nodes[k].initial_amount for k in self.held)
         # the params, in kernel order: the amount of every edge that does not
         # leave a gate, the bounds of every gate, the cap of every fixed pool
-        # with outgoing edges (one without is not clamped)
         self.amount_edges = [e for e, (src, _) in enumerate(self.ends) if kinds[src] is not NodeKind.RANDOM_GATE]
         self.gates = [k for k, kind in enumerate(kinds) if kind is NodeKind.RANDOM_GATE]
-        self.caps = [k for k in pools if kinds[k] is NodeKind.FIXED_POOL and self.out[k]]
+        # with outgoing edges (one without is not clamped); cap_slots are their places in held
+        self.cap_slots = [i for i, k in enumerate(pools) if kinds[k] is NodeKind.FIXED_POOL and self.out[k]]
+        self.caps = [pools[i] for i in self.cap_slots]
         self._kernels = {}
 
     def __getstate__(self):  # a compiled function does not pickle; it is compiled again on use
         return {**self.__dict__, "_kernels": {}}
 
-    def kernel(self, events: bool):
-        """kernel(params, initial, rng, t, record, on_transfer) runs t steps and
+    def kernel(self, events: bool, runs: bool = False):
+        """The step kernel of one form, compiled on first use.
+
+        kernel(params, initial, rng, t, record, on_transfer) runs t steps and
         returns the amounts of self.monitored; record, unless None, gets each
-        step's tuple of those amounts. Compiled on first use."""
-        kernel = self._kernels.get(events)
+        step's tuple of those amounts, and with events on_transfer gets every
+        transfer. With runs, kernel(params, initial, rng, seeds, t) runs t
+        steps from initial once per seed, reseeding rng with the seed first,
+        and returns a list of one such tuple per seed; a topology without
+        gates draws nothing, so that form never reseeds.
+        """
+        kernel = self._kernels.get((events, runs))
         if kernel is None:
-            namespace = {"__builtins__": {}, "range": range, "ids": self.ids}
+            namespace = {"__builtins__": {}, "range": range, "ids": self.ids, "reseed": _random.Random.seed}
             namespace.update((p.upper(), p) for p in ("source", "gate", "consume", "produce", "drain", "clamp"))
-            exec(compile(self.source(events), "<flowtune step kernel>", "exec"), namespace)
-            kernel = self._kernels[events] = namespace.pop("kernel")  # no cycle through its globals
+            exec(compile(self.source(events, runs), "<flowtune step kernel>", "exec"), namespace)
+            kernel = self._kernels[events, runs] = namespace.pop("kernel")  # no cycle through its globals
         return kernel
 
-    def source(self, events: bool) -> str:
-        """The kernel's Python source; with events, it reports every transfer."""
+    def source(self, events: bool, runs: bool = False) -> str:
+        """The kernel's Python source; with events, it reports every transfer;
+        with runs, it is the many-seed form, which reports none."""
+        if events and runs:
+            raise ValueError("the many-seed kernel reports no transfers")
         kinds, ends, out, into = self.kinds, self.ends, self.out, self.into
         gate, converter = NodeKind.RANDOM_GATE, NodeKind.CONVERTER
         lines = []
@@ -88,26 +103,36 @@ class Topology:
         params += [f"b{k}_{j}" for k in self.gates for j in range(len(out[k]) - 1)]
         params += [f"c{k}" for k in self.caps]
         staged = [e for e, (src, dst) in enumerate(ends) if kinds[src] is gate and not kinds[dst].is_pool_like]
-        put(0, "def kernel(p, a, rng, t, record, ev):")
+        put(0, "def kernel(p, a, rng, seeds, t):" if runs else "def kernel(p, a, rng, t, record, ev):")
         put(1, f"({''.join(f'{name}, ' for name in params)}) = p")
-        put(1, f"({held}) = a")
-        put(1, "draw = rng.random")
-        put(1, "for _ in range(t):")
+        if runs:  # one run per seed on the one generator; a gate-free run draws nothing
+            put(1, "runs = []")
+            if self.gates:
+                put(1, "draw = rng.random")
+            put(1, "for seed in seeds:")
+            if self.gates:
+                put(2, "reseed(rng, seed)")
+            put(2, f"({held}) = a")
+        else:
+            put(1, f"({held}) = a")
+            put(1, "draw = rng.random")
+        step = 2 + runs  # the depth of one step's body
+        put(step - 1, "for _ in range(t):")
         if staged:  # staged batches last one step
-            put(2, " = ".join(f"s{e}" for e in staged) + " = 0")
+            put(step, " = ".join(f"s{e}" for e in staged) + " = 0")
         for k in by_id(NodeKind.SOURCE):
             for e in out[k]:
-                event(2, "SOURCE", k, ends[e][1], f"w{e}")
-                deliver(2, e, f"w{e}")
+                event(step, "SOURCE", k, ends[e][1], f"w{e}")
+                deliver(step, e, f"w{e}")
         # converters: passes in id order over those not fired this step,
         # until a pass fires none (one converter needs one pass)
         converters = by_id(converter)
         passes = len(converters) > 1
         if passes:
-            put(2, " = ".join(f"f{k}" for k in converters) + " = 1")
-            put(2, "while True:")
-            put(3, "fired = 0")
-        depth = 2 + passes
+            put(step, " = ".join(f"f{k}" for k in converters) + " = 1")
+            put(step, "while True:")
+            put(step + 1, "fired = 0")
+        depth = step + passes
         for k in converters:
             needs = [e for e in into[k] if kinds[ends[e][0]] is not gate]
             batches = [e for e in into[k] if kinds[ends[e][0]] is gate]
@@ -126,19 +151,23 @@ class Topology:
             event(depth + 1, "PRODUCE", k, ends[e][1], f"w{e}")
             deliver(depth + 1, e, f"w{e}")
         if passes:
-            put(3, "if not fired:")
-            put(4, "break")
+            put(step + 1, "if not fired:")
+            put(step + 2, "break")
         for e, (src, dst) in enumerate(ends):
             if kinds[src].is_pool_like and kinds[dst] is NodeKind.DRAIN:
-                put(2, f"if n{src} >= w{e}:")
-                put(3, f"n{src} -= w{e}")
-                put(3, f"n{dst} += w{e}")
-                event(3, "DRAIN", src, dst, f"w{e}")
+                put(step, f"if n{src} >= w{e}:")
+                put(step + 1, f"n{src} -= w{e}")
+                put(step + 1, f"n{dst} += w{e}")
+                event(step + 1, "DRAIN", src, dst, f"w{e}")
         for k in self.caps:
-            put(2, f"if n{k} > c{k}:")
-            event(3, "CLAMP", k, None, f"n{k} - c{k}")
-            put(3, f"n{k} = c{k}")
-        put(2, "if record is not None:")
-        put(3, f"record(({held}))")
-        put(1, f"return ({held})")
+            put(step, f"if n{k} > c{k}:")
+            event(step + 1, "CLAMP", k, None, f"n{k} - c{k}")
+            put(step + 1, f"n{k} = c{k}")
+        if runs:
+            put(2, f"runs.append(({held}))")
+            put(1, "return runs")
+        else:
+            put(2, "if record is not None:")
+            put(3, f"record(({held}))")
+            put(1, f"return ({held})")
         return "\n".join(lines) + "\n"

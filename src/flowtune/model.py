@@ -321,21 +321,24 @@ def is_valid(graph: EconomyGraph) -> bool:
 
 def gate_shares(graph: EconomyGraph, weights: Sequence) -> list:
     """The weights (in edge order) with each random gate's outgoing weights
-    scaled to sum to one.
-
-    Gates whose weights already sum to one (within GATE_WEIGHT_TOLERANCE)
-    and non-gate weights are returned unchanged; a gate whose weights do
-    not sum to a finite positive number raises GateNormalizationError.
-    """
+    scaled as scaled_shares scales them; non-gate weights are unchanged."""
     shares = list(weights)
     for gate, indices in zip(graph.nodes, graph._out):
-        if gate.kind is not NodeKind.RANDOM_GATE:
-            continue
-        total = check_gate_total(gate.id, float_sum(weights[i] for i in indices))
-        if abs(total - 1.0) > GATE_WEIGHT_TOLERANCE:
-            for i in indices:
-                shares[i] = weights[i] / total
+        if gate.kind is NodeKind.RANDOM_GATE:
+            for i, share in zip(indices, scaled_shares(gate.id, [weights[i] for i in indices])):
+                shares[i] = share
     return shares
+
+
+def scaled_shares(gate_id: str, weights: list) -> list:
+    """One gate's outgoing weights, each divided by their left-to-right sum,
+    or the list itself when that sum is already one (within
+    GATE_WEIGHT_TOLERANCE). A sum that is not a finite positive number
+    raises GateNormalizationError."""
+    total = check_gate_total(gate_id, float_sum(weights))
+    if abs(total - 1.0) > GATE_WEIGHT_TOLERANCE:
+        return [w / total for w in weights]
+    return weights
 
 
 def check_gate_total(gate_id: str, total):

@@ -38,9 +38,9 @@ nothing and every seed gives the same run: simulate_ensemble and
 observe_runs simulate such an economy once and repeat that run for each
 seed (its traces share one rows tuple).
 
-Steps run in one kernel per topology (flowtune.kernel), compiled once
-per graph object, on first use, and cached there; node ids and weights
-enter it as data, never as source text.
+Steps run in kernels generated per topology (flowtune.kernel), compiled
+once per graph object, on first use, and cached there; node ids and
+weights enter them as data, never as source text.
 
 A trace keeps one row per step: the tuple of amounts of every pool,
 fixed pool and drain (a drain's amount is its cumulative total), in the
@@ -51,10 +51,13 @@ read, and observe and ensemble_to_csv read the rows by position.
 simulate and simulate_ensemble check a graph's connection rules once,
 when it is first simulated, and cache its step plan on it; later runs of
 the same graph skip both. ensemble_to_csv writes their traces as a table.
-The balancer instead compiles a plan per candidate weight vector from its
-genome layout (compile_plan: the graph's kernel with that vector's flat
-params) and runs it only to the observed step (observe_runs), building
-no graph.
+The balancer instead compiles a plan per candidate weight vector and
+economy from its genome layout (compile_plan: the graph's topology with
+that vector's flat params) and runs it only to the observed step
+(observe_runs), building no graph: one call of the topology's many-seed
+kernel runs every seed, on one generator that it reseeds in C before each
+run (the stream random.Random(s) gives), and returns each run's amounts
+as one tuple in monitored order.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from itertools import accumulate, chain
 from operator import add, itemgetter
 from typing import Callable, NamedTuple
 
-from .model import EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, check_gate_total, is_valid
+from .model import EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, check_gate_total, is_valid, scaled_shares
 from .util import float_sum
 
 #: Optional flow observer: called as fn(phase, src, dst, amount) for every
@@ -220,14 +223,15 @@ def _plan_for(graph: EconomyGraph) -> _Plan:
     return cached
 
 
-def compile_plan(graph: EconomyGraph, weights) -> _Plan:
-    """Step plan of the graph with edge i carrying weights[i].
+def compile_plan(graph: EconomyGraph, weights, start: int = 0, scale: bool = False) -> _Plan:
+    """Step plan of the graph with edge e carrying weights[start + e].
 
-    Amount weights are whole counts; gate weights are routing shares,
-    normally normalized per gate (see model.gate_shares), and must sum to a
-    finite positive number per gate. The graph's own weights are ignored,
-    and its validity is not checked. Its topology is compiled once and
-    cached on it.
+    Amount weights are whole counts. Gate weights are routing shares: each
+    gate's must sum to a finite positive number, and are divided by that
+    sum. With scale, they are first scaled as model.gate_shares scales
+    them, so a genome's raw gate genes run as the graph that genome writes.
+    The graph's own weights are ignored, and its validity is not checked.
+    Its topology is compiled once and cached on it.
     """
     topology = getattr(graph, "_sim_topology", None)
     if topology is None:
@@ -235,29 +239,41 @@ def compile_plan(graph: EconomyGraph, weights) -> _Plan:
 
         topology = Topology(graph)
         object.__setattr__(graph, "_sim_topology", topology)
-    params = [int(weights[e]) for e in topology.amount_edges]
+    params = [int(weights[start + e]) for e in topology.amount_edges]
     for k in topology.gates:
-        shares = [weights[e] for e in topology.out[k]]
+        shares = [weights[start + e] for e in topology.out[k]]
+        if scale:
+            shares = scaled_shares(topology.ids[k], shares)
         total = float(check_gate_total(topology.ids[k], float_sum(shares)))
         # running share sums; the last edge takes every draw above them (its sum counts as 1.0)
         params += list(accumulate(w / total for w in shares))[:-1]
-    caps = {k: max(int(weights[e]) for e in topology.out[k]) for k in topology.caps}
-    initial = tuple(min(amount, caps.get(k, amount)) for k, amount in zip(topology.held, topology.initial))
-    return _Plan(topology, (*params, *caps.values()), initial, bool(topology.gates))
+    initial = topology.initial
+    if topology.caps:  # each fixed pool starts clamped to its cap
+        caps = [max([int(weights[start + e]) for e in topology.out[k]]) for k in topology.caps]
+        params += caps
+        initial = list(initial)
+        for slot, cap in zip(topology.cap_slots, caps):
+            if initial[slot] > cap:
+                initial[slot] = cap
+        initial = tuple(initial)
+    return _Plan(topology, tuple(params), initial, bool(topology.gates))
+
+
+#: The generator every observe_runs run draws from. Each run reseeds it first,
+#: so no state carries over between calls; it is not for concurrent threads.
+_RNG = random.Random(0)
 
 
 def observe_runs(plan: _Plan, t: int, m: int, base_seed: int) -> list:
     """Run seeds base_seed ... base_seed+m-1 to step t, keeping no snapshots.
 
-    Returns one snapshot dict per run: every pool's and drain's amount at step t.
-    Steps after t cannot change it, so this equals the step-t snapshot
-    of a longer run with the same seed. A plan without gates draws no
-    random numbers, so it runs once and the list holds that one dict m
-    times; callers only read the dicts.
+    Returns one tuple per run: the amounts of plan.topology.monitored at
+    step t. Steps after t cannot change them, so this equals row t of a
+    longer run with the same seed. All runs are one call of the topology's
+    many-seed kernel, on one generator reseeded in C before each run. A
+    plan without gates draws no random numbers, so it runs once and the
+    list holds that one tuple m times.
     """
-    kernel, monitored = plan.topology.kernel(False), plan.topology.monitored
-    observed = [
-        dict(zip(monitored, kernel(plan.params, plan.initial, random.Random(seed), t, None, None)))
-        for seed in range(base_seed, base_seed + (m if plan.gated else 1))
-    ]
-    return observed if plan.gated else observed * m
+    seeds = range(base_seed, base_seed + (m if plan.gated else 1))
+    runs = plan.topology.kernel(False, True)(plan.params, plan.initial, _RNG, seeds, t)
+    return runs if plan.gated else runs * m

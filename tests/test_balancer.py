@@ -106,9 +106,11 @@ def test_pairwise_fitness_intra_uses_one_ensemble():
         ),
         (Edge("feed", "a", 1), Edge("feed2", "b", 1)),
     )
-    (run,) = observe_runs(compile_plan(graph, [15, 30]), 2, 1, 0)
-    assert (run["a"], run["b"]) == (30, 60)
-    assert fitness([run["a"]], [run["b"]], alpha=0.0) == pytest.approx(0.5, abs=1e-12)
+    plan = compile_plan(graph, [15, 30])
+    assert plan.topology.monitored == ("a", "b")
+    (run,) = observe_runs(plan, 2, 1, 0)
+    assert run == (30, 60)
+    assert fitness([run[0]], [run[1]], alpha=0.0) == pytest.approx(0.5, abs=1e-12)
 
 
 # --- genome operators -----------------------------------------------------------
@@ -159,6 +161,32 @@ def test_crossover_rejects_misaligned_parents(archer, mage):
     assert len(a) != len(b)
     with pytest.raises(ValueError):
         crossover(layout, a, b, random.Random(0))
+
+
+def randrange_crossover(layout, parent_k, parent_l, rng):
+    """crossover as written with rng.randrange(4) choosing each gene's operator."""
+    values = []
+    for gene, wk, wl in zip(layout.genes, parent_k, parent_l, strict=True):
+        if gene.static:
+            values.append(gene.declared)
+        else:
+            values.append(clamp_positive((wk, wl, wk + wl, wk - wl)[rng.randrange(4)], gene.probability))
+    return tuple(values)
+
+
+def test_crossover_draws_what_randrange_drew(minecraft, mage, archer):
+    layouts = [GenomeLayout([g]) for g in (chain_graph(), minecraft, mage, archer, *generated_economies(4))]
+    layouts.append(GenomeLayout([mage, archer]))
+    assert any(gene.static for layout in layouts for gene in layout.genes)
+    for index, layout in enumerate(layouts):
+        for seed in range(150):
+            rng, reference = random.Random(seed), random.Random(seed)
+            k, l = layout.random_genome(rng), layout.random_genome(reference)
+            for _ in range(4):  # children of children reach sums, differences and clamped genes
+                child = crossover(layout, k, l, rng)
+                assert child == randrange_crossover(layout, k, l, reference), (index, seed)
+                k, l = l, child
+            assert rng.getstate() == reference.getstate()  # the same draws, no more
 
 
 def test_mutate_appends_single_gene_variant():
@@ -246,9 +274,11 @@ def test_plans_observe_what_the_applied_graphs_simulate(minecraft, mage, archer)
             genome = layout.random_genome(rng)
             base_seed = rng.randrange(10**6)
             for plan, graph in zip(layout.plans(genome), layout.apply(genome)):
+                # the same params bit for bit, gate share bounds included
+                assert plan[1:] == compile_plan(graph, [e.weight for e in graph.edges])[1:]
                 ensemble = simulate_ensemble(graph, n, m, base_seed)
                 for t in range(1, n + 1):
-                    observed = observe_runs(plan, t, m, base_seed)
+                    observed = [dict(zip(plan.topology.monitored, run)) for run in observe_runs(plan, t, m, base_seed)]
                     for node_id in monitored_node_ids(graph):
                         assert [run[node_id] for run in observed] == ensemble.observe(node_id, t)
 

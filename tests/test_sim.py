@@ -1,3 +1,4 @@
+import _random
 import hashlib
 import math
 import pickle
@@ -19,6 +20,7 @@ from flowtune.sim import (
     simulate_ensemble,
 )
 from flowtune.generator import GeneratorConfig, generate, random_node_counts
+from flowtune.util import derive_seed
 
 import oracle
 from conftest import chain_graph, gate_graph
@@ -111,12 +113,15 @@ def test_gate_normalizes_raw_weights_before_routing():
 
 
 def count_kernel_steps(monkeypatch) -> list:
-    """Make every step kernel log the step count of each call; returns the log."""
+    """Make every step kernel log the steps each call runs (len(seeds) * t for
+    the many-seed form); returns the log."""
     steps = []
     real = flowtune.kernel.Topology.kernel
 
-    def counting(topology, events):
-        kernel = real(topology, events)
+    def counting(topology, events, runs=False):
+        kernel = real(topology, events, runs)
+        if runs:
+            return lambda p, a, rng, seeds, t: steps.append(len(seeds) * t) or kernel(p, a, rng, seeds, t)
         return lambda p, a, rng, t, record, ev: steps.append(t) or kernel(p, a, rng, t, record, ev)
 
     monkeypatch.setattr(flowtune.kernel.Topology, "kernel", counting)
@@ -368,11 +373,13 @@ def test_hostile_node_ids_enter_kernels_as_data():
             assert simulate(twin, 15, seed) == got
         ensemble = simulate_ensemble(twin, 15, 3, 5)
         assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble)
-        plain = observe_runs(compile_plan(graph, [e.weight for e in graph.edges]), 9, 3, 5)
-        got = observe_runs(compile_plan(twin, [e.weight for e in twin.edges]), 9, 3, 5)
+        plain_plan = compile_plan(graph, [e.weight for e in graph.edges])
+        twin_plan = compile_plan(twin, [e.weight for e in twin.edges])
+        plain = [dict(zip(plain_plan.topology.monitored, run)) for run in observe_runs(plain_plan, 9, 3, 5)]
+        got = [dict(zip(twin_plan.topology.monitored, run)) for run in observe_runs(twin_plan, 9, 3, 5)]
         assert got == [{names[k]: v for k, v in run.items()} for run in plain]
-        for events in (False, True):
-            source = compile_plan(twin, [e.weight for e in twin.edges]).topology.source(events)
+        for events, runs in ((False, False), (True, False), (False, True)):
+            source = twin_plan.topology.source(events, runs)
             assert not set("'\"\\") & set(source)
             assert not any(node.id in source for node in twin.nodes)
 
@@ -380,14 +387,33 @@ def test_hostile_node_ids_enter_kernels_as_data():
 #: SHA-256 of Topology(graph).source(events), events False then True, over
 #: transfer_stream_economies() and oracle_economies(30, random.Random(5)).
 PINNED_KERNEL_SOURCE = "caaa67e5c07c7d9cc94659999d9670188ad35b9d44940e9d60e636a5c69590d3"
+#: SHA-256 of the many-seed source, Topology(graph).source(False, True), over the same economies.
+PINNED_MANY_SEED_SOURCE = "df0171648d158eaabed43c21d83691beb84a8ea9a854a6e6978a80006cf28a4a"
 
 
 def test_emitted_kernel_source_matches_pinned_digest():
-    digest = hashlib.sha256()
+    digest, many_seed = hashlib.sha256(), hashlib.sha256()
     for graph in transfer_stream_economies() + oracle_economies(30, random.Random(5)):
+        topology = flowtune.kernel.Topology(graph)
         for events in (False, True):
-            digest.update(flowtune.kernel.Topology(graph).source(events).encode())
+            digest.update(topology.source(events).encode())
+        many_seed.update(topology.source(False, True).encode())
     assert digest.hexdigest() == PINNED_KERNEL_SOURCE
+    assert many_seed.hexdigest() == PINNED_MANY_SEED_SOURCE
+    with pytest.raises(ValueError):
+        topology.source(True, True)
+
+
+def test_reseeding_in_c_draws_what_a_new_generator_draws():
+    """observe_runs reseeds one generator with _random.Random.seed before each
+    run; that must give the stream random.Random(seed) gives."""
+    seeds = [derive_seed(7, "run", i) for i in range(1000)]
+    seeds += [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 9, -1, -(2**32), -(2**64 + 9), -derive_seed(8)]
+    rng = random.Random(0)
+    for seed in seeds:
+        _random.Random.seed(rng, seed)  # after the previous seed's draws
+        fresh = random.Random(seed)
+        assert [rng.random() for _ in range(50)] == [fresh.random() for _ in range(50)], seed
 
 
 def gate_ladder(gates: int) -> EconomyGraph:
@@ -600,7 +626,7 @@ def test_step_oracle_agrees_with_simulate_and_observe_runs():
             assert list(trace.snapshots) == expected[r], f"economy {index}, run {r}"
         plan = compile_plan(graph, [e.weight for e in graph.edges])
         for t in range(1, n + 1):
-            got = observe_runs(plan, t, m, base_seed)
+            got = [dict(zip(plan.topology.monitored, run)) for run in observe_runs(plan, t, m, base_seed)]
             assert got == [expected[r][t] for r in range(m)], f"economy {index}, step {t}"
     # the sample reaches every documented mechanism, and random routing matters
     assert min(seen.values()) >= 20, seen
@@ -621,4 +647,6 @@ def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
 
     singles = [simulate(graph, n, base_seed + r) for r in range(m)]
     assert ensemble.traces == tuple(singles)  # run_seed included
-    assert observed == [s.snapshots[t] for s in singles]
+    assert [dict(zip(plan.topology.monitored, run)) for run in observed] == [s.snapshots[t] for s in singles]
+    # a gate-free many-seed kernel runs once and never reseeds its generator
+    assert ("reseed" in plan.topology.source(False, True)) is gated
