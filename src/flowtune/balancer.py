@@ -397,11 +397,12 @@ def balance(
 
     def observe(genome: tuple, *tag) -> list:
         """Per observed pool, its amount at observe_step in each run; economy i
-        is run once, with seeds from derive_seed(params.seed, *tag, i, genome)."""
-        runs = [
-            observe_runs(plan, objective.observe_step, objective.runs, derive_seed(params.seed, *tag, i, genome))
-            for i, plan in enumerate(layout.plans(genome))
-        ]
+        is run once, with seeds from derive_seed(params.seed, *tag, i, genome)
+        if it has gates (a gate-free economy reads no seed, so none is derived)."""
+        runs = []
+        for i, plan in enumerate(layout.plans(genome)):
+            seed = derive_seed(params.seed, *tag, i, genome) if plan.gated else 0
+            runs.append(observe_runs(plan, objective.observe_step, objective.runs, seed))
         return [[run[k] for run in runs[index]] for index, k in positions]
 
     def mean(genome: tuple) -> float:

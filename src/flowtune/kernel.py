@@ -1,17 +1,19 @@
 """Step kernels generated per economy topology.
 
 A kernel is Python source, generated from a graph's node kinds and edges,
-that runs t steps per call, straight-line, on local variables, with the
-phases and draws the sim docstring states; a second one from the same
-emitter also reports every transfer, and a third runs t steps once per
-seed of a list, reseeding one generator in C before each run, and
-returns each run's final amounts. The source names node k's amount nk,
-edge e's amount we, the batch staged on gate edge e se, gate k's share
-bounds bk_j and fixed pool k's cap ck. Node ids and weights enter only as
-data (ids in its namespace, a plan's params), so no id a document holds
-can change what runs. The adjacency the emitter walks is the graph's own
-(see model); this module builds none. sim imports this module with the
-first topology it compiles, not with the package.
+that runs t steps, straight-line, on local variables, with the phases and
+draws the sim docstring states, once per seed of a list, reseeding one
+generator in C before each run. The emitter writes three forms of it, all
+with the one signature kernel(p, a, rng, seeds, t): the observe form
+returns each run's final amounts, a trace form each run's amounts after
+every step, and the transfer-reporting trace form, kernel(p, a, rng,
+seeds, t, ev), also reports every transfer to ev. The source names node
+k's amount nk, edge e's amount we, the batch staged on gate edge e se,
+gate k's share bounds bk_j and fixed pool k's cap ck. Node ids and
+weights enter only as data (ids in its namespace, a plan's params), so no
+id a document holds can change what runs. The adjacency the emitter walks
+is the graph's own (see model); this module builds none. sim imports
+this module with the first topology it compiles, not with the package.
 """
 
 import _random
@@ -43,30 +45,30 @@ class Topology:
     def __getstate__(self):  # a compiled function does not pickle; it is compiled again on use
         return {**self.__dict__, "_kernels": {}}
 
-    def kernel(self, events: bool, runs: bool = False):
+    def kernel(self, trace: bool, events: bool = False):
         """The step kernel of one form, compiled on first use.
 
-        kernel(params, initial, rng, t, record, on_transfer) runs t steps and
-        returns the amounts of self.monitored; record, unless None, gets each
-        step's tuple of those amounts, and with events on_transfer gets every
-        transfer. With runs, kernel(params, initial, rng, seeds, t) runs t
-        steps from initial once per seed, reseeding rng with the seed first,
-        and returns a list of one such tuple per seed; a topology without
-        gates draws nothing, so that form never reseeds.
+        kernel(params, initial, rng, seeds, t) runs t steps from initial once
+        per seed, reseeding rng with the seed first, and returns a list of one
+        run per seed: with trace, the tuple of its rows, the tuples of the
+        amounts of self.monitored at steps 0 ... t; without, the tuple of
+        those amounts at step t. With events (a trace form only), it takes
+        ev as a sixth argument and reports every transfer to it. A topology
+        without gates draws nothing, so its kernels never reseed.
         """
-        kernel = self._kernels.get((events, runs))
+        kernel = self._kernels.get((trace, events))
         if kernel is None:
             namespace = {"__builtins__": {}, "range": range, "ids": self.ids, "reseed": _random.Random.seed}
             namespace.update((p.upper(), p) for p in ("source", "gate", "consume", "produce", "drain", "clamp"))
-            exec(compile(self.source(events, runs), "<flowtune step kernel>", "exec"), namespace)
-            kernel = self._kernels[events, runs] = namespace.pop("kernel")  # no cycle through its globals
+            exec(compile(self.source(trace, events), "<flowtune step kernel>", "exec"), namespace)
+            kernel = self._kernels[trace, events] = namespace.pop("kernel")  # no cycle through its globals
         return kernel
 
-    def source(self, events: bool, runs: bool = False) -> str:
-        """The kernel's Python source; with events, it reports every transfer;
-        with runs, it is the many-seed form, which reports none."""
-        if events and runs:
-            raise ValueError("the many-seed kernel reports no transfers")
+    def source(self, trace: bool, events: bool = False) -> str:
+        """The kernel's Python source; with trace, it keeps every step's
+        amounts, and with events, it also reports every transfer."""
+        if events and not trace:
+            raise ValueError("the observe kernel reports no transfers")
         kinds, ends, out, into = self.kinds, self.ends, self.out, self.into
         gate, converter = NodeKind.RANDOM_GATE, NodeKind.CONVERTER
         lines = []
@@ -103,20 +105,19 @@ class Topology:
         params += [f"b{k}_{j}" for k in self.gates for j in range(len(out[k]) - 1)]
         params += [f"c{k}" for k in self.caps]
         staged = [e for e, (src, dst) in enumerate(ends) if kinds[src] is gate and not kinds[dst].is_pool_like]
-        put(0, "def kernel(p, a, rng, seeds, t):" if runs else "def kernel(p, a, rng, t, record, ev):")
+        put(0, f"def kernel(p, a, rng, seeds, t{', ev' if events else ''}):")
         put(1, f"({''.join(f'{name}, ' for name in params)}) = p")
-        if runs:  # one run per seed on the one generator; a gate-free run draws nothing
-            put(1, "runs = []")
-            if self.gates:
-                put(1, "draw = rng.random")
-            put(1, "for seed in seeds:")
-            if self.gates:
-                put(2, "reseed(rng, seed)")
-            put(2, f"({held}) = a")
-        else:
-            put(1, f"({held}) = a")
+        # one run per seed on the one generator; a gate-free run draws nothing
+        put(1, "runs = []")
+        if self.gates:
             put(1, "draw = rng.random")
-        step = 2 + runs  # the depth of one step's body
+        put(1, "for seed in seeds:")
+        if self.gates:
+            put(2, "reseed(rng, seed)")
+        put(2, f"({held}) = a")
+        if trace:
+            put(2, "run = [a]")
+        step = 3  # the depth of one step's body
         put(step - 1, "for _ in range(t):")
         if staged:  # staged batches last one step
             put(step, " = ".join(f"s{e}" for e in staged) + " = 0")
@@ -163,11 +164,10 @@ class Topology:
             put(step, f"if n{k} > c{k}:")
             event(step + 1, "CLAMP", k, None, f"n{k} - c{k}")
             put(step + 1, f"n{k} = c{k}")
-        if runs:
-            put(2, f"runs.append(({held}))")
-            put(1, "return runs")
+        if trace:
+            put(step, f"run.append(({held}))")
+            put(2, "runs.append((*run,))")
         else:
-            put(2, "if record is not None:")
-            put(3, f"record(({held}))")
-            put(1, f"return ({held})")
+            put(2, f"runs.append(({held}))")
+        put(1, "return runs")
         return "\n".join(lines) + "\n"

@@ -28,23 +28,26 @@ A run starts from the declared initial amounts, fixed pools clamped as
 in phase 4, with every drain at 0. All flows are whole resource counts;
 balances can never go negative.
 
-A run with seed s draws from random.Random(s), once per batch a gate
-routes, in the order the batches arrive. The gate's shares are its
-outgoing weights in edge-list order, each divided by their left-to-right
-sum; it takes the draw u = rng.random() and picks the first edge whose
-running (left-to-right) share sum exceeds u, the last edge's sum
-counting as 1.0. No other step draws, so an economy without gates draws
-nothing and every seed gives the same run: simulate_ensemble and
-observe_runs simulate such an economy once and repeat that run for each
-seed (its traces share one rows tuple).
+A run with seed s draws the stream random.Random(s) gives, once per
+batch a gate routes, in the order the batches arrive. The gate's shares
+are its outgoing weights in edge-list order, each divided by their
+left-to-right sum; it takes the draw u = rng.random() and picks the
+first edge whose running (left-to-right) share sum exceeds u, the last
+edge's sum counting as 1.0. No other step draws, so an economy without
+gates draws nothing and every seed gives the same run: it is simulated
+once, and that run is repeated for each seed (its traces share one rows
+tuple).
 
 Steps run in kernels generated per topology (flowtune.kernel), compiled
 once per graph object, on first use, and cached there; node ids and
-weights enter them as data, never as source text.
+weights enter them as data, never as source text. Each simulate,
+simulate_ensemble or observe_runs call is one kernel call, which reseeds
+one generator in C before each run; the trace calls make their own, so an
+on_transfer observer that simulates cannot reseed the run it observes.
 
 A trace keeps one row per step: the tuple of amounts of every pool,
 fixed pool and drain (a drain's amount is its cumulative total), in the
-order of its monitored ids. The kernel records one per step; a trace
+order of its monitored ids. The trace kernel keeps one per step; a trace
 builds the dict form, node id -> amount, only when its snapshots are
 read, and observe and ensemble_to_csv read the rows by position.
 
@@ -54,10 +57,8 @@ the same graph skip both. ensemble_to_csv writes their traces as a table.
 The balancer instead compiles a plan per candidate weight vector and
 economy from its genome layout (compile_plan: the graph's topology with
 that vector's flat params) and runs it only to the observed step
-(observe_runs), building no graph: one call of the topology's many-seed
-kernel runs every seed, on one generator that it reseeds in C before each
-run (the stream random.Random(s) gives), and returns each run's amounts
-as one tuple in monitored order.
+(observe_runs), building no graph and keeping each run's amounts at that
+step only, as one tuple in monitored order.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from operator import add, itemgetter
 from typing import Callable, NamedTuple
 
 from .model import EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, check_gate_total, is_valid, scaled_shares
-from .util import float_sum
+from .util import check_number, float_sum
 
 #: Optional flow observer: called as fn(phase, src, dst, amount) for every
 #: executed transfer. Phases: "source", "gate", "consume", "produce",
@@ -126,25 +127,13 @@ def monitored_node_ids(graph: EconomyGraph) -> list:
     return sorted(n.id for n in graph.nodes if n.kind in kinds)
 
 
-def simulate(
-    graph: EconomyGraph,
-    n: int,
-    seed: int,
-    on_transfer: TransferObserver = None,
-) -> SimulationTrace:
+def simulate(graph: EconomyGraph, n: int, seed: int, on_transfer: TransferObserver = None) -> SimulationTrace:
     """Run n steps from the declared initial amounts.
 
     A pure function of (graph, n, seed): identical arguments produce an
     identical trace.
     """
-    if n < 1:
-        raise ValueError(f"simulation length must be >= 1, got {n}")
-    plan = _plan_for(graph)
-    topology = plan.topology
-    rows = [plan.initial]
-    kernel = topology.kernel(on_transfer is not None)
-    kernel(plan.params, plan.initial, random.Random(seed), n, rows.append, on_transfer)
-    return SimulationTrace(seed, topology.monitored, tuple(rows))
+    return _traces(graph, n, 1, seed, on_transfer)[0]
 
 
 def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> RunEnsemble:
@@ -154,14 +143,20 @@ def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> Ru
     are identical: it is simulated once, and its m traces (each with its
     own run_seed) share one rows tuple.
     """
-    if m < 1:
-        raise ValueError(f"run count must be >= 1, got {m}")
-    first = simulate(graph, n, base_seed)
-    if _plan_for(graph).gated:
-        rest = (simulate(graph, n, base_seed + i) for i in range(1, m))
-    else:
-        rest = (SimulationTrace(base_seed + i, first.monitored, first.rows) for i in range(1, m))
-    return RunEnsemble(graph, base_seed, (first, *rest))
+    return RunEnsemble(graph, base_seed, _traces(graph, n, m, base_seed))
+
+
+def _traces(graph: EconomyGraph, n: int, m: int, base_seed: int, on_transfer: TransferObserver = None) -> tuple:
+    """The traces of n steps with seeds base_seed ... base_seed+m-1, from one
+    call of the graph's trace kernel on a generator of this call's own."""
+    check_number("simulation length", n, integer=True, minimum=1)
+    check_number("run count", m, integer=True, minimum=1)
+    check_number("seed", base_seed, integer=True)
+    plan = _plan_for(graph)
+    topology = plan.topology
+    ev = () if on_transfer is None else (on_transfer,)
+    runs = _runs(plan, topology.kernel(True, bool(ev)), random.Random(0), n, m, base_seed, *ev)
+    return tuple(SimulationTrace(base_seed + i, topology.monitored, rows) for i, rows in enumerate(runs))
 
 
 class _Texts(dict):
@@ -270,10 +265,13 @@ def observe_runs(plan: _Plan, t: int, m: int, base_seed: int) -> list:
     Returns one tuple per run: the amounts of plan.topology.monitored at
     step t. Steps after t cannot change them, so this equals row t of a
     longer run with the same seed. All runs are one call of the topology's
-    many-seed kernel, on one generator reseeded in C before each run. A
-    plan without gates draws no random numbers, so it runs once and the
-    list holds that one tuple m times.
+    observe kernel, on one generator reseeded in C before each run.
     """
-    seeds = range(base_seed, base_seed + (m if plan.gated else 1))
-    runs = plan.topology.kernel(False, True)(plan.params, plan.initial, _RNG, seeds, t)
+    return _runs(plan, plan.topology.kernel(False), _RNG, t, m, base_seed)
+
+
+def _runs(plan: _Plan, kernel, rng, t: int, m: int, base_seed: int, *ev) -> list:
+    """kernel's runs of plan to step t with seeds base_seed ... base_seed+m-1. A plan
+    without gates draws no random numbers: it runs base_seed only, repeated m times."""
+    runs = kernel(plan.params, plan.initial, rng, range(base_seed, base_seed + (m if plan.gated else 1)), t, *ev)
     return runs if plan.gated else runs * m

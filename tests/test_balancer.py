@@ -309,6 +309,20 @@ def test_balance_checks_and_rebuilds_graphs_independently_of_generations(minecra
     assert counts[0]["is_valid"] == 1 and counts[0]["with_weights"] >= 1
 
 
+def test_seeds_are_derived_only_for_gated_economies(minecraft, archer, monkeypatch):
+    derived = []
+    real = flowtune.balancer.derive_seed
+    monkeypatch.setattr(flowtune.balancer, "derive_seed", lambda *parts: derived.append(parts) or real(*parts))
+    params = BalanceParams(population_size=6, max_generations=5, seed=2)
+    balance(minecraft, objective_for_torch(alpha=0.0, value=50), params)
+    assert derived == []  # a gate-free run reads no seed
+    objective = BalanceObjective(
+        ObjectiveKind.ABSOLUTE, "damage_pool", observe_step=10, sim_length=10, runs=4, target_value=30
+    )
+    balance(archer, objective, params)
+    assert len(derived) > 0
+
+
 @pytest.mark.parametrize("case", ["absolute-torch", "intra-mage", "inter-mage-archer", "absolute-gated"])
 def test_report_observations_are_what_the_balanced_graphs_simulate(case, minecraft, mage, archer):
     if case == "absolute-torch":

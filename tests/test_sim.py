@@ -112,17 +112,40 @@ def test_gate_normalizes_raw_weights_before_routing():
     assert abs(left - 1500) <= 3 * math.sqrt(2000 * 0.75 * 0.25)
 
 
+@pytest.mark.parametrize(
+    "n, m, seed",
+    [(2.0, 1, 0), (True, 1, 0), (0, 1, 0), ("5", 1, 0), (5, 2.0, 0), (5, True, 0), (5, 0, 0),
+     (5, 1, "abc"), (5, 1, 1.0), (5, 1, True), (5, 1, None)],
+)
+def test_counts_and_seeds_must_be_integers(archer, n, m, seed):
+    with pytest.raises(ValueError):
+        simulate_ensemble(archer, n, m, seed)
+    if (n, seed) != (5, 0):  # the step count or the seed is bad
+        with pytest.raises(ValueError):
+            simulate(archer, n, seed)
+
+
+def test_an_observer_that_simulates_does_not_disturb_the_run(archer):
+    inner = gate_graph(0.5, 0.5)
+    nested = []
+
+    def simulate_inside(phase, src, dst, amount):
+        if phase == "gate":
+            nested.append(simulate(inner, 3, seed=len(nested)))
+
+    traced = simulate(archer, 40, 9, on_transfer=simulate_inside)
+    assert nested and traced == simulate(archer, 40, 9)
+
+
 def count_kernel_steps(monkeypatch) -> list:
-    """Make every step kernel log the steps each call runs (len(seeds) * t for
-    the many-seed form); returns the log."""
+    """Make every step kernel log the steps each call runs, len(seeds) * t;
+    returns the log."""
     steps = []
     real = flowtune.kernel.Topology.kernel
 
-    def counting(topology, events, runs=False):
-        kernel = real(topology, events, runs)
-        if runs:
-            return lambda p, a, rng, seeds, t: steps.append(len(seeds) * t) or kernel(p, a, rng, seeds, t)
-        return lambda p, a, rng, t, record, ev: steps.append(t) or kernel(p, a, rng, t, record, ev)
+    def counting(topology, trace, events=False):
+        kernel = real(topology, trace, events)
+        return lambda p, a, rng, seeds, t, *ev: steps.append(len(seeds) * t) or kernel(p, a, rng, seeds, t, *ev)
 
     monkeypatch.setattr(flowtune.kernel.Topology, "kernel", counting)
     return steps
@@ -378,16 +401,16 @@ def test_hostile_node_ids_enter_kernels_as_data():
         plain = [dict(zip(plain_plan.topology.monitored, run)) for run in observe_runs(plain_plan, 9, 3, 5)]
         got = [dict(zip(twin_plan.topology.monitored, run)) for run in observe_runs(twin_plan, 9, 3, 5)]
         assert got == [{names[k]: v for k, v in run.items()} for run in plain]
-        for events, runs in ((False, False), (True, False), (False, True)):
-            source = twin_plan.topology.source(events, runs)
+        for trace, events in ((False, False), (True, False), (True, True)):
+            source = twin_plan.topology.source(trace, events)
             assert not set("'\"\\") & set(source)
             assert not any(node.id in source for node in twin.nodes)
 
 
-#: SHA-256 of Topology(graph).source(events), events False then True, over
-#: transfer_stream_economies() and oracle_economies(30, random.Random(5)).
-PINNED_KERNEL_SOURCE = "caaa67e5c07c7d9cc94659999d9670188ad35b9d44940e9d60e636a5c69590d3"
-#: SHA-256 of the many-seed source, Topology(graph).source(False, True), over the same economies.
+#: SHA-256 of the trace sources, Topology(graph).source(True, events), events False
+#: then True, over transfer_stream_economies() and oracle_economies(30, random.Random(5)).
+PINNED_KERNEL_SOURCE = "abf0d4a4e6adc0eb4aa66f5bb438f15f5336c35ab3848bb33f892e54f3836de9"
+#: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
 PINNED_MANY_SEED_SOURCE = "df0171648d158eaabed43c21d83691beb84a8ea9a854a6e6978a80006cf28a4a"
 
 
@@ -396,12 +419,12 @@ def test_emitted_kernel_source_matches_pinned_digest():
     for graph in transfer_stream_economies() + oracle_economies(30, random.Random(5)):
         topology = flowtune.kernel.Topology(graph)
         for events in (False, True):
-            digest.update(topology.source(events).encode())
-        many_seed.update(topology.source(False, True).encode())
+            digest.update(topology.source(True, events).encode())
+        many_seed.update(topology.source(False).encode())
     assert digest.hexdigest() == PINNED_KERNEL_SOURCE
     assert many_seed.hexdigest() == PINNED_MANY_SEED_SOURCE
     with pytest.raises(ValueError):
-        topology.source(True, True)
+        topology.source(False, True)
 
 
 def test_reseeding_in_c_draws_what_a_new_generator_draws():
@@ -444,7 +467,7 @@ def test_emitting_and_normalizing_grow_linearly():
     small, large = gate_ladder(300), gate_ladder(1200)
     assert is_valid(small) and is_valid(large)
     for name, call in (
-        ("emit", lambda graph: flowtune.kernel.Topology(graph).source(False)),
+        ("emit", lambda graph: flowtune.kernel.Topology(graph).source(True)),
         ("gate_shares", lambda graph: gate_shares(graph, [e.weight for e in graph.edges])),
     ):
         growth[name] = best_of_3(lambda: call(large)) / best_of_3(lambda: call(small))
@@ -640,13 +663,13 @@ def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
     t, n, m, base_seed = 7, 9, 4, 21
     steps = count_kernel_steps(monkeypatch)
     observed = observe_runs(plan, t, m, base_seed)
-    assert sum(steps) == (m * t if gated else t)
+    assert steps == [m * t if gated else t]
     del steps[:]
     ensemble = simulate_ensemble(graph, n, m, base_seed)
-    assert sum(steps) == (m * n if gated else n)
+    assert steps == [m * n if gated else n]  # one kernel call
 
     singles = [simulate(graph, n, base_seed + r) for r in range(m)]
     assert ensemble.traces == tuple(singles)  # run_seed included
     assert [dict(zip(plan.topology.monitored, run)) for run in observed] == [s.snapshots[t] for s in singles]
-    # a gate-free many-seed kernel runs once and never reseeds its generator
-    assert ("reseed" in plan.topology.source(False, True)) is gated
+    # a gate-free observe kernel runs once and never reseeds its generator
+    assert ("reseed" in plan.topology.source(False)) is gated
