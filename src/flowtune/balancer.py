@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence, Union
 
@@ -269,13 +269,24 @@ class ObservationStats:
 @dataclass(frozen=True)
 class BalanceReport:
     """One search: ``means[g]`` is the best mean proportion after generation g
-    (``means[0]`` that of the initial population); fitness is alpha + mean."""
+    (``means[0]`` that of the initial population); fitness is alpha + mean.
+
+    The work counters describe the whole search, the report's observation
+    included, and are neither compared nor written out: evaluations are the
+    distinct weight vectors measured for fitness, cache_hits the fitness
+    lookups answered without a measurement, runs the kernel runs simulated
+    (a gate-free economy is run once per measurement) and steps their steps.
+    """
 
     best_weights: tuple
     alpha: float
     means: tuple
     observations: tuple
     balanced_graphs: tuple
+    evaluations: int = field(compare=False)
+    cache_hits: int = field(compare=False)
+    runs: int = field(compare=False)
+    steps: int = field(compare=False)
 
     @property
     def history(self) -> tuple:
@@ -394,20 +405,26 @@ def balance(
     positions = [(index, monitored[index].index(pool)) for index, pool in observed]
     rng = random.Random(params.seed)
     means = {}
+    cache_hits = runs_simulated = 0
 
     def observe(genome: tuple, *tag) -> list:
         """Per observed pool, its amount at observe_step in each run; economy i
         is run once, with seeds from derive_seed(params.seed, *tag, i, genome)
         if it has gates (a gate-free economy reads no seed, so none is derived)."""
+        nonlocal runs_simulated
         runs = []
         for i, plan in enumerate(layout.plans(genome)):
             seed = derive_seed(params.seed, *tag, i, genome) if plan.gated else 0
             runs.append(observe_runs(plan, objective.observe_step, objective.runs, seed))
+            runs_simulated += objective.runs if plan.gated else 1
         return [[run[k] for run in runs[index]] for index, k in positions]
 
     def mean(genome: tuple) -> float:
         """The genome's mean proportion; equal tuples share the first one's."""
-        if genome not in means:
+        nonlocal cache_hits
+        if genome in means:
+            cache_hits += 1
+        else:
             values = observe(genome)
             if objective.kind is ObjectiveKind.ABSOLUTE:
                 values.append([objective.target_value] * objective.runs)
@@ -444,4 +461,8 @@ def balance(
         means=tuple(best_means),
         observations=observations,
         balanced_graphs=layout.apply(best),
+        evaluations=len(means),
+        cache_hits=cache_hits,
+        runs=runs_simulated,
+        steps=runs_simulated * objective.observe_step,
     )

@@ -14,6 +14,23 @@ weights enter only as data (ids in its namespace, a plan's params), so no
 id a document holds can change what runs. The adjacency the emitter walks
 is the graph's own (see model); this module builds none. sim imports
 this module with the first topology it compiles, not with the package.
+
+Phase 2 repeats converter passes only where a repeat can fire something.
+A converter k feeds the converters that read an amount its one output
+edge raises (Topology.feeds): the converters consuming from the pool it
+produces into, or, through a gate, from each pool the gate can route to,
+and each converter the gate stages a batch for. A back feeder feeds a
+converter that comes before it in id order. With no back feeder the
+kernel runs one pass; otherwise it loops, and only a back feeder's firing
+asks for another pass. This is exact. A converter's test is monotone in
+its inputs (n >= w, s > 0), and a firing only lowers its own inputs and
+raises the inputs of the converters it feeds, as every edge amount is
+>= 0 (compile_plan's precondition). So a converter c that did not fire
+when a pass examined it can fire in the next pass only if a converter
+that feeds c fired in between. The first firing of a next pass has no
+firing before it in that pass, so what fed it fired after it in the
+previous pass, and was a back feeder. A pass that fires no back feeder
+therefore leaves a next pass nothing to fire.
 """
 
 import _random
@@ -44,6 +61,26 @@ class Topology:
 
     def __getstate__(self):  # a compiled function does not pickle; it is compiled again on use
         return {**self.__dict__, "_kernels": {}}
+
+    def feeds(self, k: int) -> list:
+        """The converters whose test converter k's firing can newly pass, by
+        position: those that read an amount its one output edge raises."""
+        kinds, ends, out = self.kinds, self.ends, self.out
+
+        def readers(node):  # the converters that consume from a node's amount
+            return [ends[e][1] for e in out[node] if kinds[ends[e][1]] is NodeKind.CONVERTER]
+
+        dst = ends[out[k][0]][1]
+        if kinds[dst] is not NodeKind.RANDOM_GATE:
+            return readers(dst)
+        fed = []
+        for e in out[dst]:  # a pool's readers; a converter reads its staged edge
+            to = ends[e][1]
+            if kinds[to].is_pool_like:
+                fed += readers(to)
+            elif kinds[to] is NodeKind.CONVERTER:
+                fed.append(to)
+        return fed
 
     def kernel(self, trace: bool, events: bool = False):
         """The step kernel of one form, compiled on first use.
@@ -125,10 +162,12 @@ class Topology:
             for e in out[k]:
                 event(step, "SOURCE", k, ends[e][1], f"w{e}")
                 deliver(step, e, f"w{e}")
-        # converters: passes in id order over those not fired this step,
-        # until a pass fires none (one converter needs one pass)
+        # converters: passes in id order over those not fired this step, until
+        # a pass fires no back feeder; with none, one pass (see the docstring)
         converters = by_id(converter)
-        passes = len(converters) > 1
+        rank = {k: i for i, k in enumerate(converters)}
+        back = {k for k in converters if any(rank[c] < rank[k] for c in self.feeds(k))}
+        passes = bool(back)
         if passes:
             put(step, " = ".join(f"f{k}" for k in converters) + " = 1")
             put(step, "while True:")
@@ -141,7 +180,7 @@ class Topology:
             tests += [f"n{ends[e][0]} >= w{e}" for e in needs] + [f"s{e} > 0" for e in batches]
             put(depth, f"if {' and '.join(tests) or 'True'}:")
             if passes:
-                put(depth + 1, f"f{k}, fired = 0, 1")
+                put(depth + 1, f"f{k}, fired = 0, 1" if k in back else f"f{k} = 0")
             for e in needs:
                 put(depth + 1, f"n{ends[e][0]} -= w{e}")
                 event(depth + 1, "CONSUME", ends[e][0], k, f"w{e}")

@@ -231,14 +231,13 @@ def _coerce_weight(edge: Edge, src_kind: NodeKind) -> Edge:
         raise NonPositiveWeightError(
             f"edge {edge.src!r}->{edge.dst!r}: weight must be positive, got {w!r}"
         )
-    if src_kind is not NodeKind.RANDOM_GATE:
+    if src_kind is not NodeKind.RANDOM_GATE and isinstance(w, float):
         # amounts are whole resource counts; only gate edges carry real shares
-        if float(w) != int(w):
+        if not w.is_integer():
             raise EconomySchemaError(
                 f"edge {edge.src!r}->{edge.dst!r}: non-gate weights must be whole numbers, got {w!r}"
             )
-        if isinstance(w, float):
-            return Edge(edge.src, edge.dst, int(w), edge.static)
+        return Edge(edge.src, edge.dst, int(w), edge.static)
     return edge
 
 

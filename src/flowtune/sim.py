@@ -221,12 +221,15 @@ def _plan_for(graph: EconomyGraph) -> _Plan:
 def compile_plan(graph: EconomyGraph, weights, start: int = 0, scale: bool = False) -> _Plan:
     """Step plan of the graph with edge e carrying weights[start + e].
 
-    Amount weights are whole counts. Gate weights are routing shares: each
-    gate's must sum to a finite positive number, and are divided by that
-    sum. With scale, they are first scaled as model.gate_shares scales
-    them, so a genome's raw gate genes run as the graph that genome writes.
-    The graph's own weights are ignored, and its validity is not checked.
-    Its topology is compiled once and cached on it.
+    Amount weights are whole counts >= 0: the kernel's rule for when to
+    repeat a converter pass is exact only then (see flowtune.kernel). Every
+    caller's are positive: a graph's are checked, the balancer's genes are
+    clamped. Gate weights are routing shares: each gate's must sum to a
+    finite positive number, and are divided by that sum. With scale, they
+    are first scaled as model.gate_shares scales them, so a genome's raw
+    gate genes run as the graph that genome writes. The graph's own
+    weights are ignored, and its validity is not checked. Its topology is
+    compiled once and cached on it.
     """
     topology = getattr(graph, "_sim_topology", None)
     if topology is None:

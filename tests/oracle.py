@@ -240,6 +240,26 @@ def simulate_amounts(graph, n: int, seed: int) -> list:
     return history
 
 
+def back_feeders(graph) -> set:
+    """Ids of the converters whose firing can newly satisfy a converter that
+    comes before them in id order: what they deliver, routed as the simulator
+    routes it, lands in a pool that converter consumes from or is staged at it."""
+    kinds = {node.id: _kind_name(node.kind) for node in graph.nodes}
+
+    def satisfied_by(dst):
+        """The converters a delivery into dst can newly satisfy."""
+        if kinds[dst] == "random_gate":
+            return {c for e in graph.edges if e.src == dst for c in satisfied_by(e.dst)}
+        if kinds[dst] == "converter":
+            return {dst}
+        return {e.dst for e in graph.edges if e.src == dst and kinds[e.dst] == "converter"}
+
+    return {
+        e.src for e in graph.edges
+        if kinds[e.src] == "converter" and any(c < e.src for c in satisfied_by(e.dst))
+    }
+
+
 # --- trace table --------------------------------------------------------------
 
 

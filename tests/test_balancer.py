@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import statistics
@@ -6,6 +7,7 @@ from collections import Counter
 import pytest
 
 import flowtune.balancer
+import flowtune.kernel
 import flowtune.model
 import flowtune.sim
 from flowtune.generator import GeneratorConfig, generate
@@ -361,6 +363,45 @@ def test_report_observations_are_what_the_balanced_graphs_simulate(case, minecra
         assert (observation.mean, observation.stddev, observation.runs) == (
             statistics.fmean(values), statistics.pstdev(values), len(values)
         )
+
+
+@pytest.mark.parametrize("case", ["gate-free", "gated", "gate-free-and-gated"])
+def test_work_counters_match_a_count_taken_at_the_kernel(case, minecraft, mage, archer, monkeypatch):
+    calls = []  # (runs, steps per run) of every kernel call
+    real = flowtune.kernel.Topology.kernel
+
+    def counting(topology, trace, events=False):
+        kernel = real(topology, trace, events)
+        return lambda p, a, rng, seeds, t, *ev: calls.append((len(seeds), t)) or kernel(p, a, rng, seeds, t, *ev)
+
+    monkeypatch.setattr(flowtune.kernel.Topology, "kernel", counting)
+    if case == "gate-free":
+        graphs, objective = [minecraft], objective_for_torch(alpha=0.0, value=5000, runs=4)
+    elif case == "gated":
+        graphs = [archer]
+        objective = BalanceObjective(
+            ObjectiveKind.ABSOLUTE, "damage_pool", observe_step=10, sim_length=10, runs=4, target_value=300
+        )
+    else:
+        graphs = [mage, archer]
+        objective = BalanceObjective(
+            ObjectiveKind.INTER_PAIR, "damage_pool", observe_step=15, sim_length=15, runs=5,
+            second_pool="damage_pool",
+        )
+    params = BalanceParams(population_size=7, max_generations=9, seed=3, mutations_per_generation=2)
+    report = balance(graphs, objective, params)
+    assert report.runs == sum(runs for runs, _ in calls)
+    assert report.steps == sum(runs * t for runs, t in calls)
+    # one kernel call per economy for each evaluation and for the report's observation
+    assert len(calls) == len(graphs) * (report.evaluations + 1)
+    # a fitness lookup per initial vector and per candidate of each generation, plus each generation's best
+    pop = params.population_size
+    lookups = pop + 1 + report.generations * (pop + pop // 2 + params.mutations_per_generation + 1)
+    assert report.evaluations + report.cache_hits == lookups
+    assert report.cache_hits > report.generations  # not only the best's lookups
+    unmeasured = dataclasses.replace(report, evaluations=0, cache_hits=0, runs=0, steps=0)
+    assert unmeasured == report and unmeasured.to_dict() == report.to_dict()
+    assert not {"evaluations", "cache_hits", "runs", "steps"} & set(report.to_dict())
 
 
 # --- balance ----------------------------------------------------------------

@@ -26,7 +26,7 @@ from flowtune.model import (
     save_economy,
     validate_node,
 )
-from flowtune.sim import compile_plan
+from flowtune.sim import compile_plan, simulate
 
 from conftest import chain_graph, gate_graph, random_wellformed_graph
 import oracle
@@ -207,6 +207,26 @@ def test_roundtrip_preserves_semantics(minecraft, mage, archer):
         assert again.nodes == g.nodes
         assert again.edges == g.edges
         assert is_valid(again)
+
+
+@pytest.mark.parametrize("weight", [2**53 + 1, 10**20, 10**20 + 1, 3.0, 1e20])
+def test_whole_weights_of_any_size_round_trip(weight):
+    """An int weight is whole however large; a float one is whole when it is_integer()."""
+    graph = load_economy(SOURCE_TO_POOL % json.dumps(weight))
+    assert graph.edges[0].weight == int(weight) and type(graph.edges[0].weight) is int
+    again = load_economy(save_economy(graph))
+    assert again.edges == graph.edges
+    assert save_economy(again) == save_economy(graph)
+    assert simulate(again, 2, seed=0).observe("p", 2) == 2 * int(weight)
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [("2.5", "non-gate weights must be whole numbers, got 2.5"), (str(10**400), "weight must be a finite number")],
+)
+def test_weights_that_are_not_whole_finite_numbers_are_refused(weight, message):
+    with pytest.raises(EconomySchemaError, match=f"^edge 's'->'p': {message}$"):
+        load_economy(SOURCE_TO_POOL % weight)
 
 
 def test_load_rejects_dangling_endpoint():

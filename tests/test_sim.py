@@ -409,9 +409,9 @@ def test_hostile_node_ids_enter_kernels_as_data():
 
 #: SHA-256 of the trace sources, Topology(graph).source(True, events), events False
 #: then True, over transfer_stream_economies() and oracle_economies(30, random.Random(5)).
-PINNED_KERNEL_SOURCE = "abf0d4a4e6adc0eb4aa66f5bb438f15f5336c35ab3848bb33f892e54f3836de9"
+PINNED_KERNEL_SOURCE = "8b4df887c00429e6416482f3fdfb4908950cdff73150e0b23360c72cb1dc058e"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
-PINNED_MANY_SEED_SOURCE = "df0171648d158eaabed43c21d83691beb84a8ea9a854a6e6978a80006cf28a4a"
+PINNED_MANY_SEED_SOURCE = "f8d43c9aaf7cea041a35ead2daac78cbea9f1dc8840870bc56b95c8b4fb3ebcb"
 
 
 def test_emitted_kernel_source_matches_pinned_digest():
@@ -653,6 +653,79 @@ def test_step_oracle_agrees_with_simulate_and_observe_runs():
             assert got == [expected[r][t] for r in range(m)], f"economy {index}, step {t}"
     # the sample reaches every documented mechanism, and random routing matters
     assert min(seen.values()) >= 20, seen
+
+
+#: Hand-built economies for the converter pass rule: name -> (economy, whether
+#: it has a back feeder, a converter that feeds one before it in id order).
+PASS_RULE_ECONOMIES = {
+    # c2 produces into the pool c1 consumes from
+    "pool feed against id order": (_economy(
+        [("s", "source"), ("p1", "pool"), ("p2", "pool"), ("p3", "pool"), ("c1", "converter"), ("c2", "converter")],
+        [("s", "p1", 2), ("p1", "c2", 1), ("c2", "p2", 1), ("p2", "c1", 1), ("c1", "p3", 1)],
+    ), True),
+    # c2's gate stages a batch at c1 or fills p3
+    "gate-staged feed against id order": (_economy(
+        [("s", "source"), ("p1", "pool"), ("p3", "pool"), ("p4", "pool"), ("g", "random_gate"),
+         ("c1", "converter"), ("c2", "converter")],
+        [("s", "p1", 1), ("p1", "c2", 1), ("c2", "g", 2), ("g", "c1", 1.0), ("g", "p3", 1.0), ("c1", "p4", 1)],
+    ), True),
+    # c2's gate routes into the pool c1 consumes from, or into p3
+    "gate-to-pool feed against id order": (_economy(
+        [("s", "source"), ("p1", "pool"), ("p2", "pool"), ("p3", "pool"), ("p4", "pool"), ("g", "random_gate"),
+         ("c1", "converter"), ("c2", "converter")],
+        [("s", "p1", 1), ("p1", "c2", 1), ("c2", "g", 2), ("g", "p2", 1.0), ("g", "p3", 1.0),
+         ("p2", "c1", 1), ("c1", "p4", 1)],
+    ), True),
+    "forward chain": (_economy(
+        [("s", "source"), ("p1", "pool"), ("p2", "pool"), ("p3", "pool"), ("g", "random_gate"), ("p4", "pool"),
+         ("c1", "converter"), ("c2", "converter"), ("c3", "converter")],
+        [("s", "p1", 2), ("p1", "c1", 1), ("c1", "p2", 1), ("p2", "c2", 1), ("c2", "g", 1),
+         ("g", "p3", 1.0), ("g", "c3", 2.0), ("p3", "c3", 1), ("c3", "p4", 1)],
+    ), False),
+    # c1 produces into the pool it consumes from, which c2 also draws on
+    "converter feeding itself through a pool": (_economy(
+        [("s", "source"), ("p1", "pool"), ("p2", "pool"), ("c1", "converter"), ("c2", "converter")],
+        [("s", "p1", 1), ("p1", "c1", 2), ("c1", "p1", 3), ("p1", "c2", 2), ("c2", "p2", 1)],
+    ), False),
+    "two converters drawing on one pool": (_economy(
+        [("s", "source"), ("p1", "pool"), ("p2", "pool"), ("p3", "pool"), ("c1", "converter"), ("c2", "converter")],
+        [("s", "p1", 3), ("p1", "c1", 2), ("p1", "c2", 1), ("c1", "p2", 1), ("c2", "p3", 1)],
+    ), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASS_RULE_ECONOMIES))
+def test_converter_passes_repeat_only_after_a_back_feeder(name):
+    graph, looping = PASS_RULE_ECONOMIES[name]
+    assert is_valid(graph)
+    assert bool(oracle.back_feeders(graph)) is looping
+    plan = compile_plan(graph, [e.weight for e in graph.edges])
+    for form in ((False, False), (True, False), (True, True)):
+        source = plan.topology.source(*form)
+        assert ("while" in source) is looping
+        # a converter that feeds none before it asks for no further pass
+        assert source.count("fired = 0, 1") == len(oracle.back_feeders(graph))
+    n, m = 12, 4
+    for base_seed in (0, 7, 1000):
+        expected = [oracle.simulate_amounts(graph, n, base_seed + r) for r in range(m)]
+        for r in range(m):
+            assert list(simulate(graph, n, base_seed + r).snapshots) == expected[r], (base_seed, r)
+        for t in range(1, n + 1):
+            got = [dict(zip(plan.topology.monitored, run)) for run in observe_runs(plan, t, m, base_seed)]
+            assert got == [expected[r][t] for r in range(m)], (base_seed, t)
+
+
+def test_kernels_loop_exactly_when_a_back_feeder_exists():
+    economies = transfer_stream_economies() + oracle_economies(150, random.Random(19))
+    looping = 0
+    for index, graph in enumerate(economies):
+        source = flowtune.kernel.Topology(graph).source(False)
+        assert ("while" in source) is bool(oracle.back_feeders(graph)), index
+        looping += "while" in source
+    assert 20 <= looping <= len(economies) - 20  # both kinds of kernel are reached
+    for name in ("minecraft_torch", "mage", "archer"):  # the fixtures run one pass
+        topology = flowtune.kernel.Topology(load_fixture(name))
+        assert not any("while" in topology.source(*form) for form in ((False, False), (True, False), (True, True)))
 
 
 @pytest.mark.parametrize("name, gated", [("minecraft_torch", False), ("mage", False), ("archer", True)])
