@@ -656,7 +656,7 @@ def test_step_oracle_agrees_with_simulate_and_observe_runs():
 
 
 #: Hand-built economies for the converter pass rule: name -> (economy, whether
-#: it has a back feeder, a converter that feeds one before it in id order).
+#: it has a back feeder: a converter that feeds one before it in id order).
 PASS_RULE_ECONOMIES = {
     # c2 produces into the pool c1 consumes from
     "pool feed against id order": (_economy(
@@ -697,14 +697,14 @@ PASS_RULE_ECONOMIES = {
 @pytest.mark.parametrize("name", sorted(PASS_RULE_ECONOMIES))
 def test_converter_passes_repeat_only_after_a_back_feeder(name):
     graph, looping = PASS_RULE_ECONOMIES[name]
-    assert is_valid(graph)
-    assert bool(oracle.back_feeders(graph)) is looping
+    back_feeders = oracle.back_feeders(graph)
+    assert is_valid(graph) and bool(back_feeders) is looping
     plan = compile_plan(graph, [e.weight for e in graph.edges])
     for form in ((False, False), (True, False), (True, True)):
         source = plan.topology.source(*form)
         assert ("while" in source) is looping
         # a converter that feeds none before it asks for no further pass
-        assert source.count("fired = 0, 1") == len(oracle.back_feeders(graph))
+        assert source.count("fired = 0, 1") == len(back_feeders)
     n, m = 12, 4
     for base_seed in (0, 7, 1000):
         expected = [oracle.simulate_amounts(graph, n, base_seed + r) for r in range(m)]
