@@ -15,6 +15,7 @@ import json
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from .balancer import (
@@ -198,10 +199,17 @@ def _cmd_sim(args) -> int:
     if not args.quiet:
         for node_id in monitored_node_ids(graph):
             final = ensemble.observe(node_id, args.steps)
-            mean = statistics.fmean(final)
-            stddev = statistics.pstdev(final)
-            print(f"{node_id}: {mean:.3f} ± {stddev:.3f}")
+            print(f"{node_id}: {_mean_text(final)} ± {statistics.pstdev(final):.3f}")
     return EXIT_OK
+
+
+def _mean_text(amounts: list) -> str:
+    """The mean of whole amounts to 3 decimals, exact even where a float
+    cannot hold an amount (above 2**53)."""
+    if max(amounts) <= 2**53:
+        return f"{statistics.fmean(amounts):.3f}"
+    thousandths = round(Fraction(1000 * sum(amounts), len(amounts)))  # ties to even, as float formatting
+    return f"{thousandths // 1000}.{thousandths % 1000:03d}"
 
 
 def _parse_objective(doc: dict, path: str, seed_override):

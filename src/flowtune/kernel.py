@@ -3,17 +3,16 @@
 A kernel is Python source, generated from a graph's node kinds and edges,
 that runs t steps, straight-line, on local variables, with the phases and
 draws the sim docstring states, once per seed of a list, reseeding one
-generator in C before each run. The emitter writes three forms of it, all
+generator in C before each run. The emitter writes two forms of it, both
 with the one signature kernel(p, a, rng, seeds, t): the observe form
-returns each run's final amounts, a trace form each run's amounts after
-every step, and the transfer-reporting trace form, kernel(p, a, rng,
-seeds, t, ev), also reports every transfer to ev. The source names node
-k's amount nk, edge e's amount we, the batch staged on gate edge e se,
-gate k's share bounds bk_j and fixed pool k's cap ck. Node ids and
-weights enter only as data (ids in its namespace, a plan's params), so no
-id a document holds can change what runs. The adjacency the emitter walks
-is the graph's own (see model); this module builds none. sim imports
-this module with the first topology it compiles, not with the package.
+returns each run's final amounts, the trace form each run's amounts after
+every step. The source names node k's amount nk, edge e's amount we, the
+batch staged on gate edge e se, gate k's share bounds bk_j and fixed pool
+k's cap ck. Weights enter only as data (a plan's params), and no node id
+reaches a kernel at all, so no id a document holds can change what runs.
+The adjacency the emitter walks is the graph's own (see model); this
+module builds none. sim imports this module with the first topology it
+compiles, not with the package.
 
 Phase 2 repeats converter passes only where a repeat can fire something.
 A converter k feeds the converters that read an amount its one output
@@ -82,40 +81,31 @@ class Topology:
                 fed.append(to)
         return fed
 
-    def kernel(self, trace: bool, events: bool = False):
+    def kernel(self, trace: bool):
         """The step kernel of one form, compiled on first use.
 
         kernel(params, initial, rng, seeds, t) runs t steps from initial once
         per seed, reseeding rng with the seed first, and returns a list of one
         run per seed: with trace, the tuple of its rows, the tuples of the
         amounts of self.monitored at steps 0 ... t; without, the tuple of
-        those amounts at step t. With events (a trace form only), it takes
-        ev as a sixth argument and reports every transfer to it. A topology
-        without gates draws nothing, so its kernels never reseed.
+        those amounts at step t. A topology without gates draws nothing, so
+        its kernels never reseed.
         """
-        kernel = self._kernels.get((trace, events))
+        kernel = self._kernels.get(trace)
         if kernel is None:
-            namespace = {"__builtins__": {}, "range": range, "ids": self.ids, "reseed": _random.Random.seed}
-            namespace.update((p.upper(), p) for p in ("source", "gate", "consume", "produce", "drain", "clamp"))
-            exec(compile(self.source(trace, events), "<flowtune step kernel>", "exec"), namespace)
-            kernel = self._kernels[trace, events] = namespace.pop("kernel")  # no cycle through its globals
+            namespace = {"__builtins__": {}, "range": range, "reseed": _random.Random.seed}
+            exec(compile(self.source(trace), "<flowtune step kernel>", "exec"), namespace)
+            kernel = self._kernels[trace] = namespace.pop("kernel")  # no cycle through its globals
         return kernel
 
-    def source(self, trace: bool, events: bool = False) -> str:
-        """The kernel's Python source; with trace, it keeps every step's
-        amounts, and with events, it also reports every transfer."""
-        if events and not trace:
-            raise ValueError("the observe kernel reports no transfers")
+    def source(self, trace: bool) -> str:
+        """The kernel's Python source; with trace, it keeps every step's amounts."""
         kinds, ends, out, into = self.kinds, self.ends, self.out, self.into
         gate, converter = NodeKind.RANDOM_GATE, NodeKind.CONVERTER
         lines = []
 
         def put(depth, text):
             lines.append("    " * depth + text)
-
-        def event(depth, phase, src, dst, amount):
-            if events:
-                put(depth, f"ev({phase}, ids[{src}], {'None' if dst is None else f'ids[{dst}]'}, {amount})")
 
         def deliver(depth, e, amount):
             """Move amount along edge e; a gate forwards it along one edge, by one draw."""
@@ -131,7 +121,6 @@ class Topology:
                 elif j:
                     put(depth, "else:")
                 to = ends[target][1]
-                event(depth + (last > 0), "GATE", dst, to, amount)
                 put(depth + (last > 0), f"n{to} += {amount}" if kinds[to].is_pool_like else f"s{target} += {amount}")
 
         def by_id(kind):
@@ -142,7 +131,7 @@ class Topology:
         params += [f"b{k}_{j}" for k in self.gates for j in range(len(out[k]) - 1)]
         params += [f"c{k}" for k in self.caps]
         staged = [e for e, (src, dst) in enumerate(ends) if kinds[src] is gate and not kinds[dst].is_pool_like]
-        put(0, f"def kernel(p, a, rng, seeds, t{', ev' if events else ''}):")
+        put(0, "def kernel(p, a, rng, seeds, t):")
         put(1, f"({''.join(f'{name}, ' for name in params)}) = p")
         # one run per seed on the one generator; a gate-free run draws nothing
         put(1, "runs = []")
@@ -160,7 +149,6 @@ class Topology:
             put(step, " = ".join(f"s{e}" for e in staged) + " = 0")
         for k in by_id(NodeKind.SOURCE):
             for e in out[k]:
-                event(step, "SOURCE", k, ends[e][1], f"w{e}")
                 deliver(step, e, f"w{e}")
         # converters: passes in id order over those not fired this step, until
         # a pass fires no back feeder; with none, one pass (see the docstring)
@@ -183,12 +171,9 @@ class Topology:
                 put(depth + 1, f"f{k}, fired = 0, 1" if k in back else f"f{k} = 0")
             for e in needs:
                 put(depth + 1, f"n{ends[e][0]} -= w{e}")
-                event(depth + 1, "CONSUME", ends[e][0], k, f"w{e}")
             for e in batches:
-                event(depth + 1, "CONSUME", ends[e][0], k, f"s{e}")
                 put(depth + 1, f"s{e} = 0")
             e = out[k][0]
-            event(depth + 1, "PRODUCE", k, ends[e][1], f"w{e}")
             deliver(depth + 1, e, f"w{e}")
         if passes:
             put(step + 1, "if not fired:")
@@ -198,10 +183,8 @@ class Topology:
                 put(step, f"if n{src} >= w{e}:")
                 put(step + 1, f"n{src} -= w{e}")
                 put(step + 1, f"n{dst} += w{e}")
-                event(step + 1, "DRAIN", src, dst, f"w{e}")
         for k in self.caps:
             put(step, f"if n{k} > c{k}:")
-            event(step + 1, "CLAMP", k, None, f"n{k} - c{k}")
             put(step + 1, f"n{k} = c{k}")
         if trace:
             put(step, f"run.append(({held}))")

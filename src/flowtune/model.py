@@ -314,8 +314,8 @@ def indices_connected(count: int, pairs) -> bool:
 
 
 def is_valid(graph: EconomyGraph) -> bool:
-    """All connection constraints satisfied and weakly connected."""
-    return graph_fitness(graph) == 0 and is_weakly_connected(graph)
+    """All connection constraints satisfied and weakly connected: no broken rule."""
+    return broken_rule(graph) is None
 
 
 def gate_shares(graph: EconomyGraph, weights: Sequence) -> list:

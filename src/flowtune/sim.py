@@ -39,11 +39,12 @@ once, and that run is repeated for each seed (its traces share one rows
 tuple).
 
 Steps run in kernels generated per topology (flowtune.kernel), compiled
-once per graph object, on first use, and cached there; node ids and
-weights enter them as data, never as source text. Each simulate,
-simulate_ensemble or observe_runs call is one kernel call, which reseeds
-one generator in C before each run; the trace calls make their own, so an
-on_transfer observer that simulates cannot reseed the run it observes.
+once per graph object, on first use, and cached there; weights enter them
+as data, and node ids not at all. Each simulate, simulate_ensemble or
+observe_runs call is one kernel call, which reseeds one generator in C
+before each run; observe_runs reuses one, and the trace calls make their
+own, so trace calls from concurrent threads cannot disturb each other's
+draws.
 
 A trace keeps one row per step: the tuple of amounts of every pool,
 fixed pool and drain (a drain's amount is its cumulative total), in the
@@ -68,15 +69,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import add, itemgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .model import EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, check_gate_total, is_valid, scaled_shares
 from .util import check_number, float_sum
-
-#: Optional flow observer: called as fn(phase, src, dst, amount) for every
-#: executed transfer. Phases: "source", "gate", "consume", "produce",
-#: "drain", "clamp" (clamp has dst None; the amount is discarded).
-TransferObserver = Callable[[str, str, "str | None", int], None]
 
 
 @dataclass(frozen=True)
@@ -97,11 +93,17 @@ class SimulationTrace:
         return len(self.rows) - 1
 
     def observe(self, node_id: str, t: int) -> int:
+        column = self._column(node_id, t)
+        return self.rows[t][column]
+
+    def _column(self, node_id: str, t: int) -> int:
+        """node_id's place in a row, once t is checked to be a step of the trace."""
+        check_number("step", t, integer=True)
         if not 0 <= t <= self.length:
             raise ValueError(f"step {t} outside trace of length {self.length}")
         if node_id not in self.monitored:
             raise ValueError(f"node {node_id!r} is not monitored (not a pool or drain)")
-        return self.rows[t][self.monitored.index(node_id)]
+        return self.monitored.index(node_id)
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,8 @@ class RunEnsemble:
 
     def observe(self, node_id: str, t: int) -> list:
         """The monitored amount at step t in every run, in seed order."""
-        return [trace.observe(node_id, t) for trace in self.traces]
+        column = self.traces[0]._column(node_id, t)  # every trace has the same monitored ids and length
+        return [trace.rows[t][column] for trace in self.traces]
 
 
 def monitored_node_ids(graph: EconomyGraph) -> list:
@@ -127,13 +130,13 @@ def monitored_node_ids(graph: EconomyGraph) -> list:
     return sorted(n.id for n in graph.nodes if n.kind in kinds)
 
 
-def simulate(graph: EconomyGraph, n: int, seed: int, on_transfer: TransferObserver = None) -> SimulationTrace:
+def simulate(graph: EconomyGraph, n: int, seed: int) -> SimulationTrace:
     """Run n steps from the declared initial amounts.
 
     A pure function of (graph, n, seed): identical arguments produce an
     identical trace.
     """
-    return _traces(graph, n, 1, seed, on_transfer)[0]
+    return _traces(graph, n, 1, seed)[0]
 
 
 def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> RunEnsemble:
@@ -146,7 +149,7 @@ def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> Ru
     return RunEnsemble(graph, base_seed, _traces(graph, n, m, base_seed))
 
 
-def _traces(graph: EconomyGraph, n: int, m: int, base_seed: int, on_transfer: TransferObserver = None) -> tuple:
+def _traces(graph: EconomyGraph, n: int, m: int, base_seed: int) -> tuple:
     """The traces of n steps with seeds base_seed ... base_seed+m-1, from one
     call of the graph's trace kernel on a generator of this call's own."""
     check_number("simulation length", n, integer=True, minimum=1)
@@ -154,8 +157,7 @@ def _traces(graph: EconomyGraph, n: int, m: int, base_seed: int, on_transfer: Tr
     check_number("seed", base_seed, integer=True)
     plan = _plan_for(graph)
     topology = plan.topology
-    ev = () if on_transfer is None else (on_transfer,)
-    runs = _runs(plan, topology.kernel(True, bool(ev)), random.Random(0), n, m, base_seed, *ev)
+    runs = _runs(plan, topology.kernel(True), random.Random(0), n, m, base_seed)
     return tuple(SimulationTrace(base_seed + i, topology.monitored, rows) for i, rows in enumerate(runs))
 
 
@@ -273,8 +275,8 @@ def observe_runs(plan: _Plan, t: int, m: int, base_seed: int) -> list:
     return _runs(plan, plan.topology.kernel(False), _RNG, t, m, base_seed)
 
 
-def _runs(plan: _Plan, kernel, rng, t: int, m: int, base_seed: int, *ev) -> list:
+def _runs(plan: _Plan, kernel, rng, t: int, m: int, base_seed: int) -> list:
     """kernel's runs of plan to step t with seeds base_seed ... base_seed+m-1. A plan
     without gates draws no random numbers: it runs base_seed only, repeated m times."""
-    runs = kernel(plan.params, plan.initial, rng, range(base_seed, base_seed + (m if plan.gated else 1)), t, *ev)
+    runs = kernel(plan.params, plan.initial, rng, range(base_seed, base_seed + (m if plan.gated else 1)), t)
     return runs if plan.gated else runs * m

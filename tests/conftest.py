@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import flowtune.kernel
 from flowtune.model import EconomyGraph, Edge, Node, NodeKind
 from flowtune.fixtures import load_fixture
 
@@ -57,6 +58,20 @@ def gate_graph(w_left: float = 0.5, w_right: float = 0.5, feed: int = 1) -> Econ
             Edge("gate", "right", w_right),
         ),
     )
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Make every step kernel log each call's (runs, steps per run),
+    (len(seeds), t); returns the log."""
+    calls = []
+    real = flowtune.kernel.Topology.kernel
+
+    def counting(topology, trace):
+        kernel = real(topology, trace)
+        return lambda p, a, rng, seeds, t: calls.append((len(seeds), t)) or kernel(p, a, rng, seeds, t)
+
+    monkeypatch.setattr(flowtune.kernel.Topology, "kernel", counting)
+    return calls
 
 
 @pytest.fixture

@@ -51,6 +51,11 @@ def count_violations(graph) -> int:
     return sum(count_node_violations(graph, n.id) for n in graph.nodes)
 
 
+def weakly_connected(graph) -> bool:
+    index = {node.id: i for i, node in enumerate(graph.nodes)}
+    return _weakly_connected(len(graph.nodes), [(index[e.src], index[e.dst]) for e in graph.edges])
+
+
 def max_degree_violations(graph, node_id: str) -> int:
     """Only the max_in/max_out part of the violation count."""
     kinds = {n.id: _kind_name(n.kind) for n in graph.nodes}

@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 
 import flowtune.balancer
-import flowtune.kernel
 import flowtune.model
 import flowtune.sim
 from flowtune.generator import GeneratorConfig, generate
@@ -29,7 +28,7 @@ from flowtune.balancer import (
     prop,
 )
 
-from conftest import chain_graph
+from conftest import chain_graph, count_kernel_calls
 
 
 # --- prop ---------------------------------------------------------------------
@@ -367,14 +366,7 @@ def test_report_observations_are_what_the_balanced_graphs_simulate(case, minecra
 
 @pytest.mark.parametrize("case", ["gate-free", "gated", "gate-free-and-gated"])
 def test_work_counters_match_a_count_taken_at_the_kernel(case, minecraft, mage, archer, monkeypatch):
-    calls = []  # (runs, steps per run) of every kernel call
-    real = flowtune.kernel.Topology.kernel
-
-    def counting(topology, trace, events=False):
-        kernel = real(topology, trace, events)
-        return lambda p, a, rng, seeds, t, *ev: calls.append((len(seeds), t)) or kernel(p, a, rng, seeds, t, *ev)
-
-    monkeypatch.setattr(flowtune.kernel.Topology, "kernel", counting)
+    calls = count_kernel_calls(monkeypatch)
     if case == "gate-free":
         graphs, objective = [minecraft], objective_for_torch(alpha=0.0, value=5000, runs=4)
     elif case == "gated":

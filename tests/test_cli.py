@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import sys
@@ -65,6 +66,37 @@ def test_sim_prints_final_means_and_writes_trace(tmp_path, capsys, torch_file):
     lines = trace_path.read_text().strip().split("\n")
     assert lines[0] == "run,step,node_id,amount"
     assert "0,16,torch_pool,60" in lines
+
+
+def test_sim_prints_means_of_amounts_above_2_53_exactly(tmp_path, capsys):
+    big = 2**53 + 1  # a float holds neither it nor its multiples
+    single = write(tmp_path / "single.json", {
+        "nodes": [{"id": "s", "kind": "source"}, {"id": "p", "kind": "pool"}],
+        "edges": [{"from": "s", "to": "p", "weight": big}],
+    })
+    assert main(["sim", single, "--steps", "3"]) == 0
+    assert capsys.readouterr().out == "p: 27021597764222979.000 ± 0.000\n"
+    # a gate splits the batches, so the means over 3 runs can have thirds
+    gated = write(tmp_path / "gated.json", {
+        "nodes": [{"id": "s", "kind": "source"}, {"id": "g", "kind": "random_gate"},
+                  {"id": "left", "kind": "pool"}, {"id": "right", "kind": "pool"}],
+        "edges": [{"from": "s", "to": "g", "weight": big + 4}, {"from": "g", "to": "left", "weight": 1},
+                  {"from": "g", "to": "right", "weight": 1}],
+    })
+    trace = tmp_path / "trace.csv"
+    assert main(["sim", gated, "--steps", "4", "--runs", "3", "--seed", "2", "--trace", str(trace)]) == 0
+    finals = {}
+    for line in trace.read_text().splitlines()[1:]:
+        run, step, node_id, amount = line.split(",")
+        if step == "4":
+            finals.setdefault(node_id, []).append(int(amount))
+    means = {}
+    with decimal.localcontext(decimal.Context(prec=40)):
+        for node_id, amounts in finals.items():
+            means[node_id] = (decimal.Decimal(sum(amounts)) / len(amounts)).quantize(decimal.Decimal("0.001"))
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" ± ")[0] for line in out] == [f"{node_id}: {means[node_id]}" for node_id in ("left", "right")]
+    assert any(not str(mean).endswith(".000") for mean in means.values())
 
 
 def test_sim_multiple_runs_of_deterministic_economy_are_identical(tmp_path, torch_file):

@@ -152,9 +152,10 @@ def test_broken_rule_names_the_first_violation(minecraft):
     assert broken_rule(union) == "not weakly connected"
     assert broken_rule(minecraft) is None
     rng = random.Random(11)
-    for _ in range(300):
-        g = random_wellformed_graph(rng)
-        assert (broken_rule(g) is None) == is_valid(g)
+    graphs = [gate, wrong, crowded, union, minecraft] + [random_wellformed_graph(rng) for _ in range(300)]
+    for g in graphs:  # union breaks no node's rule, yet is invalid
+        assert is_valid(g) == (oracle.count_violations(g) == 0 and oracle.weakly_connected(g))
+    assert sum(map(is_valid, graphs)) >= 3
 
 
 def test_normalize_even_weights():

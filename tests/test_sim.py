@@ -3,7 +3,9 @@ import hashlib
 import math
 import pickle
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,7 @@ from flowtune.generator import GeneratorConfig, generate, random_node_counts
 from flowtune.util import derive_seed
 
 import oracle
-from conftest import chain_graph, gate_graph
+from conftest import chain_graph, count_kernel_calls, gate_graph
 
 
 def with_coal_cost(minecraft, x):
@@ -37,6 +39,16 @@ def test_torch_pool_grows_linearly(minecraft):
     expected = [0, 0] + [4 * (t - 1) for t in range(2, 17)]
     assert [trace.observe("torch_pool", t) for t in range(17)] == expected
     assert trace.observe("torch_pool", 16) == 60
+
+
+def test_readme_quick_example_prints_what_its_comments_say(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = next(block for block in readme.split("```python\n") if "simulate(graph, 16, seed=0)" in block)
+    example = example.split("```")[0]
+    said = [line.split("  # ", 1)[1] for line in example.splitlines() if line.startswith("print(")]
+    exec(example, {})
+    assert capsys.readouterr().out.splitlines() == said
+    assert said[0] == "60" and said[1].startswith("{'wood_pool': 0, ")
 
 
 def test_torch_pool_steps_when_coal_cost_doubles(minecraft):
@@ -125,43 +137,15 @@ def test_counts_and_seeds_must_be_integers(archer, n, m, seed):
             simulate(archer, n, seed)
 
 
-def test_an_observer_that_simulates_does_not_disturb_the_run(archer):
-    inner = gate_graph(0.5, 0.5)
-    nested = []
-
-    def simulate_inside(phase, src, dst, amount):
-        if phase == "gate":
-            nested.append(simulate(inner, 3, seed=len(nested)))
-
-    traced = simulate(archer, 40, 9, on_transfer=simulate_inside)
-    assert nested and traced == simulate(archer, 40, 9)
-
-
-def count_kernel_steps(monkeypatch) -> list:
-    """Make every step kernel log the steps each call runs, len(seeds) * t;
-    returns the log."""
-    steps = []
-    real = flowtune.kernel.Topology.kernel
-
-    def counting(topology, trace, events=False):
-        kernel = real(topology, trace, events)
-        return lambda p, a, rng, seeds, t, *ev: steps.append(len(seeds) * t) or kernel(p, a, rng, seeds, t, *ev)
-
-    monkeypatch.setattr(flowtune.kernel.Topology, "kernel", counting)
-    return steps
-
-
 def test_invalid_graph_refused(monkeypatch):
-    steps = count_kernel_steps(monkeypatch)
+    calls = count_kernel_calls(monkeypatch)
     g = EconomyGraph((Node("s", NodeKind.SOURCE), Node("p", NodeKind.POOL)), ())
     for _ in range(2):  # a refusal is not cached as a plan
         with pytest.raises(InvalidEconomyError):
             simulate(g, 1, seed=0)
         with pytest.raises(InvalidEconomyError):
-            simulate(g, 5, seed=0, on_transfer=lambda *event: None)
-        with pytest.raises(InvalidEconomyError):
             simulate_ensemble(g, 5, 3, 0)
-    assert steps == []  # refused before a single step ran
+    assert calls == []  # refused before a single step ran
     with pytest.raises(ValueError):
         simulate(chain_graph(), 0, seed=0)
 
@@ -250,16 +234,13 @@ def test_gate_staged_amounts_expire_each_step():
             Edge("mix", "out", 1),
         ),
     )
-    consumed = []
-    trace = simulate(
-        g, 20, seed=3, on_transfer=lambda phase, s, d, a: consumed.append((phase, s, d, a))
-    )
-    # the converter never fires, so nothing reaches its output pool and
-    # staged batches never pile up across steps
+    trace = simulate(g, 20, seed=3)
+    assert list(trace.snapshots) == oracle.simulate_amounts(g, 20, 3)
+    # the converter never fires, so nothing reaches its output pool, nothing
+    # leaves the hoard, and staged batches never pile up across steps
     assert all(trace.observe("out", t) == 0 for t in range(21))
-    assert not [e for e in consumed if e[0] == "consume"]
-    routed = [e for e in consumed if e[0] == "gate" and e[2] == "mix"]
-    assert routed, "expected some batches to be routed into the converter"
+    assert all(trace.observe("hoard", t) == t for t in range(21))
+    assert trace.observe("buffer", 20) < 20, "expected some batches to be routed into the converter"
 
 
 def test_converter_fed_by_two_gates_needs_both_staged():
@@ -284,15 +265,16 @@ def test_converter_fed_by_two_gates_needs_both_staged():
             Edge("mix", "out", 3),
         ),
     )
-    events = []
-    trace = simulate(g, 200, seed=9, on_transfer=lambda *e: events.append(e))
-    fires = [e for e in events if e[0] == "produce"]
-    consumes = [e for e in events if e[0] == "consume" and e[2] == "mix"]
-    # each firing consumes one staged batch from each gate edge, within the
-    # step the batches arrived; batches never pile up across steps
-    assert len(consumes) == 2 * len(fires)
-    assert all(amount == 1 for _, _, _, amount in consumes)
-    assert trace.observe("out", 200) == 3 * len(fires) == 117
+    trace = simulate(g, 200, seed=9)
+    assert list(trace.snapshots) == oracle.simulate_amounts(g, 200, 9)
+    # mix fires in exactly the steps both gates route their batch into it,
+    # neither into its pool: batches staged in other steps never pile up
+    fires = 0
+    for before, after in zip(trace.snapshots, trace.snapshots[1:]):
+        both_staged = after["pa"] == before["pa"] and after["pb"] == before["pb"]
+        assert after["out"] - before["out"] == (3 if both_staged else 0)
+        fires += both_staged
+    assert trace.observe("out", 200) == 3 * fires == 117
 
 
 def test_gate_into_fixed_pool_still_clamps():
@@ -318,30 +300,7 @@ def test_gate_into_fixed_pool_still_clamps():
     assert trace.observe("sink", 50) > 0
 
 
-@pytest.mark.parametrize(
-    "graph", [load_fixture("minecraft_torch"), load_fixture("archer"), chain_graph()], ids=["torch", "archer", "chain"]
-)
-def test_pool_accounting_ledger(graph):
-    flows = []
-    trace = simulate(graph, 12, seed=0, on_transfer=lambda phase, s, d, a: flows.append((phase, s, d, a)))
-    # replay the ledger and compare with the recorded snapshots
-    drains = {node.id for node in graph.nodes if node.kind is NodeKind.DRAIN}
-    balances = {k: v for k, v in trace.snapshots[0].items() if k not in drains}
-    totals = {k: v for k, v in trace.snapshots[0].items() if k in drains}
-    for phase, src, dst, amount in flows:
-        if dst in balances:
-            balances[dst] += amount
-        if src in balances and phase in ("consume", "drain"):
-            balances[src] -= amount
-        if phase == "clamp":
-            balances[src] -= amount
-        if dst in totals and phase == "drain":
-            totals[dst] += amount
-    assert {**balances, **totals} == trace.snapshots[-1]
-    assert sorted(trace.snapshots[-1]) == monitored_node_ids(graph)
-
-
-def transfer_stream_economies() -> list:
+def gated_economies() -> list:
     """The three fixtures and 30 generated economies with random gates."""
     economies = [load_fixture(name) for name in ("minecraft_torch", "mage", "archer")]
     rng = random.Random(31)
@@ -357,28 +316,12 @@ def transfer_stream_economies() -> list:
     return economies
 
 
-#: SHA-256 of every on_transfer event (phase, src, dst, amount), in order,
-#: of transfer_stream_economies() at 20 steps and seeds 0-2.
-PINNED_TRANSFER_STREAM = "017db389da30f9917e31cf1d8755cae106a023960bd7c002c057f2e86f28c069"
-
-
-def test_transfer_event_stream_matches_pinned_digest():
-    digest = hashlib.sha256()
-    for index, graph in enumerate(transfer_stream_economies()):
-        for seed in range(3):
-            events = []
-            simulate(graph, 20, seed, on_transfer=lambda *event: events.append(event))
-            digest.update(f"{index} {seed}\n".encode())
-            digest.update("".join(f"{event!r}\n" for event in events).encode())
-    assert digest.hexdigest() == PINNED_TRANSFER_STREAM
-
-
 #: Node ids that would break, or run, kernel source that spliced them in.
 HOSTILE_IDS = ['say "hi"', "it's", "back\\slash", "line\nbreak", '__import__("os").system("x")', "lambda", "ñandú 火"]
 
 
 def test_hostile_node_ids_enter_kernels_as_data():
-    for graph in transfer_stream_economies()[:12]:
+    for graph in gated_economies()[:12]:
         count = len(graph.nodes)
         hostile = HOSTILE_IDS + [f"{HOSTILE_IDS[i % 7]} {i}" for i in range(7, count)]
         # the same id order as the plain ids, so sources and converters run in the same order
@@ -388,12 +331,9 @@ def test_hostile_node_ids_enter_kernels_as_data():
             tuple(Edge(names[e.src], names[e.dst], e.weight, e.static) for e in graph.edges),
         )
         for seed in range(3):
-            plain_events, twin_events = [], []
-            plain = simulate(graph, 15, seed, on_transfer=lambda *event: plain_events.append(event))
-            got = simulate(twin, 15, seed, on_transfer=lambda *event: twin_events.append(event))
+            plain = simulate(graph, 15, seed)
+            got = simulate(twin, 15, seed)
             assert list(got.snapshots) == [{names[k]: v for k, v in s.items()} for s in plain.snapshots]
-            assert twin_events == [(p, names[s], names.get(d), a) for p, s, d, a in plain_events]
-            assert simulate(twin, 15, seed) == got
         ensemble = simulate_ensemble(twin, 15, 3, 5)
         assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble)
         plain_plan = compile_plan(graph, [e.weight for e in graph.edges])
@@ -401,30 +341,30 @@ def test_hostile_node_ids_enter_kernels_as_data():
         plain = [dict(zip(plain_plan.topology.monitored, run)) for run in observe_runs(plain_plan, 9, 3, 5)]
         got = [dict(zip(twin_plan.topology.monitored, run)) for run in observe_runs(twin_plan, 9, 3, 5)]
         assert got == [{names[k]: v for k, v in run.items()} for run in plain]
-        for trace, events in ((False, False), (True, False), (True, True)):
-            source = twin_plan.topology.source(trace, events)
+        for trace in (False, True):
+            source = twin_plan.topology.source(trace)
             assert not set("'\"\\") & set(source)
             assert not any(node.id in source for node in twin.nodes)
+            # nor does any id reach a kernel's namespace
+            namespace = twin_plan.topology.kernel(trace).__globals__
+            assert set(namespace) == {"__builtins__", "range", "reseed"} and namespace["__builtins__"] == {}
 
 
-#: SHA-256 of the trace sources, Topology(graph).source(True, events), events False
-#: then True, over transfer_stream_economies() and oracle_economies(30, random.Random(5)).
-PINNED_KERNEL_SOURCE = "8b4df887c00429e6416482f3fdfb4908950cdff73150e0b23360c72cb1dc058e"
+#: SHA-256 of the trace sources, Topology(graph).source(True), over
+#: gated_economies() and oracle_economies(30, random.Random(5)).
+PINNED_KERNEL_SOURCE = "eb3e278fceee9e5203572efd7c4b0988a43c0f7a110bf2e87b0249105d89b99b"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
 PINNED_MANY_SEED_SOURCE = "f8d43c9aaf7cea041a35ead2daac78cbea9f1dc8840870bc56b95c8b4fb3ebcb"
 
 
 def test_emitted_kernel_source_matches_pinned_digest():
     digest, many_seed = hashlib.sha256(), hashlib.sha256()
-    for graph in transfer_stream_economies() + oracle_economies(30, random.Random(5)):
+    for graph in gated_economies() + oracle_economies(30, random.Random(5)):
         topology = flowtune.kernel.Topology(graph)
-        for events in (False, True):
-            digest.update(topology.source(True, events).encode())
+        digest.update(topology.source(True).encode())
         many_seed.update(topology.source(False).encode())
     assert digest.hexdigest() == PINNED_KERNEL_SOURCE
     assert many_seed.hexdigest() == PINNED_MANY_SEED_SOURCE
-    with pytest.raises(ValueError):
-        topology.source(False, True)
 
 
 def test_reseeding_in_c_draws_what_a_new_generator_draws():
@@ -592,6 +532,23 @@ def test_observe_errors(minecraft):
                 observe("torch_pool", t)
         with pytest.raises(ValueError, match=r"^node 'wood_source' is not monitored \(not a pool or drain\)$"):
             observe("wood_source", 1)
+        for t in (True, 2.0, "1", None):  # not steps, though True indexes row 1
+            with pytest.raises(ValueError, match=f"^step must be an integer, got {re.escape(repr(t))}$"):
+                observe("torch_pool", t)
+
+
+def test_ensemble_observe_checks_the_step_once(minecraft, monkeypatch):
+    ensemble = simulate_ensemble(minecraft, 3, 5, 0)
+    checks = []
+    real = flowtune.sim.check_number
+
+    def counting(name, *args, **kwargs):
+        checks.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(flowtune.sim, "check_number", counting)
+    assert ensemble.observe("torch_pool", 3) == [8] * 5
+    assert checks == ["step"]
 
 
 def oracle_economies(count: int, rng: random.Random) -> list:
@@ -700,8 +657,8 @@ def test_converter_passes_repeat_only_after_a_back_feeder(name):
     back_feeders = oracle.back_feeders(graph)
     assert is_valid(graph) and bool(back_feeders) is looping
     plan = compile_plan(graph, [e.weight for e in graph.edges])
-    for form in ((False, False), (True, False), (True, True)):
-        source = plan.topology.source(*form)
+    for trace in (False, True):
+        source = plan.topology.source(trace)
         assert ("while" in source) is looping
         # a converter that feeds none before it asks for no further pass
         assert source.count("fired = 0, 1") == len(back_feeders)
@@ -716,7 +673,7 @@ def test_converter_passes_repeat_only_after_a_back_feeder(name):
 
 
 def test_kernels_loop_exactly_when_a_back_feeder_exists():
-    economies = transfer_stream_economies() + oracle_economies(150, random.Random(19))
+    economies = gated_economies() + oracle_economies(150, random.Random(19))
     looping = 0
     for index, graph in enumerate(economies):
         source = flowtune.kernel.Topology(graph).source(False)
@@ -725,7 +682,7 @@ def test_kernels_loop_exactly_when_a_back_feeder_exists():
     assert 20 <= looping <= len(economies) - 20  # both kinds of kernel are reached
     for name in ("minecraft_torch", "mage", "archer"):  # the fixtures run one pass
         topology = flowtune.kernel.Topology(load_fixture(name))
-        assert not any("while" in topology.source(*form) for form in ((False, False), (True, False), (True, True)))
+        assert not any("while" in topology.source(trace) for trace in (False, True))
 
 
 @pytest.mark.parametrize("name, gated", [("minecraft_torch", False), ("mage", False), ("archer", True)])
@@ -734,12 +691,12 @@ def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
     plan = compile_plan(graph, [e.weight for e in graph.edges])
     assert plan.gated is gated
     t, n, m, base_seed = 7, 9, 4, 21
-    steps = count_kernel_steps(monkeypatch)
+    calls = count_kernel_calls(monkeypatch)
     observed = observe_runs(plan, t, m, base_seed)
-    assert steps == [m * t if gated else t]
-    del steps[:]
+    assert calls == [(m if gated else 1, t)]
+    del calls[:]
     ensemble = simulate_ensemble(graph, n, m, base_seed)
-    assert steps == [m * n if gated else n]  # one kernel call
+    assert calls == [(m if gated else 1, n)]  # one kernel call
 
     singles = [simulate(graph, n, base_seed + r) for r in range(m)]
     assert ensemble.traces == tuple(singles)  # run_seed included
