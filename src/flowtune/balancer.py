@@ -17,10 +17,26 @@ and are normalized per gate when compiled into a step plan or written
 into a graph; all other genes are positive integers ("amount genes").
 
 balance checks each input economy once, then measures a genome on one
-step plan per economy run to the observed step, building no graph. The
-report's observations are that measurement of the best genome under
-seeds of their own; the balanced graphs carry the measured weights, so
-simulating them reproduces it. sim_length only bounds observe_step.
+step plan per economy run to the observed step, building no graph: each
+economy's topology turns the genome's slice of weights into the plan's
+params (kernel.Topology.params_form), and its observe kernel yields the
+runs one by one. The report's observations are that measurement of the
+best genome under seeds of their own; the balanced graphs carry the
+measured weights, so simulating them reproduces it. sim_length only
+bounds observe_step.
+
+Each generation races its candidates. A candidate's proportions are
+summed left to right as its runs are read; after run k of m, with sum S,
+it is abandoned, and its remaining runs are never simulated, once
+S + (m - k) < (c - RACE_MARGIN) * m, where c is the worst parent's mean.
+Every proportion is at most 1, so its mean would be below c. The cut is
+exact: all population_size parents are among the candidates, with means
+of at least c, and ahead of every new candidate, and the sort is stable,
+so even a candidate whose mean equals c could not survive truncation.
+An abandoned genome's mean is cached as ABANDONED, below every real
+mean, so it never becomes a parent and is never reported. Parents are
+kept, so c never falls from one generation to the next: a genome
+abandoned once would be cut again whenever it reappears.
 """
 
 from __future__ import annotations
@@ -29,14 +45,24 @@ import random
 import statistics
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import repeat
+from operator import itemgetter
 from typing import Sequence, Union
 
 from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, gate_shares, is_valid
-from .sim import compile_plan, monitored_node_ids, observe_runs
-from .util import check_number, derive_seed, float_sum
+from .sim import monitored_node_ids, observe_stream, topology_of, weights_plan
+from .util import check_number, derive_seed
 
 #: A genome reaching this fitness is balanced and stops the search.
 BALANCED_FITNESS = 1.0
+
+#: The mean cached for a genome abandoned by the race: below every real mean
+#: (a mean proportion is >= 0), so such a genome never becomes a parent.
+ABANDONED = -1.0
+
+#: How far below the worst parent's mean a candidate's best possible mean
+#: must fall to be abandoned; float rounding in the sum is far smaller.
+RACE_MARGIN = 1e-9
 
 #: Largest step of one mutation: a whole count for an amount gene, a real
 #: for a probability gene.
@@ -134,7 +160,19 @@ def fitness(observed: Sequence, reference: Sequence, alpha: float) -> float:
     """
     if len(observed) != len(reference):
         raise ValueError("observations and references must pair up run by run")
-    return alpha + float_sum(prop(x, y) for x, y in zip(observed, reference)) / len(observed)
+    total = 0
+    for total in prop_sums(zip(observed, reference)):
+        pass
+    return alpha + total / len(observed)
+
+
+def prop_sums(pairs):
+    """The running left-to-right sums of prop over the (x, y) pairs: the one
+    summation of fitness, read after each run by balance's racing."""
+    total = 0
+    for x, y in pairs:
+        total += prop(x, y)
+        yield total
 
 
 # --- genomes ------------------------------------------------------------------
@@ -162,6 +200,7 @@ class GenomeLayout:
             spans.append((start, len(genes)))
         self.genes = tuple(genes)
         self.spans = tuple(spans)
+        self.topologies = tuple(map(topology_of, self.graphs))
         self.mutable = tuple(i for i, g in enumerate(genes) if not g.static)
 
     def declared_genome(self) -> tuple:
@@ -186,8 +225,11 @@ class GenomeLayout:
         )
 
     def plans(self, genome: tuple) -> tuple:
-        """One step plan per graph for the genome's weights; no graph is built."""
-        return tuple(compile_plan(graph, genome, start, True) for (start, _), graph in zip(self.spans, self.graphs))
+        """One step plan per graph for the genome's weights, from each topology's
+        params form; no graph is built."""
+        return tuple(
+            weights_plan(topology, genome[start:end]) for (start, end), topology in zip(self.spans, self.topologies)
+        )
 
 
 def clamp_positive(value: float, probability: bool) -> float:
@@ -275,7 +317,8 @@ class BalanceReport:
     included, and are neither compared nor written out: evaluations are the
     distinct weight vectors measured for fitness, cache_hits the fitness
     lookups answered without a measurement, runs the kernel runs simulated
-    (a gate-free economy is run once per measurement) and steps their steps.
+    (a gate-free economy is run once per measurement), steps their steps,
+    and pruned_runs the runs of gated economies that the race skipped.
     """
 
     best_weights: tuple
@@ -287,6 +330,7 @@ class BalanceReport:
     cache_hits: int = field(compare=False)
     runs: int = field(compare=False)
     steps: int = field(compare=False)
+    pruned_runs: int = field(compare=False)
 
     @property
     def history(self) -> tuple:
@@ -401,34 +445,53 @@ def balance(
 
     layout = GenomeLayout(graphs)
     # each observed pool's position in its economy's run tuples
-    monitored = [plan.topology.monitored for plan in layout.plans(layout.declared_genome())]
-    positions = [(index, monitored[index].index(pool)) for index, pool in observed]
+    positions = [(index, layout.topologies[index].monitored.index(pool)) for index, pool in observed]
+    m = objective.runs
     rng = random.Random(params.seed)
     means = {}
-    cache_hits = runs_simulated = 0
+    cache_hits = runs_simulated = pruned_runs = 0
+    floor = -m  # abandon nothing before the first population is ranked: no sum is below it
 
-    def observe(genome: tuple, *tag) -> list:
-        """Per observed pool, its amount at observe_step in each run; economy i
-        is run once, with seeds from derive_seed(params.seed, *tag, i, genome)
-        if it has gates (a gate-free economy reads no seed, so none is derived)."""
-        nonlocal runs_simulated
-        runs = []
-        for i, plan in enumerate(layout.plans(genome)):
-            seed = derive_seed(params.seed, *tag, i, genome) if plan.gated else 0
-            runs.append(observe_runs(plan, objective.observe_step, objective.runs, seed))
-            runs_simulated += objective.runs if plan.gated else 1
-        return [[run[k] for run in runs[index]] for index, k in positions]
+    # a run read from a gated economy is simulated then; a gate-free one is run once per measurement
+    gated = sum(bool(topology.gates) for topology in layout.topologies)
+    gate_free = len(graphs) - gated
+
+    def streams(genome: tuple, *tag) -> list:
+        """Per economy i, an iterator over its m runs to observe_step, with
+        seeds from derive_seed(params.seed, *tag, i, genome) if it has gates
+        (a gate-free economy reads no seed, so none is derived)."""
+        step = objective.observe_step
+        return [
+            observe_stream(plan, step, m, derive_seed(params.seed, *tag, i, genome) if plan.gated else 0)
+            for i, plan in enumerate(layout.plans(genome))
+        ]
+
+    def pairs(runs: list):
+        """The (observed, reference) amounts of each run, read run by run."""
+        (first, x), *second = positions
+        if objective.kind is ObjectiveKind.ABSOLUTE:
+            return zip(map(itemgetter(x), runs[first]), repeat(objective.target_value))
+        ((other, y),) = second
+        if other == first:  # intra_pair: both pools from the one stream's run
+            return map(itemgetter(x, y), runs[first])
+        return zip(map(itemgetter(x), runs[first]), map(itemgetter(y), runs[other]))
 
     def mean(genome: tuple) -> float:
-        """The genome's mean proportion; equal tuples share the first one's."""
-        nonlocal cache_hits
+        """The genome's mean proportion; equal tuples share the first one's.
+        A genome abandoned by the race gets ABANDONED (see the module docstring)."""
+        nonlocal cache_hits, runs_simulated, pruned_runs
         if genome in means:
             cache_hits += 1
+            return means[genome]
+        read = total = 0
+        for read, total in enumerate(prop_sums(pairs(streams(genome))), 1):
+            if total + (m - read) < floor:
+                means[genome] = ABANDONED
+                break
         else:
-            values = observe(genome)
-            if objective.kind is ObjectiveKind.ABSOLUTE:
-                values.append([objective.target_value] * objective.runs)
-            means[genome] = fitness(values[0], values[1], 0.0)
+            means[genome] = total / m
+        runs_simulated += gated * read + gate_free
+        pruned_runs += gated * (m - read)
         return means[genome]
 
     population = [layout.declared_genome()]
@@ -439,6 +502,8 @@ def balance(
     for _ in range(params.max_generations):
         if objective.alpha + best_means[-1] >= BALANCED_FITNESS:
             break
+        # a candidate whose mean cannot exceed the worst parent's cannot survive
+        floor = (means[population[-1]] - RACE_MARGIN) * m
         order = list(range(len(population)))
         rng.shuffle(order)
         candidates = list(population)
@@ -451,18 +516,21 @@ def balance(
         best_means.append(mean(population[0]))
 
     best = population[0]
-    observations = tuple(
-        ObservationStats(index, pool, statistics.fmean(values), statistics.pstdev(values), len(values))
-        for (index, pool), values in zip(observed, observe(best, "report"))
-    )
+    runs = [list(economy_runs) for economy_runs in streams(best, "report")]
+    runs_simulated += gated * m + gate_free
+    observations = []
+    for (index, pool), (_, k) in zip(observed, positions):
+        values = [run[k] for run in runs[index]]
+        observations.append(ObservationStats(index, pool, statistics.fmean(values), statistics.pstdev(values), m))
     return BalanceReport(
         best_weights=best,
         alpha=objective.alpha,
         means=tuple(best_means),
-        observations=observations,
+        observations=tuple(observations),
         balanced_graphs=layout.apply(best),
         evaluations=len(means),
         cache_hits=cache_hits,
         runs=runs_simulated,
         steps=runs_simulated * objective.observe_step,
+        pruned_runs=pruned_runs,
     )

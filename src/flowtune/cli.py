@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import statistics
 import sys
 import time
@@ -199,7 +200,7 @@ def _cmd_sim(args) -> int:
     if not args.quiet:
         for node_id in monitored_node_ids(graph):
             final = ensemble.observe(node_id, args.steps)
-            print(f"{node_id}: {_mean_text(final)} ± {statistics.pstdev(final):.3f}")
+            print(f"{node_id}: {_mean_text(final)} ± {_stddev_text(final)}")
     return EXIT_OK
 
 
@@ -209,6 +210,21 @@ def _mean_text(amounts: list) -> str:
     if max(amounts) <= 2**53:
         return f"{statistics.fmean(amounts):.3f}"
     thousandths = round(Fraction(1000 * sum(amounts), len(amounts)))  # ties to even, as float formatting
+    return f"{thousandths // 1000}.{thousandths % 1000:03d}"
+
+
+def _stddev_text(amounts: list) -> str:
+    """The population standard deviation of whole amounts to 3 decimals,
+    exact even where a float cannot hold an amount (above 2**53)."""
+    if max(amounts) <= 2**53:
+        return f"{statistics.pstdev(amounts):.3f}"
+    n = len(amounts)
+    # 10**6 times the variance; its square root is the deviation in thousandths
+    scaled = Fraction(10**6 * (n * sum(a * a for a in amounts) - sum(amounts) ** 2), n * n)
+    thousandths = math.isqrt(scaled.numerator // scaled.denominator)  # the root, rounded down
+    twice = 2 * thousandths + 1  # the root is above thousandths + 1/2 iff 4 * scaled > twice**2
+    if 4 * scaled > twice * twice or (4 * scaled == twice * twice and thousandths % 2):
+        thousandths += 1  # ties to even, as float formatting
     return f"{thousandths // 1000}.{thousandths % 1000:03d}"
 
 

@@ -4,12 +4,15 @@ A kernel is Python source, generated from a graph's node kinds and edges,
 that runs t steps, straight-line, on local variables, with the phases and
 draws the sim docstring states, once per seed of a list, reseeding one
 generator in C before each run. The emitter writes two forms of it, both
-with the one signature kernel(p, a, rng, seeds, t): the observe form
-returns each run's final amounts, the trace form each run's amounts after
-every step. The source names node k's amount nk, edge e's amount we, the
-batch staged on gate edge e se, gate k's share bounds bk_j and fixed pool
-k's cap ck. Weights enter only as data (a plan's params), and no node id
-reaches a kernel at all, so no id a document holds can change what runs.
+with the one signature kernel(p, a, rng, seeds, t): the observe form is a
+generator that yields each run's final amounts once the run ends, the
+trace form returns each run's amounts after every step. The source names
+node k's amount nk, edge e's amount we, the batch staged on gate edge e
+se, gate k's share bounds bk_j and fixed pool k's cap ck. Weights enter
+only as data (a plan's params), and no node id reaches a kernel at all,
+so no id a document holds can change what runs. A third emitted form,
+params(w), turns one economy's slice of a balancer genome into a plan's
+params and initial amounts (Topology.params_form); it too holds no id.
 The adjacency the emitter walks is the graph's own (see model); this
 module builds none. sim imports this module with the first topology it
 compiles, not with the package.
@@ -33,8 +36,9 @@ therefore leaves a next pass nothing to fire.
 """
 
 import _random
+import sys
 
-from .model import EconomyGraph, NodeKind
+from .model import GATE_WEIGHT_TOLERANCE, EconomyGraph, NodeKind, check_gate_total
 
 
 class Topology:
@@ -85,18 +89,80 @@ class Topology:
         """The step kernel of one form, compiled on first use.
 
         kernel(params, initial, rng, seeds, t) runs t steps from initial once
-        per seed, reseeding rng with the seed first, and returns a list of one
-        run per seed: with trace, the tuple of its rows, the tuples of the
-        amounts of self.monitored at steps 0 ... t; without, the tuple of
-        those amounts at step t. A topology without gates draws nothing, so
-        its kernels never reseed.
+        per seed, reseeding rng with the seed first. With trace, it returns a
+        list of one run per seed, the tuple of its rows: the tuples of the
+        amounts of self.monitored at steps 0 ... t. Without, it is a generator
+        that yields each run's tuple of those amounts at step t as soon as the
+        run ends, so a caller that stops reading runs no further seed. A
+        topology without gates draws nothing, so its kernels never reseed.
         """
         kernel = self._kernels.get(trace)
         if kernel is None:
-            namespace = {"__builtins__": {}, "range": range, "reseed": _random.Random.seed}
-            exec(compile(self.source(trace), "<flowtune step kernel>", "exec"), namespace)
-            kernel = self._kernels[trace] = namespace.pop("kernel")  # no cycle through its globals
+            namespace = {"range": range, "reseed": _random.Random.seed}
+            kernel = self._kernels[trace] = self._compile(self.source(trace), "kernel", namespace)
         return kernel
+
+    def params_form(self):
+        """params(w) -> (params, initial), compiled on first use: the kernel
+        data of this topology's edges carrying the weights w, one per edge,
+        with each gate's weights first scaled as model.gate_shares scales them.
+
+        It computes what sim.compile_plan computes of the graph those scaled
+        weights write, in the same float operations and order: int() of each
+        amount weight; per gate, the left-to-right total, scaled_shares'
+        tolerance test and division, the total again, and the running share
+        bounds; each fixed pool's cap, and the initial amounts clamped to it.
+        A gate total that is not a finite positive number raises
+        GateNormalizationError naming the gate, as check_gate_total does.
+        """
+        form = self._kernels.get("params")
+        if form is None:
+            gates, ids = self.gates, self.ids
+
+            def gate_total(j, total):  # the checked total of gates[j], or its error
+                return check_gate_total(ids[gates[j]], total)
+
+            namespace = {"int": int, "max": max, "gate_total": gate_total, "a": self.initial}
+            form = self._kernels["params"] = self._compile(self.params_source(), "params", namespace)
+        return form
+
+    @staticmethod
+    def _compile(source: str, name: str, namespace: dict):
+        """The function source defines as name, run with no builtins but namespace."""
+        namespace["__builtins__"] = {}
+        exec(compile(source, f"<flowtune {name} form>", "exec"), namespace)
+        return namespace.pop(name)  # no cycle through its globals
+
+    def params_source(self) -> str:
+        """The params form's Python source (see params_form)."""
+        out = self.out
+        lines = ["def params(w):", f"    ({''.join(f'w{e}, ' for e in range(len(self.ends)))}) = w"]
+        for j, k in enumerate(self.gates):
+            total = " + ".join(f"w{e}" for e in out[k]) or "0"
+            # a total that passes this test passes check_gate_total; one that fails it is checked there
+            check = f"if not 0 < t <= {sys.float_info.max!r}: t = gate_total({j}, t)"
+            lines += [f"    t = {total}", f"    {check}"]
+            lines.append(f"    if not {-GATE_WEIGHT_TOLERANCE!r} <= t - 1.0 <= {GATE_WEIGHT_TOLERANCE!r}:")
+            lines += [f"        w{e} = w{e} / t" for e in out[k]]
+            lines += [f"        t = {total}", f"        {check}"]
+            bound = ""
+            for i, e in enumerate(out[k][:-1]):
+                lines.append(f"    b{k}_{i} = {bound}w{e} / t")
+                bound = f"b{k}_{i} + "
+        for k in self.caps:
+            amounts = ", ".join(f"int(w{e})" for e in out[k])
+            lines.append(f"    c{k} = {f'max({amounts})' if len(out[k]) > 1 else amounts}")
+        params = [f"int(w{e})" for e in self.amount_edges]
+        params += [f"b{k}_{i}" for k in self.gates for i in range(len(out[k]) - 1)]
+        params += [f"c{k}" for k in self.caps]
+        initial = "a"
+        if self.caps:
+            amounts = [repr(amount) for amount in self.initial]
+            for slot, k in zip(self.cap_slots, self.caps):
+                amounts[slot] = f"c{k} if {amounts[slot]} > c{k} else {amounts[slot]}"
+            initial = f"({''.join(f'{amount}, ' for amount in amounts)})"
+        lines.append(f"    return ({''.join(f'{param}, ' for param in params)}), {initial}")
+        return "\n".join(lines) + "\n"
 
     def source(self, trace: bool) -> str:
         """The kernel's Python source; with trace, it keeps every step's amounts."""
@@ -134,7 +200,8 @@ class Topology:
         put(0, "def kernel(p, a, rng, seeds, t):")
         put(1, f"({''.join(f'{name}, ' for name in params)}) = p")
         # one run per seed on the one generator; a gate-free run draws nothing
-        put(1, "runs = []")
+        if trace:
+            put(1, "runs = []")
         if self.gates:
             put(1, "draw = rng.random")
         put(1, "for seed in seeds:")
@@ -189,7 +256,7 @@ class Topology:
         if trace:
             put(step, f"run.append(({held}))")
             put(2, "runs.append((*run,))")
-        else:
-            put(2, f"runs.append(({held}))")
-        put(1, "return runs")
+            put(1, "return runs")
+        else:  # a run is read as soon as it ends, and the next one is only run if it is asked for
+            put(2, f"yield ({held})")
         return "\n".join(lines) + "\n"

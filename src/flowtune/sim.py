@@ -40,11 +40,11 @@ tuple).
 
 Steps run in kernels generated per topology (flowtune.kernel), compiled
 once per graph object, on first use, and cached there; weights enter them
-as data, and node ids not at all. Each simulate, simulate_ensemble or
-observe_runs call is one kernel call, which reseeds one generator in C
-before each run; observe_runs reuses one, and the trace calls make their
-own, so trace calls from concurrent threads cannot disturb each other's
-draws.
+as data, and node ids not at all. Each simulate, simulate_ensemble,
+observe_runs or observe_stream call is one kernel call, which reseeds one
+generator in C before each run; the observe calls reuse one, and the
+trace calls make their own, so trace calls from concurrent threads cannot
+disturb each other's draws.
 
 A trace keeps one row per step: the tuple of amounts of every pool,
 fixed pool and drain (a drain's amount is its cumulative total), in the
@@ -53,13 +53,15 @@ builds the dict form, node id -> amount, only when its snapshots are
 read, and observe and ensemble_to_csv read the rows by position.
 
 simulate and simulate_ensemble check a graph's connection rules once,
-when it is first simulated, and cache its step plan on it; later runs of
-the same graph skip both. ensemble_to_csv writes their traces as a table.
-The balancer instead compiles a plan per candidate weight vector and
-economy from its genome layout (compile_plan: the graph's topology with
-that vector's flat params) and runs it only to the observed step
-(observe_runs), building no graph and keeping each run's amounts at that
-step only, as one tuple in monitored order.
+when it is first simulated, and cache its step plan (compile_plan) on
+it; later runs of the same graph skip both. ensemble_to_csv writes their
+traces as a table. The balancer instead makes a plan per candidate
+weight vector and economy with the topology's emitted params form, and
+runs it only to the observed step (observe_stream), building no graph
+and keeping each run's amounts at that step only, as one tuple in
+monitored order. The observe kernel yields the runs one at a time, each
+after its own reseed, so a reader that stops early simulates no further
+run, and the runs of two streams may be read in turn.
 """
 
 from __future__ import annotations
@@ -67,11 +69,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
-from .model import EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, check_gate_total, is_valid, scaled_shares
+from .model import EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, check_gate_total, is_valid
 from .util import check_number, float_sum
 
 
@@ -220,36 +222,38 @@ def _plan_for(graph: EconomyGraph) -> _Plan:
     return cached
 
 
-def compile_plan(graph: EconomyGraph, weights, start: int = 0, scale: bool = False) -> _Plan:
-    """Step plan of the graph with edge e carrying weights[start + e].
-
-    Amount weights are whole counts >= 0: the kernel's rule for when to
-    repeat a converter pass is exact only then (see flowtune.kernel). Every
-    caller's are positive: a graph's are checked, the balancer's genes are
-    clamped. Gate weights are routing shares: each gate's must sum to a
-    finite positive number, and are divided by that sum. With scale, they
-    are first scaled as model.gate_shares scales them, so a genome's raw
-    gate genes run as the graph that genome writes. The graph's own
-    weights are ignored, and its validity is not checked. Its topology is
-    compiled once and cached on it.
-    """
+def topology_of(graph: EconomyGraph) -> "Topology":
+    """The graph's compiled topology, built on first use and cached on it;
+    its validity is not checked."""
     topology = getattr(graph, "_sim_topology", None)
     if topology is None:
         from .kernel import Topology  # the emitter loads with the first topology, not with flowtune
 
         topology = Topology(graph)
         object.__setattr__(graph, "_sim_topology", topology)
-    params = [int(weights[start + e]) for e in topology.amount_edges]
+    return topology
+
+
+def compile_plan(graph: EconomyGraph, weights) -> _Plan:
+    """Step plan of the graph with edge e carrying weights[e].
+
+    Amount weights are whole counts >= 0: the kernel's rule for when to
+    repeat a converter pass is exact only then (see flowtune.kernel). Every
+    caller's are positive: a graph's are checked. Gate weights are routing
+    shares: each gate's must sum to a finite positive number, and are
+    divided by that sum. The graph's own weights are ignored, and its
+    validity is not checked. A balancer genome's plan is weights_plan's.
+    """
+    topology = topology_of(graph)
+    params = [int(weights[e]) for e in topology.amount_edges]
     for k in topology.gates:
-        shares = [weights[start + e] for e in topology.out[k]]
-        if scale:
-            shares = scaled_shares(topology.ids[k], shares)
+        shares = [weights[e] for e in topology.out[k]]
         total = float(check_gate_total(topology.ids[k], float_sum(shares)))
         # running share sums; the last edge takes every draw above them (its sum counts as 1.0)
         params += list(accumulate(w / total for w in shares))[:-1]
     initial = topology.initial
     if topology.caps:  # each fixed pool starts clamped to its cap
-        caps = [max([int(weights[start + e]) for e in topology.out[k]]) for k in topology.caps]
+        caps = [max([int(weights[e]) for e in topology.out[k]]) for k in topology.caps]
         params += caps
         initial = list(initial)
         for slot, cap in zip(topology.cap_slots, caps):
@@ -259,8 +263,15 @@ def compile_plan(graph: EconomyGraph, weights, start: int = 0, scale: bool = Fal
     return _Plan(topology, tuple(params), initial, bool(topology.gates))
 
 
-#: The generator every observe_runs run draws from. Each run reseeds it first,
-#: so no state carries over between calls; it is not for concurrent threads.
+def weights_plan(topology: "Topology", weights) -> _Plan:
+    """Step plan of topology's edge e carrying weights[e], gate weights first
+    scaled as a written economy holds them (kernel.Topology.params_form)."""
+    return _Plan(topology, *topology.params_form()(weights), bool(topology.gates))
+
+
+#: The generator every observe run draws from. Each run reseeds it first, so
+#: no state carries over between runs, and the runs of two observe streams
+#: may interleave; it is not for concurrent threads.
 _RNG = random.Random(0)
 
 
@@ -272,11 +283,20 @@ def observe_runs(plan: _Plan, t: int, m: int, base_seed: int) -> list:
     longer run with the same seed. All runs are one call of the topology's
     observe kernel, on one generator reseeded in C before each run.
     """
+    return list(observe_stream(plan, t, m, base_seed))
+
+
+def observe_stream(plan: _Plan, t: int, m: int, base_seed: int):
+    """observe_runs' runs as an iterator: a gated plan's run i is simulated
+    when it is read, so runs a reader does not read are never simulated."""
     return _runs(plan, plan.topology.kernel(False), _RNG, t, m, base_seed)
 
 
-def _runs(plan: _Plan, kernel, rng, t: int, m: int, base_seed: int) -> list:
-    """kernel's runs of plan to step t with seeds base_seed ... base_seed+m-1. A plan
-    without gates draws no random numbers: it runs base_seed only, repeated m times."""
-    runs = kernel(plan.params, plan.initial, rng, range(base_seed, base_seed + (m if plan.gated else 1)), t)
-    return runs if plan.gated else runs * m
+def _runs(plan: _Plan, kernel, rng, t: int, m: int, base_seed: int):
+    """An iterator over kernel's runs of plan to step t with seeds base_seed ...
+    base_seed+m-1. A plan without gates draws no random numbers: it runs
+    base_seed only, at once, and that run is repeated m times."""
+    if plan.gated:
+        return iter(kernel(plan.params, plan.initial, rng, range(base_seed, base_seed + m), t))
+    (run,) = kernel(plan.params, plan.initial, rng, (base_seed,), t)
+    return repeat(run, m)

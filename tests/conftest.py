@@ -61,14 +61,24 @@ def gate_graph(w_left: float = 0.5, w_right: float = 0.5, feed: int = 1) -> Econ
 
 
 def count_kernel_calls(monkeypatch) -> list:
-    """Make every step kernel log each call's (runs, steps per run),
-    (len(seeds), t); returns the log."""
+    """Make every step kernel log each call as [runs asked for, runs it
+    yielded, steps per run]: [len(seeds), runs read, t]; returns the log. An
+    observe kernel runs a seed only when its run is read, so a reader that
+    stops early leaves fewer runs yielded than asked for."""
     calls = []
     real = flowtune.kernel.Topology.kernel
 
     def counting(topology, trace):
         kernel = real(topology, trace)
-        return lambda p, a, rng, seeds, t: calls.append((len(seeds), t)) or kernel(p, a, rng, seeds, t)
+
+        def counted(p, a, rng, seeds, t):
+            call = [len(seeds), 0, t]
+            calls.append(call)
+            for run in kernel(p, a, rng, seeds, t):
+                call[1] += 1
+                yield run
+
+        return counted
 
     monkeypatch.setattr(flowtune.kernel.Topology, "kernel", counting)
     return calls

@@ -1,12 +1,14 @@
-"""Independent brute-force test oracles: a constraint checker and a simulator.
+"""Independent brute-force test oracles: a constraint checker, a simulator
+and a balancing loop without the race.
 
-Deliberately written from scratch against the documented connection
-rules and step phases, sharing no code with flowtune.model or
-flowtune.sim: kinds are plain strings, degrees and neighbors are found
-by scanning the raw edge list for every node.
+The checker and the simulator are deliberately written from scratch
+against the documented connection rules and step phases, sharing no code
+with flowtune.model or flowtune.sim: kinds are plain strings, degrees and
+neighbors are found by scanning the raw edge list for every node.
 """
 
 import random
+import statistics
 
 # kind -> (min_in, max_in, min_out, max_out, allowed inputs, allowed outputs)
 RULES = {
@@ -283,3 +285,78 @@ def trace_csv(ensemble) -> str:
             for node_id in node_ids:
                 lines.append(f"{run},{t},{node_id},{column[t, node_id][run]}")
     return "\n".join(lines) + "\n"
+
+
+# --- balancing ----------------------------------------------------------------
+#
+# The balancing loop, written from the flowtune.balancer docstrings without
+# the race: every candidate's runs are all simulated, on the graphs its
+# weights write (flowtune.sim.simulate_ensemble of GenomeLayout.apply), and
+# ranked by the plain mean proportion. It shares the genome operators and
+# the seed derivation with flowtune.balancer, which fix the searched genomes.
+
+
+def reference_balance(graphs, objective, params):
+    """The BalanceReport balance gives for these arguments, with its work
+    counters at 0 (they are not compared)."""
+    from flowtune.balancer import (
+        BalanceReport, GenomeLayout, ObservationStats, crossover, mutate, prop,
+    )
+    from flowtune.sim import simulate_ensemble
+    from flowtune.util import derive_seed
+
+    layout = GenomeLayout(graphs)
+    kind = getattr(objective.kind, "value", objective.kind)
+    observed = [(0, objective.pool)]
+    if kind != "absolute":
+        observed.append((1 if kind == "inter_pair" else 0, objective.second_pool))
+    step, m = objective.observe_step, objective.runs
+
+    def values(genome, *tag):
+        """Per observed pool, its amount at step in each run."""
+        ensembles = {}
+        for index, graph in enumerate(layout.apply(genome)):
+            gated = any(getattr(node.kind, "value", node.kind) == "random_gate" for node in graph.nodes)
+            seed = derive_seed(params.seed, *tag, index, genome) if gated else 0
+            ensembles[index] = simulate_ensemble(graph, step, m, seed)
+        return [ensembles[index].observe(pool, step) for index, pool in observed]
+
+    means = {}
+
+    def mean(genome):
+        if genome not in means:
+            amounts = values(genome)
+            references = amounts[1] if kind != "absolute" else [objective.target_value] * m
+            total = 0
+            for x, y in zip(amounts[0], references):
+                total += prop(x, y)  # left to right, as the module docstring requires
+            means[genome] = total / m
+        return means[genome]
+
+    rng = random.Random(params.seed)
+    population = [layout.declared_genome()]
+    population += [layout.random_genome(rng) for _ in range(params.population_size - 1)]
+    population.sort(key=mean, reverse=True)
+    best = [mean(population[0])]
+    for _ in range(params.max_generations):
+        if objective.alpha + best[-1] >= 1.0:
+            break
+        order = list(range(len(population)))
+        rng.shuffle(order)
+        candidates = list(population)
+        for i in range(0, len(order) - 1, 2):
+            candidates.append(crossover(layout, population[order[i]], population[order[i + 1]], rng))
+        for _ in range(params.mutations_per_generation):
+            mutate(layout, candidates, rng)
+        candidates.sort(key=mean, reverse=True)
+        population = candidates[:params.population_size]
+        best.append(mean(population[0]))
+
+    observations = tuple(
+        ObservationStats(index, pool, statistics.fmean(amounts), statistics.pstdev(amounts), len(amounts))
+        for (index, pool), amounts in zip(observed, values(population[0], "report"))
+    )
+    return BalanceReport(
+        best_weights=population[0], alpha=objective.alpha, means=tuple(best), observations=observations,
+        balanced_graphs=layout.apply(population[0]), evaluations=0, cache_hits=0, runs=0, steps=0, pruned_runs=0,
+    )

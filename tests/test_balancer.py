@@ -28,7 +28,9 @@ from flowtune.balancer import (
     prop,
 )
 
+import oracle
 from conftest import chain_graph, count_kernel_calls
+from test_sim import oracle_economies
 
 
 # --- prop ---------------------------------------------------------------------
@@ -382,8 +384,9 @@ def test_work_counters_match_a_count_taken_at_the_kernel(case, minecraft, mage, 
         )
     params = BalanceParams(population_size=7, max_generations=9, seed=3, mutations_per_generation=2)
     report = balance(graphs, objective, params)
-    assert report.runs == sum(runs for runs, _ in calls)
-    assert report.steps == sum(runs * t for runs, t in calls)
+    assert report.runs == sum(yielded for _, yielded, _ in calls)
+    assert report.steps == sum(yielded * t for _, yielded, t in calls)
+    assert report.pruned_runs == sum(asked - yielded for asked, yielded, _ in calls)
     # one kernel call per economy for each evaluation and for the report's observation
     assert len(calls) == len(graphs) * (report.evaluations + 1)
     # a fitness lookup per initial vector and per candidate of each generation, plus each generation's best
@@ -391,9 +394,9 @@ def test_work_counters_match_a_count_taken_at_the_kernel(case, minecraft, mage, 
     lookups = pop + 1 + report.generations * (pop + pop // 2 + params.mutations_per_generation + 1)
     assert report.evaluations + report.cache_hits == lookups
     assert report.cache_hits > report.generations  # not only the best's lookups
-    unmeasured = dataclasses.replace(report, evaluations=0, cache_hits=0, runs=0, steps=0)
+    unmeasured = dataclasses.replace(report, evaluations=0, cache_hits=0, runs=0, steps=0, pruned_runs=0)
     assert unmeasured == report and unmeasured.to_dict() == report.to_dict()
-    assert not {"evaluations", "cache_hits", "runs", "steps"} & set(report.to_dict())
+    assert not {"evaluations", "cache_hits", "runs", "steps", "pruned_runs"} & set(report.to_dict())
 
 
 # --- balance ----------------------------------------------------------------
@@ -725,3 +728,62 @@ def test_balance_reports_match_pinned_digest(minecraft, mage, archer):
         for graph in report.balanced_graphs:
             digest.update(save_economy(graph))
     assert digest.hexdigest() == PINNED_BALANCE_REPORTS
+
+
+def race_cases(minecraft, mage, archer):
+    """(graphs, objective, seed): pinned_balance_cases, the gated archer alone
+    and paired with itself, and every objective kind on gated oracle_economies."""
+    cases = pinned_balance_cases(minecraft, mage, archer)
+    cases.append((*absolute_case(archer, "damage_pool", 30), 3))
+    cases.append((*pair_case(ObjectiveKind.INTRA_PAIR, [archer], "damage_pool", "attack_cd_pool"), 3))
+    cases.append((*pair_case(ObjectiveKind.INTER_PAIR, [archer, archer], "damage_pool", "damage_pool"), 3))
+    gated = [
+        graph for graph in oracle_economies(45, random.Random(23))
+        if any(node.kind is NodeKind.RANDOM_GATE for node in graph.nodes) and len(monitored_node_ids(graph)) > 1
+    ]
+    for i, graph in enumerate(gated[:8]):
+        pools, others = monitored_node_ids(graph), monitored_node_ids(gated[i - 1])
+        cases.append((*absolute_case(graph, pools[i % len(pools)], 12 + i), i))
+        cases.append((*pair_case(ObjectiveKind.INTRA_PAIR, [graph], pools[0], pools[-1]), i))
+        cases.append((*pair_case(ObjectiveKind.INTER_PAIR, [graph, gated[i - 1]], pools[-1], others[0]), i))
+    return cases
+
+
+def test_racing_reports_what_a_search_without_it_reports(minecraft, mage, archer):
+    pruned = 0
+    for graphs, objective, seed in race_cases(minecraft, mage, archer):
+        params = BalanceParams(population_size=6, max_generations=15, seed=seed)
+        report = balance(graphs, objective, params)
+        expected = oracle.reference_balance(graphs, objective, params)
+        assert report == expected and report.to_dict() == expected.to_dict(), (objective, seed)
+        pruned += report.pruned_runs
+    assert pruned > 0
+
+
+def test_params_form_gives_each_evaluated_genome_the_plan_of_its_graph(minecraft, mage, archer, monkeypatch):
+    evaluated = []
+    real = GenomeLayout.plans
+    monkeypatch.setattr(
+        GenomeLayout, "plans", lambda layout, genome: evaluated.append((layout, genome)) or real(layout, genome)
+    )
+    for graphs, objective, seed in race_cases(minecraft, mage, archer):
+        balance(graphs, objective, BalanceParams(population_size=6, max_generations=15, seed=seed))
+    assert len(evaluated) > 1000
+    for layout, genome in evaluated:
+        for (start, end), topology, graph in zip(layout.spans, layout.topologies, layout.apply(genome)):
+            plan = compile_plan(graph, [e.weight for e in graph.edges])
+            # repr tells every float apart, and an int from an equal float
+            assert repr(topology.params_form()(genome[start:end])) == repr(plan[1:3]), genome
+
+
+@pytest.mark.parametrize("shares", [(1e308, 1e308), (10**400, 1)])
+def test_params_form_refuses_gate_totals_that_are_not_finite(archer, shares):
+    layout = GenomeLayout([archer])
+    genome = list(layout.declared_genome())
+    genome[3:5] = shares  # the crit_gate weights
+    with pytest.raises(flowtune.model.GateNormalizationError) as expected:
+        flowtune.model.gate_shares(archer, genome)
+    with pytest.raises(flowtune.model.GateNormalizationError) as raised:
+        layout.plans(tuple(genome))
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == "gate 'crit_gate': outgoing weights do not sum to a finite positive number"

@@ -77,10 +77,34 @@ def test_sim_prints_means_of_amounts_above_2_53_exactly(tmp_path, capsys):
     assert main(["sim", single, "--steps", "3"]) == 0
     assert capsys.readouterr().out == "p: 27021597764222979.000 ± 0.000\n"
     # a gate splits the batches, so the means over 3 runs can have thirds
+    finals, out = _sim_big_gated_economy(tmp_path, capsys)
+    means = {}
+    with decimal.localcontext(decimal.Context(prec=40)):
+        for node_id, amounts in finals.items():
+            means[node_id] = (decimal.Decimal(sum(amounts)) / len(amounts)).quantize(decimal.Decimal("0.001"))
+    assert [line.split(" ± ")[0] for line in out] == [f"{node_id}: {means[node_id]}" for node_id in ("left", "right")]
+    assert any(not str(mean).endswith(".000") for mean in means.values())
+
+
+def test_sim_prints_stddevs_of_amounts_above_2_53_exactly(tmp_path, capsys):
+    finals, out = _sim_big_gated_economy(tmp_path, capsys)
+    stddevs = {}
+    with decimal.localcontext(decimal.Context(prec=60)):
+        for node_id, amounts in finals.items():
+            mean = decimal.Decimal(sum(amounts)) / len(amounts)
+            variance = sum((amount - mean) ** 2 for amount in amounts) / len(amounts)
+            stddevs[node_id] = variance.sqrt().quantize(decimal.Decimal("0.001"))
+    assert [line.split(" ± ")[1] for line in out] == [str(stddevs[node_id]) for node_id in ("left", "right")]
+    assert all(not str(stddev).endswith(".000") for stddev in stddevs.values())  # a float gave .000
+
+
+def _sim_big_gated_economy(tmp_path, capsys) -> tuple:
+    """Final amounts per pool, from the trace, and the printed summary lines of
+    `sim --steps 4 --runs 3 --seed 2` on a gate fed batches of 2**53 + 5."""
     gated = write(tmp_path / "gated.json", {
         "nodes": [{"id": "s", "kind": "source"}, {"id": "g", "kind": "random_gate"},
                   {"id": "left", "kind": "pool"}, {"id": "right", "kind": "pool"}],
-        "edges": [{"from": "s", "to": "g", "weight": big + 4}, {"from": "g", "to": "left", "weight": 1},
+        "edges": [{"from": "s", "to": "g", "weight": 2**53 + 5}, {"from": "g", "to": "left", "weight": 1},
                   {"from": "g", "to": "right", "weight": 1}],
     })
     trace = tmp_path / "trace.csv"
@@ -90,13 +114,7 @@ def test_sim_prints_means_of_amounts_above_2_53_exactly(tmp_path, capsys):
         run, step, node_id, amount = line.split(",")
         if step == "4":
             finals.setdefault(node_id, []).append(int(amount))
-    means = {}
-    with decimal.localcontext(decimal.Context(prec=40)):
-        for node_id, amounts in finals.items():
-            means[node_id] = (decimal.Decimal(sum(amounts)) / len(amounts)).quantize(decimal.Decimal("0.001"))
-    out = capsys.readouterr().out.splitlines()
-    assert [line.split(" ± ")[0] for line in out] == [f"{node_id}: {means[node_id]}" for node_id in ("left", "right")]
-    assert any(not str(mean).endswith(".000") for mean in means.values())
+    return finals, capsys.readouterr().out.splitlines()
 
 
 def test_sim_multiple_runs_of_deterministic_economy_are_identical(tmp_path, torch_file):

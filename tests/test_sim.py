@@ -12,7 +12,9 @@ import pytest
 import flowtune.kernel
 import flowtune.sim
 from flowtune.fixtures import load_fixture
-from flowtune.model import EconomyGraph, Edge, InvalidEconomyError, Node, NodeKind, gate_shares, is_valid
+from flowtune.model import (
+    EconomyGraph, Edge, GateNormalizationError, InvalidEconomyError, Node, NodeKind, gate_shares, is_valid,
+)
 from flowtune.sim import (
     compile_plan,
     ensemble_to_csv,
@@ -341,30 +343,44 @@ def test_hostile_node_ids_enter_kernels_as_data():
         plain = [dict(zip(plain_plan.topology.monitored, run)) for run in observe_runs(plain_plan, 9, 3, 5)]
         got = [dict(zip(twin_plan.topology.monitored, run)) for run in observe_runs(twin_plan, 9, 3, 5)]
         assert got == [{names[k]: v for k, v in run.items()} for run in plain]
-        for trace in (False, True):
-            source = twin_plan.topology.source(trace)
+        topology = twin_plan.topology
+        for source in (topology.source(False), topology.source(True), topology.params_source()):
             assert not set("'\"\\") & set(source)
             assert not any(node.id in source for node in twin.nodes)
-            # nor does any id reach a kernel's namespace
-            namespace = twin_plan.topology.kernel(trace).__globals__
-            assert set(namespace) == {"__builtins__", "range", "reseed"} and namespace["__builtins__"] == {}
+        # nor does any id reach a form's namespace
+        for form, names in ((topology.kernel(False), {"range", "reseed"}), (topology.kernel(True), {"range", "reseed"}),
+                            (topology.params_form(), {"int", "max", "gate_total", "a"})):
+            namespace = form.__globals__
+            assert set(namespace) == {"__builtins__", *names} and namespace["__builtins__"] == {}
+        weights = [e.weight for e in twin.edges]
+        assert topology.params_form()(weights) == compile_plan(twin, gate_shares(twin, weights))[1:3]
+        # an id is data there too: it only names a gate whose weights are refused
+        for gate in topology.gates[:1]:
+            for e in topology.out[gate]:
+                weights[e] = 1e308
+            with pytest.raises(GateNormalizationError, match=re.escape(repr(topology.ids[gate]))):
+                topology.params_form()(weights)
 
 
 #: SHA-256 of the trace sources, Topology(graph).source(True), over
 #: gated_economies() and oracle_economies(30, random.Random(5)).
 PINNED_KERNEL_SOURCE = "eb3e278fceee9e5203572efd7c4b0988a43c0f7a110bf2e87b0249105d89b99b"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
-PINNED_MANY_SEED_SOURCE = "f8d43c9aaf7cea041a35ead2daac78cbea9f1dc8840870bc56b95c8b4fb3ebcb"
+PINNED_MANY_SEED_SOURCE = "7e7cd25e3880b0bf069c0b80c822ff0d219424076e61d1589d188a0f6d4cbfa3"
+#: SHA-256 of the params form's source, Topology(graph).params_source(), over the same economies.
+PINNED_PARAMS_SOURCE = "f2982ebb33da3e442834b20fa7ce768632ca641afd89a1652a0836da95dba88a"
 
 
 def test_emitted_kernel_source_matches_pinned_digest():
-    digest, many_seed = hashlib.sha256(), hashlib.sha256()
+    digest, many_seed, params = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for graph in gated_economies() + oracle_economies(30, random.Random(5)):
         topology = flowtune.kernel.Topology(graph)
         digest.update(topology.source(True).encode())
         many_seed.update(topology.source(False).encode())
+        params.update(topology.params_source().encode())
     assert digest.hexdigest() == PINNED_KERNEL_SOURCE
     assert many_seed.hexdigest() == PINNED_MANY_SEED_SOURCE
+    assert params.hexdigest() == PINNED_PARAMS_SOURCE
 
 
 def test_reseeding_in_c_draws_what_a_new_generator_draws():
@@ -693,10 +709,11 @@ def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
     t, n, m, base_seed = 7, 9, 4, 21
     calls = count_kernel_calls(monkeypatch)
     observed = observe_runs(plan, t, m, base_seed)
-    assert calls == [(m if gated else 1, t)]
+    runs = m if gated else 1
+    assert calls == [[runs, runs, t]]
     del calls[:]
     ensemble = simulate_ensemble(graph, n, m, base_seed)
-    assert calls == [(m if gated else 1, n)]  # one kernel call
+    assert calls == [[runs, runs, n]]  # one kernel call
 
     singles = [simulate(graph, n, base_seed + r) for r in range(m)]
     assert ensemble.traces == tuple(singles)  # run_seed included
