@@ -348,10 +348,10 @@ def test_hostile_node_ids_enter_kernels_as_data():
             assert not set("'\"\\") & set(source)
             assert not any(node.id in source for node in twin.nodes)
         # nor does any id reach a form's namespace
-        for form, names in ((topology.kernel(False), {"range", "reseed"}), (topology.kernel(True), {"range", "reseed"}),
-                            (topology.params_form(), {"int", "max", "gate_total", "a"})):
+        for form, allowed in ((topology.kernel(False), {"range", "reseed"}), (topology.kernel(True), {"range", "reseed"}),
+                              (topology.params_form(), {"int", "max", "gate_total", "a"})):
             namespace = form.__globals__
-            assert set(namespace) == {"__builtins__", *names} and namespace["__builtins__"] == {}
+            assert set(namespace) == {"__builtins__", *allowed} and namespace["__builtins__"] == {}
         weights = [e.weight for e in twin.edges]
         assert topology.params_form()(weights) == compile_plan(twin, gate_shares(twin, weights))[1:3]
         # an id is data there too: it only names a gate whose weights are refused
