@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -34,7 +35,7 @@ from .model import (
     load_economy,
     save_economy,
 )
-from .sim import ensemble_to_csv, monitored_node_ids, simulate_ensemble
+from .sim import csv_writer, topology_of, trace_runs
 from .util import dump_json
 
 EXIT_OK = 0
@@ -120,11 +121,27 @@ def _read_economy(path: str):
         raise EconomyError(f"{path}: {exc}") from exc
 
 
-def _write(path: str, data: bytes) -> None:
+def _write(path: str, chunks) -> None:
+    """Write the byte chunks to a new file beside path, then rename it onto path,
+    so a failure leaves path as it was; a device, pipe or symlink is written in place."""
+    temp = None
     try:
-        Path(path).write_bytes(data)
+        if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
+            out = open(path, "wb")
+        else:  # "x" makes the file as Path.write_bytes does, with mode 0o666 less the umask
+            head, tail = os.path.split(path)
+            out = open(os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp"), "xb")
+            temp = out.name
+        with out:
+            out.writelines(chunks)
+        if temp is not None:
+            os.replace(temp, path)
+            temp = None
     except OSError as exc:
-        raise EconomyError(f"cannot write {path}: {exc}") from exc
+        raise EconomyError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if temp is not None:
+            os.unlink(temp)
 
 
 def _say(args, message: str) -> None:
@@ -170,9 +187,9 @@ def _cmd_gen(args) -> int:
     started = time.perf_counter()
     result = generate(config)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    _write(args.out, save_economy(result.graph))
+    _write(args.out, [save_economy(result.graph)])
     report_path = args.report or f"{args.out}.report.json"
-    _write(report_path, dump_json(result.report_dict()))
+    _write(report_path, [dump_json(result.report_dict())])
     if result.valid:
         _say(args, f"valid economy after {result.generations} generations ({elapsed_ms:.1f} ms)")
         return EXIT_OK
@@ -192,40 +209,42 @@ def _cmd_sim(args) -> int:
     graph = _read_economy(args.economy)
     seed = args.seed if args.seed is not None else 0
     try:
-        ensemble = simulate_ensemble(graph, args.steps, args.runs, seed)
+        monitored = topology_of(graph).monitored
+        chunks = csv_writer(monitored, args.steps) if args.trace else None  # checks the ids before any run
+        runs = trace_runs(graph, args.steps, args.runs, seed)
     except EconomyError as exc:
         raise EconomyError(f"{args.economy}: {exc}") from exc
+    finals = []  # each run's amounts at --steps, in monitored order: all a run leaves behind
+
+    def kept():
+        for rows in runs:
+            finals.append(rows[-1])
+            yield rows
+
     if args.trace:
-        _write(args.trace, ensemble_to_csv(ensemble).encode("utf-8"))
+        _write(args.trace, chunks(kept()))
+    else:
+        finals = [rows[-1] for rows in runs]
     if not args.quiet:
-        for node_id in monitored_node_ids(graph):
-            final = ensemble.observe(node_id, args.steps)
-            print(f"{node_id}: {_mean_text(final)} ± {_stddev_text(final)}")
+        for node_id, final in sorted(zip(monitored, zip(*finals))):
+            print(f"{node_id}: {_summary_text(final)}")
     return EXIT_OK
 
 
-def _mean_text(amounts: list) -> str:
-    """The mean of whole amounts to 3 decimals, exact even where a float
-    cannot hold an amount (above 2**53)."""
+def _summary_text(amounts) -> str:
+    """The mean and the population standard deviation of whole amounts, to 3
+    decimals each, exact even where a float cannot hold an amount (above 2**53)."""
     if max(amounts) <= 2**53:
-        return f"{statistics.fmean(amounts):.3f}"
-    thousandths = round(Fraction(1000 * sum(amounts), len(amounts)))  # ties to even, as float formatting
-    return f"{thousandths // 1000}.{thousandths % 1000:03d}"
-
-
-def _stddev_text(amounts: list) -> str:
-    """The population standard deviation of whole amounts to 3 decimals,
-    exact even where a float cannot hold an amount (above 2**53)."""
-    if max(amounts) <= 2**53:
-        return f"{statistics.pstdev(amounts):.3f}"
+        return f"{statistics.fmean(amounts):.3f} ± {statistics.pstdev(amounts):.3f}"
     n = len(amounts)
+    mean = round(Fraction(1000 * sum(amounts), n))  # in thousandths, ties to even, as float formatting
     # 10**6 times the variance; its square root is the deviation in thousandths
     scaled = Fraction(10**6 * (n * sum(a * a for a in amounts) - sum(amounts) ** 2), n * n)
-    thousandths = math.isqrt(scaled.numerator // scaled.denominator)  # the root, rounded down
-    twice = 2 * thousandths + 1  # the root is above thousandths + 1/2 iff 4 * scaled > twice**2
-    if 4 * scaled > twice * twice or (4 * scaled == twice * twice and thousandths % 2):
-        thousandths += 1  # ties to even, as float formatting
-    return f"{thousandths // 1000}.{thousandths % 1000:03d}"
+    deviation = math.isqrt(scaled.numerator // scaled.denominator)  # the root, rounded down
+    twice = 2 * deviation + 1  # the root is above deviation + 1/2 iff 4 * scaled > twice**2
+    if 4 * scaled > twice * twice or (4 * scaled == twice * twice and deviation % 2):
+        deviation += 1  # ties to even, as float formatting
+    return f"{mean // 1000}.{mean % 1000:03d} ± {deviation // 1000}.{deviation % 1000:03d}"
 
 
 def _parse_objective(doc: dict, path: str, seed_override):
@@ -272,11 +291,11 @@ def _cmd_balance(args) -> int:
         if exc.economy_index is None:
             raise
         raise EconomyError(f"{paths[exc.economy_index]}: {exc}") from exc
-    _write(args.out, save_economy(report.balanced_graphs[0]))
+    _write(args.out, [save_economy(report.balanced_graphs[0])])
     if args.out2 is not None:
-        _write(args.out2, save_economy(report.balanced_graphs[1]))
+        _write(args.out2, [save_economy(report.balanced_graphs[1])])
     report_path = args.report or f"{args.out}.report.json"
-    _write(report_path, dump_json(report.to_dict()))
+    _write(report_path, [dump_json(report.to_dict())])
 
     stats = ", ".join(
         f"{o.pool}[{o.economy_index}] {o.mean:.2f} ± {o.stddev:.2f}" for o in report.observations
@@ -299,9 +318,9 @@ def _cmd_bench(args) -> int:
         raise EconomyError(f"{args.spec}: {exc}") from exc
     progress = None if args.quiet else lambda message: print(message)
     result = run_benchmark(spec, progress)
-    _write(args.out, result.to_csv().encode("utf-8"))
+    _write(args.out, [result.to_csv().encode("utf-8")])
     json_path = args.json_out or f"{args.out}.json"
-    _write(json_path, dump_json(result.to_dict()))
+    _write(json_path, [dump_json(result.to_dict())])
     return EXIT_OK
 
 

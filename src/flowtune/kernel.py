@@ -4,9 +4,9 @@ A kernel is Python source, generated from a graph's node kinds and edges,
 that runs t steps, straight-line, on local variables, with the phases and
 draws the sim docstring states, once per seed of a list, reseeding one
 generator in C before each run. The emitter writes two forms of it, both
-with the one signature kernel(p, a, rng, seeds, t): the observe form is a
-generator that yields each run's final amounts once the run ends, the
-trace form returns each run's amounts after every step. The source names
+generators with the one signature kernel(p, a, rng, seeds, t) that yield
+one tuple per run once the run ends: the observe form yields the run's
+final amounts, the trace form its amounts after every step. The source names
 node k's amount nk, edge e's amount we, the batch staged on gate edge e
 se, gate k's share bounds bk_j and fixed pool k's cap ck. Weights enter
 only as data (a plan's params), and no node id reaches a kernel at all,
@@ -88,13 +88,12 @@ class Topology:
     def kernel(self, trace: bool):
         """The step kernel of one form, compiled on first use.
 
-        kernel(params, initial, rng, seeds, t) runs t steps from initial once
-        per seed, reseeding rng with the seed first. With trace, it returns a
-        list of one run per seed, the tuple of its rows: the tuples of the
-        amounts of self.monitored at steps 0 ... t. Without, it is a generator
-        that yields each run's tuple of those amounts at step t as soon as the
-        run ends, so a caller that stops reading runs no further seed. A
-        topology without gates draws nothing, so its kernels never reseed.
+        kernel(params, initial, rng, seeds, t) is a generator that runs t
+        steps from initial once per seed, reseeding rng with the seed first,
+        and yields one tuple per run as soon as the run ends, so a caller that
+        stops reading runs no further seed. With trace, the tuple is the run's
+        rows, the amounts of self.monitored at steps 0 ... t; without, those at
+        step t. A topology without gates draws nothing, so it never reseeds.
         """
         kernel = self._kernels.get(trace)
         if kernel is None:
@@ -200,8 +199,6 @@ class Topology:
         put(0, "def kernel(p, a, rng, seeds, t):")
         put(1, f"({''.join(f'{name}, ' for name in params)}) = p")
         # one run per seed on the one generator; a gate-free run draws nothing
-        if trace:
-            put(1, "runs = []")
         if self.gates:
             put(1, "draw = rng.random")
         put(1, "for seed in seeds:")
@@ -255,8 +252,6 @@ class Topology:
             put(step + 1, f"n{k} = c{k}")
         if trace:
             put(step, f"run.append(({held}))")
-            put(2, "runs.append((*run,))")
-            put(1, "return runs")
-        else:  # a run is read as soon as it ends, and the next one is only run if it is asked for
-            put(2, f"yield ({held})")
+        # a run is read as soon as it ends, and the next one is only run if it is asked for
+        put(2, "yield (*run,)" if trace else f"yield ({held})")
         return "\n".join(lines) + "\n"

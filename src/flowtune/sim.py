@@ -41,27 +41,20 @@ tuple).
 Steps run in kernels generated per topology (flowtune.kernel), compiled
 once per graph object, on first use, and cached there; weights enter them
 as data, and node ids not at all. Each simulate, simulate_ensemble,
-observe_runs or observe_stream call is one kernel call, which reseeds one
-generator in C before each run; the observe calls reuse one, and the
-trace calls make their own, so trace calls from concurrent threads cannot
-disturb each other's draws.
+trace_runs or observe_stream call is one kernel call, a generator that
+yields each run as it ends, after its own reseed in C of one generator,
+so a reader holds and simulates only the runs it reads. The observe calls
+share one generator; each trace call makes its own, safe across threads.
 
-A trace keeps one row per step: the tuple of amounts of every pool,
-fixed pool and drain (a drain's amount is its cumulative total), in the
-order of its monitored ids. The trace kernel keeps one per step; a trace
-builds the dict form, node id -> amount, only when its snapshots are
-read, and observe and ensemble_to_csv read the rows by position.
+A trace keeps one row per step: the tuple of amounts of every pool, fixed
+pool and drain (a drain's cumulative total), in its monitored order; the
+dicts of its snapshots are built when read. csv_writer formats the rows.
 
-simulate and simulate_ensemble check a graph's connection rules once,
-when it is first simulated, and cache its step plan (compile_plan) on
-it; later runs of the same graph skip both. ensemble_to_csv writes their
-traces as a table. The balancer instead makes a plan per candidate
-weight vector and economy with the topology's emitted params form, and
-runs it only to the observed step (observe_stream), building no graph
-and keeping each run's amounts at that step only, as one tuple in
-monitored order. The observe kernel yields the runs one at a time, each
-after its own reseed, so a reader that stops early simulates no further
-run, and the runs of two streams may be read in turn.
+A graph's connection rules are checked once, when it is first simulated,
+and its step plan (compile_plan) is cached on it. The balancer instead
+makes a plan per candidate weight vector and economy with the topology's
+emitted params form, and runs it only to the observed step
+(observe_stream), keeping each run's amounts at that step only.
 """
 
 from __future__ import annotations
@@ -70,10 +63,10 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
-from .model import EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, check_gate_total, is_valid
+from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, check_gate_total, is_valid
 from .util import check_number, float_sum
 
 
@@ -138,7 +131,7 @@ def simulate(graph: EconomyGraph, n: int, seed: int) -> SimulationTrace:
     A pure function of (graph, n, seed): identical arguments produce an
     identical trace.
     """
-    return _traces(graph, n, 1, seed)[0]
+    return simulate_ensemble(graph, n, 1, seed).traces[0]
 
 
 def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> RunEnsemble:
@@ -148,55 +141,57 @@ def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> Ru
     are identical: it is simulated once, and its m traces (each with its
     own run_seed) share one rows tuple.
     """
-    return RunEnsemble(graph, base_seed, _traces(graph, n, m, base_seed))
+    runs, monitored = trace_runs(graph, n, m, base_seed), topology_of(graph).monitored
+    traces = tuple(SimulationTrace(base_seed + i, monitored, rows) for i, rows in enumerate(runs))
+    return RunEnsemble(graph, base_seed, traces)
 
 
-def _traces(graph: EconomyGraph, n: int, m: int, base_seed: int) -> tuple:
-    """The traces of n steps with seeds base_seed ... base_seed+m-1, from one
-    call of the graph's trace kernel on a generator of this call's own."""
+def trace_runs(graph: EconomyGraph, n: int, m: int, base_seed: int):
+    """The rows tuples of n steps with seeds base_seed ... base_seed+m-1, an
+    iterator over one trace kernel call on a generator of its own; arguments
+    and graph are checked at the call, each gated run simulated when read."""
     check_number("simulation length", n, integer=True, minimum=1)
     check_number("run count", m, integer=True, minimum=1)
     check_number("seed", base_seed, integer=True)
     plan = _plan_for(graph)
-    topology = plan.topology
-    runs = _runs(plan, topology.kernel(True), random.Random(0), n, m, base_seed)
-    return tuple(SimulationTrace(base_seed + i, topology.monitored, rows) for i, rows in enumerate(runs))
+    return _runs(plan, plan.topology.kernel(True), random.Random(0), n, m, base_seed)
 
 
-class _Texts(dict):
-    """amount -> str(amount), each formatted once: a trace repeats few amounts."""
+def csv_writer(monitored: tuple, length: int):
+    """chunks(runs) -> the trace table in UTF-8 chunks: the header, then one
+    chunk per rows tuple of runs (amounts in monitored order), its lines for
+    steps 0 ... length and ids ascending, ids quoted as the csv module quotes
+    them. A chunk is one bytes % over templates built here; a run with the
+    previous run's rows tuple (a gate-free economy's runs share one) reuses
+    its flattened amounts. An id UTF-8 cannot encode raises EconomyError here.
+    """
+    order = sorted(range(len(monitored)), key=monitored.__getitem__)  # node ids ascending
+    try:
+        fields = [monitored[k].encode("utf-8") for k in order]
+    except UnicodeEncodeError as exc:
+        raise EconomyError(f"node id {exc.object!r} cannot be written to a UTF-8 trace") from None
+    fields = [b'"%s"' % f.replace(b'"', b'""') if any(c in f for c in b',"\r\n') else f for f in fields]
+    # b"" first, so that a run's prefix starts every line; each % of an id doubled, as it is a template's
+    templates = [b""] + [b"%d,%s,%%d\n" % (t, f.replace(b"%", b"%%")) for t in range(length + 1) for f in fields]
+    # itemgetter of one index returns the amount itself, not a tuple
+    pick = itemgetter(*order) if len(order) > 1 else lambda row: [row[k] for k in order]
 
-    def __missing__(self, amount):
-        text = self[amount] = str(amount)
-        return text
+    def chunks(runs):
+        yield b"run,step,node_id,amount\n"
+        last = None
+        for run, rows in enumerate(runs):
+            if rows is not last:
+                last, amounts = rows, tuple(chain.from_iterable(map(pick, rows)))
+            yield (b"%d," % run).join(templates) % amounts
+
+    return chunks
 
 
 def ensemble_to_csv(ensemble: RunEnsemble) -> str:
-    """Trace table: run,step,node_id,amount; runs by seed offset, steps ascending.
-
-    The step,node_id,amount lines of each distinct rows tuple are
-    formatted once; every run then prefixes them with its own run index.
-    An economy without pools and drains gives the header alone.
-    """
-    monitored = ensemble.traces[0].monitored
-    order = sorted(range(len(monitored)), key=monitored.__getitem__)  # node ids ascending
-    heads = [f"{t},{monitored[k]}," for t in range(ensemble.length + 1) for k in order]
-    if len(order) > 1:
-        pick = itemgetter(*order)
-    else:  # itemgetter of one index returns the amount itself; a slice returns a tuple
-        pick = itemgetter(slice(order[0], order[0] + 1) if order else slice(0))
-    text = _Texts().__getitem__
-    lines_of = {}  # id of a rows tuple -> its step,node_id,amount lines
-    parts = ["run,step,node_id,amount\n"]
-    for run, trace in enumerate(ensemble.traces):
-        lines = lines_of.get(id(trace.rows))
-        if lines is None:
-            amounts = chain.from_iterable(map(pick, trace.rows))
-            lines = lines_of[id(trace.rows)] = list(map(add, heads, map(text, amounts)))
-        if lines:
-            prefix = f"{run},"
-            parts.append(prefix + f"\n{prefix}".join(lines) + "\n")
-    return "".join(parts)
+    """Trace table run,step,node_id,amount (csv_writer), runs by seed offset. An
+    economy without pools and drains gives the header alone."""
+    chunks = csv_writer(ensemble.traces[0].monitored, ensemble.length)
+    return b"".join(chunks(trace.rows for trace in ensemble.traces)).decode()
 
 
 # --- step kernels ----------------------------------------------------------------
@@ -275,19 +270,10 @@ def weights_plan(topology: "Topology", weights) -> _Plan:
 _RNG = random.Random(0)
 
 
-def observe_runs(plan: _Plan, t: int, m: int, base_seed: int) -> list:
-    """Run seeds base_seed ... base_seed+m-1 to step t, keeping no snapshots.
-
-    Returns one tuple per run: the amounts of plan.topology.monitored at
-    step t. Steps after t cannot change them, so this equals row t of a
-    longer run with the same seed. All runs are one call of the topology's
-    observe kernel, on one generator reseeded in C before each run.
-    """
-    return list(observe_stream(plan, t, m, base_seed))
-
-
 def observe_stream(plan: _Plan, t: int, m: int, base_seed: int):
-    """observe_runs' runs as an iterator: a gated plan's run i is simulated
+    """An iterator over the runs of seeds base_seed ... base_seed+m-1 to step
+    t: per run, the amounts of plan.topology.monitored at step t, which equal
+    row t of a longer run with the same seed. A gated plan's run is simulated
     when it is read, so runs a reader does not read are never simulated."""
     return _runs(plan, plan.topology.kernel(False), _RNG, t, m, base_seed)
 
@@ -297,6 +283,6 @@ def _runs(plan: _Plan, kernel, rng, t: int, m: int, base_seed: int):
     base_seed+m-1. A plan without gates draws no random numbers: it runs
     base_seed only, at once, and that run is repeated m times."""
     if plan.gated:
-        return iter(kernel(plan.params, plan.initial, rng, range(base_seed, base_seed + m), t))
+        return kernel(plan.params, plan.initial, rng, range(base_seed, base_seed + m), t)
     (run,) = kernel(plan.params, plan.initial, rng, (base_seed,), t)
     return repeat(run, m)

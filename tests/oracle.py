@@ -7,6 +7,8 @@ with flowtune.model or flowtune.sim: kinds are plain strings, degrees and
 neighbors are found by scanning the raw edge list for every node.
 """
 
+import csv
+import io
 import random
 import statistics
 
@@ -273,7 +275,9 @@ def back_feeders(graph) -> set:
 def trace_csv(ensemble) -> str:
     """The run,step,node_id,amount table of an ensemble, written from the
     README's layout alone: every row's amount is read through
-    RunEnsemble.observe, for every pool, fixed pool and drain by id."""
+    RunEnsemble.observe, for every pool, fixed pool and drain by id, and
+    every row is written by the csv module's default (QUOTE_MINIMAL) writer,
+    its CR LF line end replaced by LF."""
     node_ids = sorted(
         node.id for node in ensemble.graph.nodes if getattr(node.kind, "value", node.kind) in _POOL_KINDS + ("drain",)
     )
@@ -283,7 +287,9 @@ def trace_csv(ensemble) -> str:
     for run in range(len(ensemble.traces)):
         for t in steps:
             for node_id in node_ids:
-                lines.append(f"{run},{t},{node_id},{column[t, node_id][run]}")
+                row = io.StringIO()
+                csv.writer(row).writerow([run, t, node_id, column[t, node_id][run]])
+                lines.append(row.getvalue().removesuffix("\r\n"))
     return "\n".join(lines) + "\n"
 
 

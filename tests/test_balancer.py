@@ -11,7 +11,7 @@ import flowtune.model
 import flowtune.sim
 from flowtune.generator import GeneratorConfig, generate
 from flowtune.model import EconomyGraph, Edge, InvalidEconomyError, Node, NodeKind, save_economy
-from flowtune.sim import compile_plan, monitored_node_ids, observe_runs, simulate_ensemble
+from flowtune.sim import compile_plan, monitored_node_ids, observe_stream, simulate_ensemble
 from flowtune.util import derive_seed, dump_json
 from flowtune.balancer import (
     BALANCED_FITNESS,
@@ -111,7 +111,7 @@ def test_pairwise_fitness_intra_uses_one_ensemble():
     )
     plan = compile_plan(graph, [15, 30])
     assert plan.topology.monitored == ("a", "b")
-    (run,) = observe_runs(plan, 2, 1, 0)
+    (run,) = observe_stream(plan, 2, 1, 0)
     assert run == (30, 60)
     assert fitness([run[0]], [run[1]], alpha=0.0) == pytest.approx(0.5, abs=1e-12)
 
@@ -281,7 +281,7 @@ def test_plans_observe_what_the_applied_graphs_simulate(minecraft, mage, archer)
                 assert plan[1:] == compile_plan(graph, [e.weight for e in graph.edges])[1:]
                 ensemble = simulate_ensemble(graph, n, m, base_seed)
                 for t in range(1, n + 1):
-                    observed = [dict(zip(plan.topology.monitored, run)) for run in observe_runs(plan, t, m, base_seed)]
+                    observed = [dict(zip(plan.topology.monitored, run)) for run in observe_stream(plan, t, m, base_seed)]
                     for node_id in monitored_node_ids(graph):
                         assert [run[node_id] for run in observed] == ensemble.observe(node_id, t)
 

@@ -1,7 +1,14 @@
+import csv
 import decimal
+import errno
 import hashlib
+import io
 import json
+import os
+import stat
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +16,10 @@ import flowtune.cli
 from flowtune.cli import main
 from flowtune.fixtures import FIXTURE_NAMES, fixture_text
 from flowtune.model import NodeKind, is_valid, load_economy
-from flowtune.sim import monitored_node_ids
+from flowtune.sim import ensemble_to_csv, monitored_node_ids, simulate_ensemble
+
+import oracle
+from conftest import count_kernel_calls
 
 
 def write(path, payload):
@@ -147,6 +157,123 @@ def test_sim_rejects_invalid_economy(tmp_path, capsys):
         assert main(["sim", path, "--steps", "3", "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"flowtune: {path}: ") and err.count("\n") == 1
+
+
+#: Pool ids a CSV field must quote (a comma, a quote, CR, LF), and a %,
+#: which a bytes template must not read as a conversion.
+QUOTED_IDS = ["d,x", 'say "hi"', "cr\rid", "lf\nid", "crlf\r\nid", "100% %d %s"]
+
+
+def quoted_id_economy(tmp_path) -> str:
+    """A gated economy whose pools hold QUOTED_IDS, with one plain drain: each
+    of two sources feeds a gate that routes to three of the pools, the first
+    of which feeds the drain."""
+    nodes = [{"id": "z", "kind": "drain"}] + [{"id": pool, "kind": "pool"} for pool in QUOTED_IDS]
+    edges = []
+    for i in range(2):
+        nodes += [{"id": f"s{i}", "kind": "source"}, {"id": f"g{i}", "kind": "random_gate"}]
+        edges += [{"from": f"s{i}", "to": f"g{i}", "weight": 3 + i}, {"from": QUOTED_IDS[3 * i], "to": "z", "weight": 1}]
+        edges += [{"from": f"g{i}", "to": pool, "weight": 1.0} for pool in QUOTED_IDS[3 * i:3 * i + 3]]
+    return write(tmp_path / "quoted.json", {"nodes": nodes, "edges": edges})
+
+
+def test_trace_quotes_ids_as_the_csv_module_does(tmp_path):
+    economy = quoted_id_economy(tmp_path)
+    trace = tmp_path / "trace.csv"
+    assert main(["sim", economy, "--steps", "4", "--runs", "3", "--seed", "1", "--trace", str(trace), "--quiet"]) == 0
+    text = trace.read_bytes().decode("utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ["run", "step", "node_id", "amount"]
+    ids = sorted(QUOTED_IDS + ["z"])
+    lines = [[str(run), str(t), node_id] for run in range(3) for t in range(5) for node_id in ids]
+    assert [row[:3] for row in rows[1:]] == lines and {len(row) for row in rows[1:]} == {4}
+    ensemble = simulate_ensemble(load_economy(Path(economy).read_bytes()), 4, 3, 1)
+    assert text == ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble)
+
+
+def test_unencodable_id_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    calls = count_kernel_calls(monkeypatch)
+    economy = write(tmp_path / "surrogate.json", {
+        "nodes": [{"id": "s", "kind": "source"}, {"id": "p\ud800", "kind": "pool"}],
+        "edges": [{"from": "s", "to": "p\ud800", "weight": 2}],
+    })
+    trace = tmp_path / "trace.csv"
+    assert main(["sim", economy, "--steps", "3", "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"flowtune: {economy}: ") and repr("p\ud800") in captured.err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["surrogate.json"]
+
+
+def fail_after_first_run(monkeypatch):
+    """Make every trace written from now on fail, as a full disk would, once
+    the header and the first run's chunk are written."""
+    real = flowtune.cli.csv_writer
+
+    def failing(monitored, length):
+        chunks = real(monitored, length)
+
+        def fail(runs):
+            for i, chunk in enumerate(chunks(runs)):
+                if i == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                yield chunk
+
+        return fail
+
+    monkeypatch.setattr(flowtune.cli, "csv_writer", failing)
+
+
+@pytest.mark.parametrize("existing", [None, b"an older trace\n"], ids=["new", "existing"])
+def test_failed_trace_write_leaves_nothing_behind(tmp_path, capsys, monkeypatch, existing):
+    economy = write(tmp_path / "archer.json", fixture_text("archer"))
+    trace = tmp_path / "trace.csv"
+    if existing is not None:
+        trace.write_bytes(existing)
+    before = sorted(tmp_path.iterdir())
+    fail_after_first_run(monkeypatch)
+    assert main(["sim", economy, "--steps", "30", "--runs", "10", "--trace", str(trace), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"flowtune: cannot write {trace}: No space left on device\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert (trace.read_bytes() if trace.exists() else None) == existing
+    # a directory that is not there: one line, and nothing made
+    missing = tmp_path / "missing_dir" / "t.csv"
+    assert main(["sim", economy, "--steps", "30", "--trace", str(missing), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"flowtune: cannot write {missing}: No such file or directory\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_trace_gets_a_new_file_mode_and_writes_through_a_symlink(tmp_path):
+    economy = write(tmp_path / "archer.json", fixture_text("archer"))
+    umask = os.umask(0o22)
+    os.umask(umask)
+    argv = ["sim", economy, "--steps", "5", "--runs", "2", "--quiet", "--trace"]
+    assert main(argv + [str(tmp_path / "trace.csv")]) == 0
+    assert stat.S_IMODE((tmp_path / "trace.csv").stat().st_mode) == 0o666 & ~umask
+    # a symlink is written through, as a plain write would, and stays a symlink
+    (tmp_path / "link.csv").symlink_to(tmp_path / "target.csv")
+    assert main(argv + [str(tmp_path / "link.csv")]) == 0
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "target.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
+
+
+def test_trace_memory_does_not_grow_with_runs(tmp_path):
+    """sim --trace holds one run at a time and each run's amounts at --steps:
+    its peak at 400 runs stays below twice its peak at 50 (with the whole
+    table in memory it was about 8 times it)."""
+    economy = write(tmp_path / "archer.json", fixture_text("archer"))
+    trace = str(tmp_path / "trace.csv")
+    main(["sim", economy, "--steps", "3", "--trace", trace, "--quiet"])  # imports and first-use caches
+    peaks = {}
+    for runs in (50, 400):
+        tracemalloc.start()
+        try:
+            assert main(["sim", economy, "--steps", "100", "--runs", str(runs), "--trace", trace, "--quiet"]) == 0
+            peaks[runs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] < 2 * peaks[50], peaks
 
 
 def test_balance_absolute_objective(tmp_path, torch_file):

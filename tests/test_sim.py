@@ -19,7 +19,7 @@ from flowtune.sim import (
     compile_plan,
     ensemble_to_csv,
     monitored_node_ids,
-    observe_runs,
+    observe_stream,
     simulate,
     simulate_ensemble,
 )
@@ -340,8 +340,8 @@ def test_hostile_node_ids_enter_kernels_as_data():
         assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble)
         plain_plan = compile_plan(graph, [e.weight for e in graph.edges])
         twin_plan = compile_plan(twin, [e.weight for e in twin.edges])
-        plain = [dict(zip(plain_plan.topology.monitored, run)) for run in observe_runs(plain_plan, 9, 3, 5)]
-        got = [dict(zip(twin_plan.topology.monitored, run)) for run in observe_runs(twin_plan, 9, 3, 5)]
+        plain = [dict(zip(plain_plan.topology.monitored, run)) for run in observe_stream(plain_plan, 9, 3, 5)]
+        got = [dict(zip(twin_plan.topology.monitored, run)) for run in observe_stream(twin_plan, 9, 3, 5)]
         assert got == [{names[k]: v for k, v in run.items()} for run in plain]
         topology = twin_plan.topology
         for source in (topology.source(False), topology.source(True), topology.params_source()):
@@ -364,7 +364,7 @@ def test_hostile_node_ids_enter_kernels_as_data():
 
 #: SHA-256 of the trace sources, Topology(graph).source(True), over
 #: gated_economies() and oracle_economies(30, random.Random(5)).
-PINNED_KERNEL_SOURCE = "eb3e278fceee9e5203572efd7c4b0988a43c0f7a110bf2e87b0249105d89b99b"
+PINNED_KERNEL_SOURCE = "bc6fe30a493a51c79a71ebfdac95be4a1b5e9370fdc2e057676888f9fc191135"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
 PINNED_MANY_SEED_SOURCE = "7e7cd25e3880b0bf069c0b80c822ff0d219424076e61d1589d188a0f6d4cbfa3"
 #: SHA-256 of the params form's source, Topology(graph).params_source(), over the same economies.
@@ -384,7 +384,7 @@ def test_emitted_kernel_source_matches_pinned_digest():
 
 
 def test_reseeding_in_c_draws_what_a_new_generator_draws():
-    """observe_runs reseeds one generator with _random.Random.seed before each
+    """observe_stream reseeds one generator with _random.Random.seed before each
     run; that must give the stream random.Random(seed) gives."""
     seeds = [derive_seed(7, "run", i) for i in range(1000)]
     seeds += [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 9, -1, -(2**32), -(2**64 + 9), -derive_seed(8)]
@@ -622,7 +622,7 @@ def test_step_oracle_agrees_with_simulate_and_observe_runs():
             assert list(trace.snapshots) == expected[r], f"economy {index}, run {r}"
         plan = compile_plan(graph, [e.weight for e in graph.edges])
         for t in range(1, n + 1):
-            got = [dict(zip(plan.topology.monitored, run)) for run in observe_runs(plan, t, m, base_seed)]
+            got = [dict(zip(plan.topology.monitored, run)) for run in observe_stream(plan, t, m, base_seed)]
             assert got == [expected[r][t] for r in range(m)], f"economy {index}, step {t}"
     # the sample reaches every documented mechanism, and random routing matters
     assert min(seen.values()) >= 20, seen
@@ -684,7 +684,7 @@ def test_converter_passes_repeat_only_after_a_back_feeder(name):
         for r in range(m):
             assert list(simulate(graph, n, base_seed + r).snapshots) == expected[r], (base_seed, r)
         for t in range(1, n + 1):
-            got = [dict(zip(plan.topology.monitored, run)) for run in observe_runs(plan, t, m, base_seed)]
+            got = [dict(zip(plan.topology.monitored, run)) for run in observe_stream(plan, t, m, base_seed)]
             assert got == [expected[r][t] for r in range(m)], (base_seed, t)
 
 
@@ -708,7 +708,7 @@ def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
     assert plan.gated is gated
     t, n, m, base_seed = 7, 9, 4, 21
     calls = count_kernel_calls(monkeypatch)
-    observed = observe_runs(plan, t, m, base_seed)
+    observed = list(observe_stream(plan, t, m, base_seed))
     runs = m if gated else 1
     assert calls == [[runs, runs, t]]
     del calls[:]
