@@ -20,10 +20,11 @@ balance checks each input economy once, then measures a genome on one
 step plan per economy run to the observed step, building no graph: each
 economy's topology turns the genome's slice of weights into the plan's
 params (kernel.Topology.params_form), and its observe kernel yields the
-runs one by one. The report's observations are that measurement of the
-best genome under seeds of their own; the balanced graphs carry the
-measured weights, so simulating them reproduces it. sim_length only
-bounds observe_step.
+runs one by one, each reseeding a generator the balance call makes for
+itself, so calls in concurrent threads do not disturb each other. The
+report's observations are that measurement of the best genome under seeds
+of their own; the balanced graphs carry the measured weights, so
+simulating them reproduces it. sim_length only bounds observe_step.
 
 Each generation races its candidates. A candidate's proportions are
 summed left to right as its runs are read; after run k of m, with sum S,
@@ -126,7 +127,7 @@ class BalanceParams:
     population_size: int = 10
     max_generations: int = 100
     seed: int = 0
-    mutations_per_generation: int = 1
+    mutations_per_generation = 1  # mutants added each generation: a class constant, not a field
 
     def __post_init__(self):
         check_number("population_size", self.population_size, integer=True)
@@ -134,7 +135,6 @@ class BalanceParams:
             raise ValueError("population_size must be >= 2 (crossover needs pairs)")
         check_number("max_generations", self.max_generations, integer=True, minimum=0)
         check_number("seed", self.seed, integer=True)
-        check_number("mutations_per_generation", self.mutations_per_generation, integer=True, minimum=0)
 
 
 def prop(s: float, x: float) -> float:
@@ -448,6 +448,7 @@ def balance(
     positions = [(index, layout.topologies[index].monitored.index(pool)) for index, pool in observed]
     m = objective.runs
     rng = random.Random(params.seed)
+    run_rng = random.Random(0)  # every run reseeds it first; this call's own, so threads share none
     means = {}
     cache_hits = runs_simulated = pruned_runs = 0
     floor = -m  # abandon nothing before the first population is ranked: no sum is below it
@@ -462,7 +463,9 @@ def balance(
         (a gate-free economy reads no seed, so none is derived)."""
         step = objective.observe_step
         return [
-            observe_stream(plan, step, m, derive_seed(params.seed, *tag, i, genome) if plan.gated else 0)
+            observe_stream(
+                plan, step, m, derive_seed(params.seed, *tag, i, genome) if plan.topology.gates else 0, run_rng
+            )
             for i, plan in enumerate(layout.plans(genome))
         ]
 

@@ -123,14 +123,14 @@ def _read_economy(path: str):
 
 def _write(path: str, chunks) -> None:
     """Write the byte chunks to a new file beside path, then rename it onto path,
-    so a failure leaves path as it was; a device, pipe or symlink is written in place."""
+    so a failure leaves path as it was; a device, pipe or symlink is written in place.
+    The new file's name has a fixed length, so it fits wherever path's name does."""
     temp = None
     try:
         if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
             out = open(path, "wb")
         else:  # "x" makes the file as Path.write_bytes does, with mode 0o666 less the umask
-            head, tail = os.path.split(path)
-            out = open(os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp"), "xb")
+            out = open(os.path.join(os.path.dirname(path), f".flowtune-{os.urandom(6).hex()}.tmp"), "xb")
             temp = out.name
         with out:
             out.writelines(chunks)

@@ -43,18 +43,21 @@ once per graph object, on first use, and cached there; weights enter them
 as data, and node ids not at all. Each simulate, simulate_ensemble,
 trace_runs or observe_stream call is one kernel call, a generator that
 yields each run as it ends, after its own reseed in C of one generator,
-so a reader holds and simulates only the runs it reads. The observe calls
-share one generator; each trace call makes its own, safe across threads.
+so a reader holds and simulates only the runs it reads. The call that
+starts the runs owns the generator they reseed: trace_runs makes one per
+call, and observe_stream takes its caller's (balance makes one per call).
+Streams on one generator may interleave whole runs, and calls in
+concurrent threads do not disturb each other's draws.
 
 A trace keeps one row per step: the tuple of amounts of every pool, fixed
 pool and drain (a drain's cumulative total), in its monitored order; the
 dicts of its snapshots are built when read. csv_writer formats the rows.
 
-A graph's connection rules are checked once, when it is first simulated,
-and its step plan (compile_plan) is cached on it. The balancer instead
-makes a plan per candidate weight vector and economy with the topology's
-emitted params form, and runs it only to the observed step
-(observe_stream), keeping each run's amounts at that step only.
+A graph's connection rules are checked once, when its step plan
+(compile_plan) is first built, and the plan is cached on it. The balancer
+instead makes a plan per candidate weight vector and economy with the
+topology's emitted params form (weights_plan), and runs it only to the
+observed step (observe_stream), keeping each run's amounts at that step only.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ def trace_runs(graph: EconomyGraph, n: int, m: int, base_seed: int):
     check_number("simulation length", n, integer=True, minimum=1)
     check_number("run count", m, integer=True, minimum=1)
     check_number("seed", base_seed, integer=True)
-    plan = _plan_for(graph)
+    plan = compile_plan(graph)
     return _runs(plan, plan.topology.kernel(True), random.Random(0), n, m, base_seed)
 
 
@@ -203,18 +206,6 @@ class _Plan(NamedTuple):
     topology: "Topology"
     params: tuple  # whole amounts, gate share bounds and fixed-pool caps, in kernel order
     initial: tuple  # the step-0 amounts of topology.monitored
-    gated: bool  # whether a run draws random numbers
-
-
-def _plan_for(graph: EconomyGraph) -> _Plan:
-    """The graph's cached step plan; compiling it is the one validity check."""
-    cached = getattr(graph, "_sim_plan", None)
-    if cached is None:
-        if not is_valid(graph):
-            raise InvalidEconomyError(f"refusing to simulate an invalid economy graph: {broken_rule(graph)}")
-        cached = compile_plan(graph, [e.weight for e in graph.edges])
-        object.__setattr__(graph, "_sim_plan", cached)
-    return cached
 
 
 def topology_of(graph: EconomyGraph) -> "Topology":
@@ -229,60 +220,59 @@ def topology_of(graph: EconomyGraph) -> "Topology":
     return topology
 
 
-def compile_plan(graph: EconomyGraph, weights) -> _Plan:
-    """Step plan of the graph with edge e carrying weights[e].
+def compile_plan(graph: EconomyGraph) -> _Plan:
+    """The graph's step plan, built on first use and cached on it; building it
+    is the one validity check, and a refused graph caches nothing.
 
     Amount weights are whole counts >= 0: the kernel's rule for when to
-    repeat a converter pass is exact only then (see flowtune.kernel). Every
-    caller's are positive: a graph's are checked. Gate weights are routing
-    shares: each gate's must sum to a finite positive number, and are
-    divided by that sum. The graph's own weights are ignored, and its
-    validity is not checked. A balancer genome's plan is weights_plan's.
+    repeat a converter pass is exact only then (see flowtune.kernel), and a
+    graph's are positive. Gate weights are routing shares: each gate's must
+    sum to a finite positive number, and are divided by that sum. A balancer
+    genome's plan is weights_plan's.
     """
+    cached = getattr(graph, "_sim_plan", None)
+    if cached is not None:
+        return cached
+    if not is_valid(graph):
+        raise InvalidEconomyError(f"refusing to simulate an invalid economy graph: {broken_rule(graph)}")
     topology = topology_of(graph)
+    weights = [e.weight for e in graph.edges]
     params = [int(weights[e]) for e in topology.amount_edges]
     for k in topology.gates:
         shares = [weights[e] for e in topology.out[k]]
         total = float(check_gate_total(topology.ids[k], float_sum(shares)))
         # running share sums; the last edge takes every draw above them (its sum counts as 1.0)
         params += list(accumulate(w / total for w in shares))[:-1]
-    initial = topology.initial
-    if topology.caps:  # each fixed pool starts clamped to its cap
-        caps = [max([int(weights[e]) for e in topology.out[k]]) for k in topology.caps]
-        params += caps
-        initial = list(initial)
-        for slot, cap in zip(topology.cap_slots, caps):
-            if initial[slot] > cap:
-                initial[slot] = cap
-        initial = tuple(initial)
-    return _Plan(topology, tuple(params), initial, bool(topology.gates))
+    caps = [max([int(weights[e]) for e in topology.out[k]]) for k in topology.caps]
+    initial = list(topology.initial)
+    for slot, cap in zip(topology.cap_slots, caps):  # each fixed pool starts clamped to its cap
+        initial[slot] = min(initial[slot], cap)
+    plan = _Plan(topology, (*params, *caps), tuple(initial))
+    object.__setattr__(graph, "_sim_plan", plan)
+    return plan
 
 
 def weights_plan(topology: "Topology", weights) -> _Plan:
     """Step plan of topology's edge e carrying weights[e], gate weights first
     scaled as a written economy holds them (kernel.Topology.params_form)."""
-    return _Plan(topology, *topology.params_form()(weights), bool(topology.gates))
+    return _Plan(topology, *topology.params_form()(weights))
 
 
-#: The generator every observe run draws from. Each run reseeds it first, so
-#: no state carries over between runs, and the runs of two observe streams
-#: may interleave; it is not for concurrent threads.
-_RNG = random.Random(0)
-
-
-def observe_stream(plan: _Plan, t: int, m: int, base_seed: int):
+def observe_stream(plan: _Plan, t: int, m: int, base_seed: int, rng):
     """An iterator over the runs of seeds base_seed ... base_seed+m-1 to step
-    t: per run, the amounts of plan.topology.monitored at step t, which equal
-    row t of a longer run with the same seed. A gated plan's run is simulated
-    when it is read, so runs a reader does not read are never simulated."""
-    return _runs(plan, plan.topology.kernel(False), _RNG, t, m, base_seed)
+    t on the caller's generator rng: per run, the amounts of
+    plan.topology.monitored at step t, which equal row t of a longer run with
+    the same seed. A gated plan's run is simulated when it is read, so runs a
+    reader does not read are never simulated."""
+    return _runs(plan, plan.topology.kernel(False), rng, t, m, base_seed)
 
 
 def _runs(plan: _Plan, kernel, rng, t: int, m: int, base_seed: int):
     """An iterator over kernel's runs of plan to step t with seeds base_seed ...
-    base_seed+m-1. A plan without gates draws no random numbers: it runs
-    base_seed only, at once, and that run is repeated m times."""
-    if plan.gated:
+    base_seed+m-1, each reseeding rng first. A plan without gates draws no
+    random numbers: it runs base_seed only, at once, and that run is repeated
+    m times."""
+    if plan.topology.gates:
         return kernel(plan.params, plan.initial, rng, range(base_seed, base_seed + m), t)
     (run,) = kernel(plan.params, plan.initial, rng, (base_seed,), t)
     return repeat(run, m)

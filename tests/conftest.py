@@ -5,6 +5,7 @@ import pytest
 import flowtune.kernel
 from flowtune.model import EconomyGraph, Edge, Node, NodeKind
 from flowtune.fixtures import load_fixture
+from flowtune.sim import observe_stream
 
 ALL_KINDS = list(NodeKind)
 
@@ -58,6 +59,13 @@ def gate_graph(w_left: float = 0.5, w_right: float = 0.5, feed: int = 1) -> Econ
             Edge("gate", "right", w_right),
         ),
     )
+
+
+def observed_runs(plan, t: int, m: int, base_seed: int) -> list:
+    """observe_stream's m runs of plan to step t on a generator of their own,
+    each as a dict from monitored id to amount."""
+    runs = observe_stream(plan, t, m, base_seed, random.Random(0))
+    return [dict(zip(plan.topology.monitored, run)) for run in runs]
 
 
 def count_kernel_calls(monkeypatch) -> list:

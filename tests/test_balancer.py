@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import random
 import statistics
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -29,7 +31,7 @@ from flowtune.balancer import (
 )
 
 import oracle
-from conftest import chain_graph, count_kernel_calls
+from conftest import chain_graph, count_kernel_calls, observed_runs
 from test_sim import oracle_economies
 
 
@@ -101,17 +103,12 @@ def test_pairwise_fitness_rejects_mismatched_runs():
 
 def test_pairwise_fitness_intra_uses_one_ensemble():
     graph = EconomyGraph(
-        (
-            Node("feed", NodeKind.SOURCE),
-            Node("a", NodeKind.POOL),
-            Node("feed2", NodeKind.SOURCE),
-            Node("b", NodeKind.POOL),
-        ),
-        (Edge("feed", "a", 1), Edge("feed2", "b", 1)),
+        (Node("feed", NodeKind.SOURCE), Node("a", NodeKind.POOL), Node("b", NodeKind.POOL)),
+        (Edge("feed", "a", 1), Edge("feed", "b", 1)),
     )
-    plan = compile_plan(graph, [15, 30])
+    plan = compile_plan(graph.with_weights([15, 30]))
     assert plan.topology.monitored == ("a", "b")
-    (run,) = observe_stream(plan, 2, 1, 0)
+    (run,) = observe_stream(plan, 2, 1, 0, random.Random(0))
     assert run == (30, 60)
     assert fitness([run[0]], [run[1]], alpha=0.0) == pytest.approx(0.5, abs=1e-12)
 
@@ -278,10 +275,10 @@ def test_plans_observe_what_the_applied_graphs_simulate(minecraft, mage, archer)
             base_seed = rng.randrange(10**6)
             for plan, graph in zip(layout.plans(genome), layout.apply(genome)):
                 # the same params bit for bit, gate share bounds included
-                assert plan[1:] == compile_plan(graph, [e.weight for e in graph.edges])[1:]
+                assert plan[1:] == compile_plan(graph)[1:]
                 ensemble = simulate_ensemble(graph, n, m, base_seed)
                 for t in range(1, n + 1):
-                    observed = [dict(zip(plan.topology.monitored, run)) for run in observe_stream(plan, t, m, base_seed)]
+                    observed = observed_runs(plan, t, m, base_seed)
                     for node_id in monitored_node_ids(graph):
                         assert [run[node_id] for run in observed] == ensemble.observe(node_id, t)
 
@@ -382,7 +379,7 @@ def test_work_counters_match_a_count_taken_at_the_kernel(case, minecraft, mage, 
             ObjectiveKind.INTER_PAIR, "damage_pool", observe_step=15, sim_length=15, runs=5,
             second_pool="damage_pool",
         )
-    params = BalanceParams(population_size=7, max_generations=9, seed=3, mutations_per_generation=2)
+    params = BalanceParams(population_size=7, max_generations=9, seed=3)
     report = balance(graphs, objective, params)
     assert report.runs == sum(yielded for _, yielded, _ in calls)
     assert report.steps == sum(yielded * t for _, yielded, t in calls)
@@ -440,6 +437,36 @@ def test_balance_is_deterministic(minecraft):
     a = balance(minecraft, objective, params)
     b = balance(minecraft, objective, params)
     assert a.to_dict() == b.to_dict()
+
+
+def test_balance_in_concurrent_threads_reports_what_it_reports_alone(archer):
+    """Each balance call reseeds a generator of its own, so six calls started
+    together in six threads, switching as often as the interpreter allows,
+    equal the same calls made one after another. On one generator shared by
+    the calls, a switch inside a run hands it another call's draws."""
+    objective = BalanceObjective(
+        ObjectiveKind.ABSOLUTE, "damage_pool", observe_step=1000, sim_length=1000, runs=10, target_value=1500
+    )
+    cases = [BalanceParams(population_size=6, max_generations=3, seed=seed) for seed in range(6)]
+    sequential = [balance(archer, objective, params) for params in cases]
+    threaded = [None] * len(cases)
+    start = threading.Barrier(len(cases))
+
+    def run(i):
+        start.wait()
+        threaded[i] = balance(archer, objective, cases[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential
 
 
 def test_balance_history_nondecreasing_across_seeds(minecraft):
@@ -771,7 +798,7 @@ def test_params_form_gives_each_evaluated_genome_the_plan_of_its_graph(minecraft
     assert len(evaluated) > 1000
     for layout, genome in evaluated:
         for (start, end), topology, graph in zip(layout.spans, layout.topologies, layout.apply(genome)):
-            plan = compile_plan(graph, [e.weight for e in graph.edges])
+            plan = compile_plan(graph)
             # repr tells every float apart, and an int from an equal float
             assert repr(topology.params_form()(genome[start:end])) == repr(plan[1:3]), genome
 

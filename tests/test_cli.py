@@ -7,6 +7,7 @@ import json
 import os
 import stat
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -256,6 +257,47 @@ def test_trace_gets_a_new_file_mode_and_writes_through_a_symlink(tmp_path):
     assert main(argv + [str(tmp_path / "link.csv")]) == 0
     assert (tmp_path / "link.csv").is_symlink()
     assert (tmp_path / "target.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
+
+
+def test_trace_name_near_the_length_limit_is_written(tmp_path):
+    """The temporary file's name has a fixed length, so a 244-byte trace name,
+    which fits where a name grown by the target's own would not, is written
+    as a short one is, and leaves only the trace behind."""
+    economy = write(tmp_path / "archer.json", fixture_text("archer"))
+    argv = ["sim", economy, "--steps", "5", "--runs", "2", "--quiet", "--trace"]
+    assert main(argv + [str(tmp_path / "t.csv")]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    name = "t" * 240 + ".csv"
+    assert len(name.encode()) == 244
+    assert main(argv + [str(out / name)]) == 0
+    assert (out / name).read_bytes() == (tmp_path / "t.csv").read_bytes()
+    assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_trace_is_written_into_a_fifo_in_place(tmp_path):
+    economy = write(tmp_path / "archer.json", fixture_text("archer"))
+    argv = ["sim", economy, "--steps", "5", "--runs", "2", "--quiet", "--trace"]
+    assert main(argv + [str(tmp_path / "trace.csv")]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    fifo = out / "trace.csv"
+    os.mkfifo(fifo)
+    read = []
+
+    def reader():
+        with open(fifo, "rb") as pipe:
+            read.append(pipe.read())
+
+    # a daemon, joined with a timeout: a write that misses the FIFO fails the test instead of hanging it
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    code = main(argv + [str(fifo)])
+    thread.join(timeout=10)
+    assert code == 0 and not thread.is_alive()
+    assert read == [(tmp_path / "trace.csv").read_bytes()]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert [p.name for p in out.iterdir()] == ["trace.csv"]
 
 
 def test_trace_memory_does_not_grow_with_runs(tmp_path):

@@ -199,7 +199,7 @@ def test_gate_weights_summing_to_infinity_cannot_be_normalized():
     with pytest.raises(GateNormalizationError):
         normalize_gate_weights(g)
     with pytest.raises(GateNormalizationError):
-        compile_plan(g, [e.weight for e in g.edges])
+        compile_plan(g)
 
 
 def test_roundtrip_preserves_semantics(minecraft, mage, archer):

@@ -27,7 +27,7 @@ from flowtune.generator import GeneratorConfig, generate, random_node_counts
 from flowtune.util import derive_seed
 
 import oracle
-from conftest import chain_graph, count_kernel_calls, gate_graph
+from conftest import chain_graph, count_kernel_calls, gate_graph, observed_runs
 
 
 def with_coal_cost(minecraft, x):
@@ -144,6 +144,8 @@ def test_invalid_graph_refused(monkeypatch):
     g = EconomyGraph((Node("s", NodeKind.SOURCE), Node("p", NodeKind.POOL)), ())
     for _ in range(2):  # a refusal is not cached as a plan
         with pytest.raises(InvalidEconomyError):
+            compile_plan(g)
+        with pytest.raises(InvalidEconomyError):
             simulate(g, 1, seed=0)
         with pytest.raises(InvalidEconomyError):
             simulate_ensemble(g, 5, 3, 0)
@@ -158,6 +160,7 @@ def test_validity_checked_once_per_graph(monkeypatch):
     monkeypatch.setattr(flowtune.sim, "is_valid", lambda graph: calls.append(graph) or real(graph))
     graph = chain_graph()
     simulate_ensemble(graph, 10, 10, 0)
+    assert compile_plan(graph) is compile_plan(graph)
     assert calls == [graph]
 
 
@@ -338,10 +341,10 @@ def test_hostile_node_ids_enter_kernels_as_data():
             assert list(got.snapshots) == [{names[k]: v for k, v in s.items()} for s in plain.snapshots]
         ensemble = simulate_ensemble(twin, 15, 3, 5)
         assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble)
-        plain_plan = compile_plan(graph, [e.weight for e in graph.edges])
-        twin_plan = compile_plan(twin, [e.weight for e in twin.edges])
-        plain = [dict(zip(plain_plan.topology.monitored, run)) for run in observe_stream(plain_plan, 9, 3, 5)]
-        got = [dict(zip(twin_plan.topology.monitored, run)) for run in observe_stream(twin_plan, 9, 3, 5)]
+        plain_plan = compile_plan(graph)
+        twin_plan = compile_plan(twin)
+        plain = observed_runs(plain_plan, 9, 3, 5)
+        got = observed_runs(twin_plan, 9, 3, 5)
         assert got == [{names[k]: v for k, v in run.items()} for run in plain]
         topology = twin_plan.topology
         for source in (topology.source(False), topology.source(True), topology.params_source()):
@@ -353,7 +356,7 @@ def test_hostile_node_ids_enter_kernels_as_data():
             namespace = form.__globals__
             assert set(namespace) == {"__builtins__", *allowed} and namespace["__builtins__"] == {}
         weights = [e.weight for e in twin.edges]
-        assert topology.params_form()(weights) == compile_plan(twin, gate_shares(twin, weights))[1:3]
+        assert topology.params_form()(weights) == compile_plan(twin.with_weights(gate_shares(twin, weights)))[1:3]
         # an id is data there too: it only names a gate whose weights are refused
         for gate in topology.gates[:1]:
             for e in topology.out[gate]:
@@ -620,9 +623,9 @@ def test_step_oracle_agrees_with_simulate_and_observe_runs():
         for r in range(m):
             trace = simulate(graph, n, base_seed + r)
             assert list(trace.snapshots) == expected[r], f"economy {index}, run {r}"
-        plan = compile_plan(graph, [e.weight for e in graph.edges])
+        plan = compile_plan(graph)
         for t in range(1, n + 1):
-            got = [dict(zip(plan.topology.monitored, run)) for run in observe_stream(plan, t, m, base_seed)]
+            got = observed_runs(plan, t, m, base_seed)
             assert got == [expected[r][t] for r in range(m)], f"economy {index}, step {t}"
     # the sample reaches every documented mechanism, and random routing matters
     assert min(seen.values()) >= 20, seen
@@ -672,7 +675,7 @@ def test_converter_passes_repeat_only_after_a_back_feeder(name):
     graph, looping = PASS_RULE_ECONOMIES[name]
     back_feeders = oracle.back_feeders(graph)
     assert is_valid(graph) and bool(back_feeders) is looping
-    plan = compile_plan(graph, [e.weight for e in graph.edges])
+    plan = compile_plan(graph)
     for trace in (False, True):
         source = plan.topology.source(trace)
         assert ("while" in source) is looping
@@ -684,7 +687,7 @@ def test_converter_passes_repeat_only_after_a_back_feeder(name):
         for r in range(m):
             assert list(simulate(graph, n, base_seed + r).snapshots) == expected[r], (base_seed, r)
         for t in range(1, n + 1):
-            got = [dict(zip(plan.topology.monitored, run)) for run in observe_stream(plan, t, m, base_seed)]
+            got = observed_runs(plan, t, m, base_seed)
             assert got == [expected[r][t] for r in range(m)], (base_seed, t)
 
 
@@ -704,11 +707,11 @@ def test_kernels_loop_exactly_when_a_back_feeder_exists():
 @pytest.mark.parametrize("name, gated", [("minecraft_torch", False), ("mage", False), ("archer", True)])
 def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
     graph = load_fixture(name)
-    plan = compile_plan(graph, [e.weight for e in graph.edges])
-    assert plan.gated is gated
+    plan = compile_plan(graph)
+    assert bool(plan.topology.gates) is gated
     t, n, m, base_seed = 7, 9, 4, 21
     calls = count_kernel_calls(monkeypatch)
-    observed = list(observe_stream(plan, t, m, base_seed))
+    observed = list(observe_stream(plan, t, m, base_seed, random.Random(0)))
     runs = m if gated else 1
     assert calls == [[runs, runs, t]]
     del calls[:]
