@@ -144,6 +144,17 @@ def _write(path: str, chunks) -> None:
             os.unlink(temp)
 
 
+def _distinct_outputs(*outputs) -> None:
+    """Refuse two (option, path) outputs that name one file, before any work or write."""
+    seen = {}
+    for option, path in outputs:
+        if path is not None:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise _UsageError(f"{seen[real]} and {option} name the same file {path}")
+            seen[real] = option
+
+
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -165,6 +176,8 @@ def _options(doc: dict, keywords: dict, seed_override=None) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    report_path = args.report or f"{args.out}.report.json"
+    _distinct_outputs(("--out", args.out), ("--report", report_path))
     doc = _read_json(args.config)
     extra = set(doc) - {"nodes", *_GEN_OPTIONS}
     if extra:
@@ -188,7 +201,6 @@ def _cmd_gen(args) -> int:
     result = generate(config)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     _write(args.out, [save_economy(result.graph)])
-    report_path = args.report or f"{args.out}.report.json"
     _write(report_path, [dump_json(result.report_dict())])
     if result.valid:
         _say(args, f"valid economy after {result.generations} generations ({elapsed_ms:.1f} ms)")
@@ -270,6 +282,8 @@ def _parse_objective(doc: dict, path: str, seed_override):
 
 
 def _cmd_balance(args) -> int:
+    report_path = args.report or f"{args.out}.report.json"
+    _distinct_outputs(("--out", args.out), ("--out2", args.out2), ("--report", report_path))
     doc = _read_json(args.objective)
     objective, params = _parse_objective(doc, args.objective, args.seed)
     if objective.kind is ObjectiveKind.INTER_PAIR:
@@ -294,7 +308,6 @@ def _cmd_balance(args) -> int:
     _write(args.out, [save_economy(report.balanced_graphs[0])])
     if args.out2 is not None:
         _write(args.out2, [save_economy(report.balanced_graphs[1])])
-    report_path = args.report or f"{args.out}.report.json"
     _write(report_path, [dump_json(report.to_dict())])
 
     stats = ", ".join(
@@ -309,6 +322,8 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    json_path = args.json_out or f"{args.out}.json"
+    _distinct_outputs(("--out", args.out), ("--json", json_path))
     doc = _read_json(args.spec)
     if args.seed is not None:
         doc = {**doc, "seed": args.seed}
@@ -319,7 +334,6 @@ def _cmd_bench(args) -> int:
     progress = None if args.quiet else lambda message: print(message)
     result = run_benchmark(spec, progress)
     _write(args.out, [result.to_csv().encode("utf-8")])
-    json_path = args.json_out or f"{args.out}.json"
     _write(json_path, [dump_json(result.to_dict())])
     return EXIT_OK
 

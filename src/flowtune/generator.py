@@ -14,9 +14,19 @@ maintained incrementally in O(1) per mutation.
 
 generate draws the two endpoints of each edge to add inline, exactly as
 random.sample(range(n), 2) does on Python 3.10-3.13 and from the same
-random numbers, so a seed gives the same economy. Most draws pair two
-kinds that no neighbor-kind rule lets connect; one lookup in a kind-pair
-table (_KIND_PAIRS) drops those before try_add is called.
+random numbers, so a seed gives the same economy. It screens each draw
+inline, with the same rules as try_add, and adds only an edge that
+passes: one lookup in a kind-pair table (_KIND_PAIRS), one in each of the
+genome's degree flags (a node's entry is 1 while its degree in that
+direction is below its kind's maximum), and one in its edge set. Most
+draws fail the screen once the genomes saturate.
+
+A generation that adds and removes no edge leaves every genome as it
+was, so generate appends the previous minimum to the fitness history and
+skips the rest: the minimum and the best individual cannot move, and
+every genome at fitness 0 already failed the connectivity test the
+generation before (the empty genome's fitness is positive, since every
+kind has a minimum degree).
 """
 
 from __future__ import annotations
@@ -88,10 +98,15 @@ class EdgeListGenome:
 
     try_add enforces the no-duplicate, no-self-loop, neighbor-kind and
     maximum-degree rules, so the only constraint violations a genome can
-    carry are unmet minimum degrees (tracked in ``fitness``).
+    carry are unmet minimum degrees (tracked in ``fitness``). The maximum
+    degrees live only in two flag arrays, ``_out_free`` and ``_in_free``:
+    entry v is 1 while v's out- (in-) degree is below its kind's maximum.
+    Adding an edge clears a flag its endpoint fills; removing one sets
+    both endpoints' flags again.
     """
 
-    __slots__ = ("nodes", "edges", "_row", "_col", "_rules", "_edge_set", "_in_deg", "_out_deg", "_missing")
+    __slots__ = ("nodes", "edges", "_row", "_col", "_rules", "_edge_set", "_in_deg", "_out_deg",
+                 "_out_free", "_in_free", "_missing")
 
     def __init__(self, nodes: tuple):
         self.nodes = nodes
@@ -104,6 +119,8 @@ class EdgeListGenome:
         self._edge_set = set()
         self._in_deg = [0] * len(nodes)
         self._out_deg = [0] * len(nodes)
+        self._out_free = bytearray(r.max_out > 0 for r in self._rules)
+        self._in_free = bytearray(r.max_in > 0 for r in self._rules)
         self._missing = sum(
             (1 if r.min_in > 0 else 0) + (1 if r.min_out > 0 else 0) for r in self._rules
         )
@@ -115,21 +132,28 @@ class EdgeListGenome:
 
     def try_add(self, a: int, b: int) -> bool:
         """Add the directed edge a->b if every rule allows it."""
-        if a == b or not _KIND_PAIRS[self._row[a] + self._col[b]] or (a, b) in self._edge_set:
+        if a == b or (a, b) in self._edge_set or not self._out_free[a] or not self._in_free[b]:
             return False
-        if self._out_deg[a] >= self._rules[a].max_out or self._in_deg[b] >= self._rules[b].max_in:
+        if not _KIND_PAIRS[self._row[a] + self._col[b]]:
             return False
+        self._add(a, b)
+        return True
+
+    def _add(self, a: int, b: int) -> None:
+        """Add a->b, which passes try_add's rules; update degrees, flags and fitness."""
         self._bump(self._out_deg, a, 1, self._rules[a].min_out)
         self._bump(self._in_deg, b, 1, self._rules[b].min_in)
+        self._out_free[a] = self._out_deg[a] < self._rules[a].max_out
+        self._in_free[b] = self._in_deg[b] < self._rules[b].max_in
         self._edge_set.add((a, b))
         self.edges.append((a, b))
-        return True
 
     def remove_index(self, index: int) -> None:
         a, b = self.edges.pop(index)
         self._edge_set.discard((a, b))
         self._bump(self._out_deg, a, -1, self._rules[a].min_out)
         self._bump(self._in_deg, b, -1, self._rules[b].min_in)
+        self._out_free[a] = self._in_free[b] = 1
 
     def _bump(self, degrees: list, v: int, delta: int, minimum: int) -> None:
         """Add delta to degrees[v], counting a minimum it starts or stops meeting."""
@@ -154,6 +178,8 @@ class EdgeListGenome:
         clone._edge_set = set(self._edge_set)
         clone._in_deg = list(self._in_deg)
         clone._out_deg = list(self._out_deg)
+        clone._out_free = bytearray(self._out_free)
+        clone._in_free = bytearray(self._in_free)
         clone._missing = self._missing
         return clone
 
@@ -168,13 +194,17 @@ class EdgeListGenome:
         return normalize_gate_weights(graph) if normalize else graph
 
 
-def mutate_remove_edge(population, rng: random.Random, remove_probability: float):
-    """With the given probability, delete one random edge of one random individual."""
+def mutate_remove_edge(population, rng: random.Random, remove_probability: float) -> bool:
+    """With the given probability, delete one random edge of one random individual.
+
+    Returns whether an edge was deleted: a drawn individual may have none.
+    """
     if rng.random() < remove_probability:
         genome = population[rng.randrange(len(population))]
         if genome.edges:
             genome.remove_index(rng.randrange(len(genome.edges)))
-    return population
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -228,8 +258,10 @@ def generate(config: GeneratorConfig) -> GenerationResult:
     pool_branch = n <= 21
     table = _KIND_PAIRS
     row, col = first._row, first._col
+    screens = [(genome, genome._out_free, genome._in_free, genome._edge_set) for genome in population]
     for generation in range(1, config.max_steps + 1):
-        for genome in population:
+        changed = False
+        for genome, out_free, in_free, edge_set in screens:
             a = bits(k)
             while a >= n:
                 a = bits(k)
@@ -243,9 +275,12 @@ def generate(config: GeneratorConfig) -> GenerationResult:
                 b = bits(k)
                 while b >= n or b == a:
                     b = bits(k)
-            if table[row[a] + col[b]]:
-                genome.try_add(a, b)
-        mutate_remove_edge(population, rng, config.remove_probability)
+            if table[row[a] + col[b]] and out_free[a] and in_free[b] and (a, b) not in edge_set:
+                genome._add(a, b)  # try_add's rules, screened inline
+                changed = True
+        if not (mutate_remove_edge(population, rng, config.remove_probability) or changed):
+            history.append(history[-1])  # no genome changed: nothing below can either
+            continue
 
         missing = [genome._missing for genome in population]
         generation_best = min(missing)

@@ -108,6 +108,20 @@ def _weakly_connected(count: int, edges) -> bool:
     return len(reached) == count
 
 
+def try_add(kinds, edges, a, b) -> bool:
+    """Append the edge a->b to ``edges`` if every rule allows it, and say whether
+    it did; ``kinds`` are kind names by node index. No kind may feed its own kind,
+    so a self-loop is refused with the rest."""
+    _, max_in, _, _, allowed_in, _ = RULES[kinds[b]]
+    _, _, _, max_out, _, allowed_out = RULES[kinds[a]]
+    if (a, b) in edges or kinds[b] not in allowed_out or kinds[a] not in allowed_in:
+        return False
+    if sum(1 for e in edges if e[0] == a) >= max_out or sum(1 for e in edges if e[1] == b) >= max_in:
+        return False
+    edges.append((a, b))
+    return True
+
+
 def reference_generate(counts, population: int, max_steps: int, remove_probability: float, seed: int):
     """(valid, generations, fitness, fitness_history, edges) of one search.
 
@@ -123,22 +137,12 @@ def reference_generate(counts, population: int, max_steps: int, remove_probabili
             kinds.append("pool" if kind == "fixed_pool" else kind)
     n = len(ids)
     rng = random.Random(seed)
-
-    def try_add(edges, a, b):
-        _, max_in, _, _, allowed_in, _ = RULES[kinds[b]]
-        _, _, _, max_out, _, allowed_out = RULES[kinds[a]]
-        if (a, b) in edges or kinds[b] not in allowed_out or kinds[a] not in allowed_in:
-            return
-        if sum(1 for e in edges if e[0] == a) >= max_out or sum(1 for e in edges if e[1] == b) >= max_in:
-            return
-        edges.append((a, b))
-
     individuals = [[] for _ in range(population)]
     best, best_unmet = [], _unmet_minimums(kinds, [])
     history = [best_unmet]
     for generation in range(1, max_steps + 1):
         for edges in individuals:
-            try_add(edges, *rng.sample(range(n), 2))
+            try_add(kinds, edges, *rng.sample(range(n), 2))
         if rng.random() < remove_probability:
             edges = individuals[rng.randrange(population)]
             if edges:

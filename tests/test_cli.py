@@ -499,6 +499,46 @@ OVERFLOWING_GATE = {
 }
 
 
+@pytest.mark.parametrize(
+    "command, outputs, options",
+    [
+        ("gen", ["--out", "e.json", "--report", "e.json"], ("--out", "--report")),
+        ("gen", ["--out", "e.json", "--report", "sub/../e.json"], ("--out", "--report")),
+        ("balance", ["--out", "b.json", "--report", "link.json"], ("--out", "--report")),
+        ("inter", ["--out", "b.json", "--out2", "b.json"], ("--out", "--out2")),
+        ("inter", ["--out", "b.json", "--out2", "b.json.report.json"], ("--out2", "--report")),  # the default report
+        ("bench", ["--out", "b.csv", "--json", "b.csv"], ("--out", "--json")),
+    ],
+    ids=["gen", "gen-dotdot", "balance-symlink", "inter-out2", "inter-default-report", "bench"],
+)
+def test_two_outputs_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, command, outputs, options):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the outputs were not checked before the work started")
+
+    for name in ("generate", "balance", "run_benchmark"):
+        monkeypatch.setattr(flowtune.cli, name, refuse)
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    objective = {"pool": "damage_pool", "step": 3, "sim_length": 3}
+    argv = {
+        "gen": ["gen", write(inputs / "c.json", {"nodes": {"source": 1, "pool": 1, "drain": 1}})],
+        "balance": ["balance", write(inputs / "a.json", fixture_text("archer")), "--objective",
+                    write(inputs / "o.json", {"kind": "absolute", "value": 5, **objective})],
+        "inter": ["balance", write(inputs / "m.json", fixture_text("mage")), "--second",
+                  write(inputs / "a.json", fixture_text("archer")), "--objective",
+                  write(inputs / "o.json", {"kind": "inter_pair", "pool2": "damage_pool", **objective})],
+        "bench": ["bench", write(inputs / "s.json", {"graphs": 1})],
+    }[command]
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "link.json").symlink_to("b.json")
+    monkeypatch.chdir(work)
+    assert main(argv + outputs + ["--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"flowtune: error: {options[0]} and {options[1]} ") and err.count("\n") == 1
+    assert os.listdir(work) == ["link.json"]
+
+
 @pytest.mark.parametrize("command", ["sim", "balance"])
 def test_gate_weights_summing_to_infinity_exit_two(tmp_path, capsys, command):
     economy = write(tmp_path / "gate.json", OVERFLOWING_GATE)
@@ -689,6 +729,25 @@ GATED_CONFIG = {"nodes": {"source": 4, "random_gate": 3, "pool": 7, "converter":
                 "max_steps": 20000, "seed": 5}
 PINNED_GATED_ECONOMY = "33b58fbac1007512efc49dc73019ce58f513b020afca310cd7e243cf9cdc812c"
 PINNED_GATED_TRACE = "ee003ca3a99a3c76aabb61392da350da5007856639dc2441fb9b00b378bad9d8"
+
+
+#: A search that fails: the 30-node multiset of test_generator's pinned
+#: digests with a 200-step budget, so gen writes the best individual seen
+#: (41 edges, 4 unmet minimum degrees) and exits 2.
+FAILING_CONFIG = {"nodes": {"source": 6, "random_gate": 4, "pool": 10, "converter": 5, "drain": 5},
+                  "max_steps": 200, "seed": 8}
+PINNED_FAILED_ECONOMY = "7d8e81ccbe2cd2ea0c438771db61723e6ac6d7a3e56c4d01d2ba5447ef767fa5"
+PINNED_FAILED_REPORT = "6f8e55a63ed977c7623d9977ed6e811131255dbb95a3255fbb771223ea8cf989"
+
+
+def test_failed_search_matches_pinned_digest(tmp_path):
+    economy, report = tmp_path / "economy.json", tmp_path / "report.json"
+    argv = ["gen", write(tmp_path / "cfg.json", FAILING_CONFIG), "--out", str(economy), "--report", str(report), "--quiet"]
+    assert main(argv) == 2
+    assert json.loads(report.read_bytes()) == {"valid": False, "generations": 200, "final_fitness": 4}
+    assert len(load_economy(economy.read_bytes()).edges) == 41
+    assert hashlib.sha256(economy.read_bytes()).hexdigest() == PINNED_FAILED_ECONOMY
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == PINNED_FAILED_REPORT
 
 
 def test_generated_gated_trace_matches_pinned_digest(tmp_path):

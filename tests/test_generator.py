@@ -58,6 +58,49 @@ def test_try_add_rejects_duplicates_and_degree_overflow():
     assert not g.try_add(s, index_of(g, "pool_3"))  # source max out = 3
 
 
+def test_removing_an_edge_frees_a_full_source():
+    g = genome_over({K.SOURCE: 1, K.POOL: 4})
+    s = index_of(g, "source_0")
+    pools = [index_of(g, f"pool_{i}") for i in range(4)]
+    assert all(g.try_add(s, p) for p in pools[:3])
+    assert not g.try_add(s, pools[3])  # source max out = 3
+    full = g.copy()
+    g.remove_index(g.edges.index((s, pools[1])))
+    assert g.try_add(s, pools[3])
+    assert not g.try_add(s, pools[1])  # full again
+    assert not full.try_add(s, pools[3])  # the copy kept its own flags
+
+
+def test_removing_an_edge_frees_a_full_pool():
+    g = genome_over({K.SOURCE: 3, K.POOL: 1})
+    sources = [index_of(g, f"source_{i}") for i in range(3)]
+    p = index_of(g, "pool_0")
+    assert g.try_add(sources[0], p) and g.try_add(sources[1], p)
+    assert not g.try_add(sources[2], p)  # pool max in = 2
+    g.remove_index(g.edges.index((sources[0], p)))
+    assert g.try_add(sources[2], p)
+    assert not g.try_add(sources[0], p)  # full again
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_try_add_verdicts_match_oracle_through_removals(seed):
+    rng = random.Random(seed)
+    for _ in range(15):
+        g = EdgeListGenome(build_nodes(any_kinds(rng, rng.randint(5, 30))))
+        kinds = [oracle._kind_name(node.kind) for node in g.nodes]
+        n, edges = len(kinds), []
+        for _ in range(400):
+            if edges and rng.random() < 0.2:
+                index = rng.randrange(len(edges))
+                g.remove_index(index)
+                del edges[index]
+            else:
+                a, b = rng.randrange(n), rng.randrange(n)
+                assert g.try_add(a, b) == oracle.try_add(kinds, edges, a, b), (kinds[a], kinds[b], edges)
+        assert g.edges == edges
+        assert g.fitness == graph_fitness(g.to_graph(normalize=False))
+
+
 def test_mutate_add_edge_only_ever_adds_allowed_edges():
     rng = random.Random(0)
     g = genome_over({K.SOURCE: 2, K.RANDOM_GATE: 1, K.POOL: 2, K.CONVERTER: 1, K.DRAIN: 1})
@@ -76,7 +119,7 @@ def test_mutate_remove_edge_probability_zero_is_noop():
     g.try_add(0, 2)
     for seed in range(20):
         before = list(g.edges)
-        mutate_remove_edge([g], random.Random(seed), 0.0)
+        assert not mutate_remove_edge([g], random.Random(seed), 0.0)
         assert g.edges == before
 
 
@@ -84,15 +127,16 @@ def test_mutate_remove_edge_removes_exactly_one():
     g = genome_over({K.SOURCE: 1, K.POOL: 3})
     for b in (1, 2, 3):
         g.try_add(0, b)
-    mutate_remove_edge([g], random.Random(1), 1.0)
+    assert mutate_remove_edge([g], random.Random(1), 1.0)
     assert len(g.edges) == 2
 
 
 def test_mutate_remove_edge_on_single_edge_individual():
     g = genome_over({K.SOURCE: 1, K.POOL: 1})
     g.try_add(0, 1)
-    mutate_remove_edge([g], random.Random(1), 1.0)
+    assert mutate_remove_edge([g], random.Random(1), 1.0)
     assert g.edges == []
+    assert not mutate_remove_edge([g], random.Random(1), 1.0)  # drawn, but no edge to delete
 
 
 def test_incremental_fitness_matches_graph_fitness_through_mutations():
