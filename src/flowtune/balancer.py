@@ -227,9 +227,8 @@ class GenomeLayout:
     def plans(self, genome: tuple) -> tuple:
         """One step plan per graph for the genome's weights, from each topology's
         params form; no graph is built."""
-        return tuple(
-            weights_plan(topology, genome[start:end]) for (start, end), topology in zip(self.spans, self.topologies)
-        )
+        spans = zip(self.spans, self.topologies)
+        return tuple(weights_plan(topology, genome[start:end], scale=True) for (start, end), topology in spans)
 
 
 def clamp_positive(value: float, probability: bool) -> float:

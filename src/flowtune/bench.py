@@ -54,8 +54,9 @@ class BenchmarkSpec:
         if not isinstance(self.alphas, (list, tuple)) or not self.alphas:
             raise ValueError("alphas must be a nonempty list")
         # The configs built per task check the remaining fields; build one
-        # of each now so that a bad spec fails before any generation.
-        self.generator_config({NodeKind.SOURCE: 1, NodeKind.POOL: 1}, 0)
+        # of each now, the generator's at the largest node total, so that a
+        # bad spec fails before any generation.
+        self.generator_config({NodeKind.SOURCE: 1, NodeKind.POOL: self.node_range[1] - 1}, 0)
         self.balance_params(0)
         for alpha in self.alphas:
             self.objective("pool", self.target_range[0], self.sim_length_range[0], alpha)

@@ -121,26 +121,30 @@ def _read_economy(path: str):
         raise EconomyError(f"{path}: {exc}") from exc
 
 
-def _write(path: str, chunks) -> None:
-    """Write the byte chunks to a new file beside path, then rename it onto path,
-    so a failure leaves path as it was; a device, pipe or symlink is written in place.
-    The new file's name has a fixed length, so it fits wherever path's name does."""
-    temp = None
+def _write(*outputs) -> None:
+    """Write each output, a (path, byte chunks) pair, to a new file beside its
+    path, and rename the new files onto their paths only once all are written,
+    so a failure leaves every path as it was (but for a rename failing between
+    two renames); a device, pipe or symlink is written in place. A new file's
+    name has a fixed length, so it fits wherever its path's name does."""
+    written = []  # (new file, path) of each output not yet renamed
     try:
-        if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
-            out = open(path, "wb")
-        else:  # "x" makes the file as Path.write_bytes does, with mode 0o666 less the umask
-            out = open(os.path.join(os.path.dirname(path), f".flowtune-{os.urandom(6).hex()}.tmp"), "xb")
-            temp = out.name
-        with out:
-            out.writelines(chunks)
-        if temp is not None:
+        for path, chunks in outputs:
+            if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
+                out = open(path, "wb")
+            else:  # "x" makes the file as Path.write_bytes does, with mode 0o666 less the umask
+                out = open(os.path.join(os.path.dirname(path), f".flowtune-{os.urandom(6).hex()}.tmp"), "xb")
+                written.append((out.name, path))
+            with out:
+                out.writelines(chunks)
+        while written:
+            temp, path = written[0]
             os.replace(temp, path)
-            temp = None
+            del written[0]
     except OSError as exc:
         raise EconomyError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
-        if temp is not None:
+        for temp, _ in written:
             os.unlink(temp)
 
 
@@ -200,8 +204,7 @@ def _cmd_gen(args) -> int:
     started = time.perf_counter()
     result = generate(config)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    _write(args.out, [save_economy(result.graph)])
-    _write(report_path, [dump_json(result.report_dict())])
+    _write((args.out, [save_economy(result.graph)]), (report_path, [dump_json(result.report_dict())]))
     if result.valid:
         _say(args, f"valid economy after {result.generations} generations ({elapsed_ms:.1f} ms)")
         return EXIT_OK
@@ -234,7 +237,7 @@ def _cmd_sim(args) -> int:
             yield rows
 
     if args.trace:
-        _write(args.trace, chunks(kept()))
+        _write((args.trace, chunks(kept())))
     else:
         finals = [rows[-1] for rows in runs]
     if not args.quiet:
@@ -305,10 +308,8 @@ def _cmd_balance(args) -> int:
         if exc.economy_index is None:
             raise
         raise EconomyError(f"{paths[exc.economy_index]}: {exc}") from exc
-    _write(args.out, [save_economy(report.balanced_graphs[0])])
-    if args.out2 is not None:
-        _write(args.out2, [save_economy(report.balanced_graphs[1])])
-    _write(report_path, [dump_json(report.to_dict())])
+    outputs = [(path, [save_economy(graph)]) for path, graph in zip((args.out, args.out2), report.balanced_graphs)]
+    _write(*outputs, (report_path, [dump_json(report.to_dict())]))
 
     stats = ", ".join(
         f"{o.pool}[{o.economy_index}] {o.mean:.2f} ± {o.stddev:.2f}" for o in report.observations
@@ -333,8 +334,7 @@ def _cmd_bench(args) -> int:
         raise EconomyError(f"{args.spec}: {exc}") from exc
     progress = None if args.quiet else lambda message: print(message)
     result = run_benchmark(spec, progress)
-    _write(args.out, [result.to_csv().encode("utf-8")])
-    _write(json_path, [dump_json(result.to_dict())])
+    _write((args.out, [result.to_csv().encode("utf-8")]), (json_path, [dump_json(result.to_dict())]))
     return EXIT_OK
 
 

@@ -57,6 +57,16 @@ SAMPLED_KINDS = (
 )
 
 
+#: The largest node total a config may ask for, and the largest product of
+#: population_size and node total; a count above them is refused before
+#: anything is allocated. By tracemalloc, generate holds 430-600 bytes per
+#: node while the genomes have few edges (4,000-16,000 nodes; 61 MB at both
+#: caps after 3 steps), and about 200 more per node per genome once their
+#: edges fill in (1,000 nodes, 4,000 steps).
+MAX_NODES = 100_000
+MAX_GENOME_NODES = 1_000_000
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     node_counts: Mapping
@@ -72,9 +82,14 @@ class GeneratorConfig:
                 raise ValueError(f"unknown node kind {kind!r}")
             check_number(f"count for {kind.value}", count, integer=True, minimum=0)
         object.__setattr__(self, "node_counts", counts)
-        if sum(counts.values()) < 2:
+        total = sum(counts.values())
+        if total < 2:
             raise ValueError("need at least two nodes to build an economy")
+        if total > MAX_NODES:
+            raise ValueError(f"{total} nodes exceed the cap of {MAX_NODES}")
         check_number("population_size", self.population_size, integer=True, minimum=1)
+        if self.population_size * total > MAX_GENOME_NODES:
+            raise ValueError(f"population_size x nodes exceeds the cap of {MAX_GENOME_NODES}")
         check_number("max_steps", self.max_steps, integer=True, minimum=1)
         check_number("seed", self.seed, integer=True)
         check_number("remove_probability", self.remove_probability)

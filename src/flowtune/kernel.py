@@ -10,12 +10,13 @@ final amounts, the trace form its amounts after every step. The source names
 node k's amount nk, edge e's amount we, the batch staged on gate edge e
 se, gate k's share bounds bk_j and fixed pool k's cap ck. Weights enter
 only as data (a plan's params), and no node id reaches a kernel at all,
-so no id a document holds can change what runs. A third emitted form,
-params(w), turns one economy's slice of a balancer genome into a plan's
-params and initial amounts (Topology.params_form); it too holds no id.
-The adjacency the emitter walks is the graph's own (see model); this
-module builds none. sim imports this module with the first topology it
-compiles, not with the package.
+so no id a document holds can change what runs. The params form,
+params(w), is the one rule that turns weights into a plan's params and
+initial amounts (Topology.params_form), in one variant for a graph's own
+weights and one for a balancer genome's slice, whose gate weights it
+scales first; it too holds no id. The adjacency the emitter walks is the
+graph's own (see model); this module builds none. sim imports this module
+with the first topology it compiles, not with the package.
 
 Phase 2 repeats converter passes only where a repeat can fire something.
 A converter k feeds the converters that read an amount its one output
@@ -101,20 +102,18 @@ class Topology:
             kernel = self._kernels[trace] = self._compile(self.source(trace), "kernel", namespace)
         return kernel
 
-    def params_form(self):
-        """params(w) -> (params, initial), compiled on first use: the kernel
-        data of this topology's edges carrying the weights w, one per edge,
-        with each gate's weights first scaled as model.gate_shares scales them.
-
-        It computes what sim.compile_plan computes of the graph those scaled
-        weights write, in the same float operations and order: int() of each
-        amount weight; per gate, the left-to-right total, scaled_shares'
-        tolerance test and division, the total again, and the running share
-        bounds; each fixed pool's cap, and the initial amounts clamped to it.
-        A gate total that is not a finite positive number raises
-        GateNormalizationError naming the gate, as check_gate_total does.
+    def params_form(self, scale: bool):
+        """params(w) -> (params, initial) of one variant, compiled on first use:
+        the kernel data (see sim.compile_plan) of this topology's edges carrying
+        the weights w, one per edge. Without scale, w is as a graph holds it, and
+        each share is divided by float() of its gate's checked total. With scale,
+        w is a balancer genome's slice, and each gate's weights are first scaled
+        as model.gate_shares scales them (scaled_shares' tolerance test and
+        division, then the total again). A gate total that is not a finite
+        positive number raises GateNormalizationError naming the gate, as
+        check_gate_total does.
         """
-        form = self._kernels.get("params")
+        form = self._kernels.get(("params", scale))
         if form is None:
             gates, ids = self.gates, self.ids
 
@@ -122,7 +121,9 @@ class Topology:
                 return check_gate_total(ids[gates[j]], total)
 
             namespace = {"int": int, "max": max, "gate_total": gate_total, "a": self.initial}
-            form = self._kernels["params"] = self._compile(self.params_source(), "params", namespace)
+            if not scale:
+                namespace["float"] = float
+            form = self._kernels[("params", scale)] = self._compile(self.params_source(scale), "params", namespace)
         return form
 
     @staticmethod
@@ -132,18 +133,21 @@ class Topology:
         exec(compile(source, f"<flowtune {name} form>", "exec"), namespace)
         return namespace.pop(name)  # no cycle through its globals
 
-    def params_source(self) -> str:
-        """The params form's Python source (see params_form)."""
+    def params_source(self, scale: bool) -> str:
+        """The Python source of the params form of one variant (see params_form)."""
         out = self.out
         lines = ["def params(w):", f"    ({''.join(f'w{e}, ' for e in range(len(self.ends)))}) = w"]
         for j, k in enumerate(self.gates):
             total = " + ".join(f"w{e}" for e in out[k]) or "0"
-            # a total that passes this test passes check_gate_total; one that fails it is checked there
-            check = f"if not 0 < t <= {sys.float_info.max!r}: t = gate_total({j}, t)"
-            lines += [f"    t = {total}", f"    {check}"]
-            lines.append(f"    if not {-GATE_WEIGHT_TOLERANCE!r} <= t - 1.0 <= {GATE_WEIGHT_TOLERANCE!r}:")
-            lines += [f"        w{e} = w{e} / t" for e in out[k]]
-            lines += [f"        t = {total}", f"        {check}"]
+            if scale:
+                # a total that passes this test passes check_gate_total; one that fails it is checked there
+                check = f"if not 0 < t <= {sys.float_info.max!r}: t = gate_total({j}, t)"
+                lines += [f"    t = {total}", f"    {check}"]
+                lines.append(f"    if not {-GATE_WEIGHT_TOLERANCE!r} <= t - 1.0 <= {GATE_WEIGHT_TOLERANCE!r}:")
+                lines += [f"        w{e} = w{e} / t" for e in out[k]]
+                lines += [f"        t = {total}", f"        {check}"]
+            else:  # float() of the checked total
+                lines.append(f"    t = float(gate_total({j}, {total}))")
             bound = ""
             for i, e in enumerate(out[k][:-1]):
                 lines.append(f"    b{k}_{i} = {bound}w{e} / t")

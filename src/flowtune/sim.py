@@ -54,10 +54,11 @@ pool and drain (a drain's cumulative total), in its monitored order; the
 dicts of its snapshots are built when read. csv_writer formats the rows.
 
 A graph's connection rules are checked once, when its step plan
-(compile_plan) is first built, and the plan is cached on it. The balancer
-instead makes a plan per candidate weight vector and economy with the
-topology's emitted params form (weights_plan), and runs it only to the
-observed step (observe_stream), keeping each run's amounts at that step only.
+(compile_plan) is first built, and the plan is cached on it. One rule, the
+topology's emitted params form, turns weights into a plan's data: a
+graph's own (compile_plan) and the balancer's candidates, gate weights
+scaled first (weights_plan). The balancer runs a plan only to the observed
+step (observe_stream), keeping each run's amounts at that step only.
 """
 
 from __future__ import annotations
@@ -65,12 +66,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, check_gate_total, is_valid
-from .util import check_number, float_sum
+from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, is_valid
+from .util import check_number
 
 
 @dataclass(frozen=True)
@@ -224,38 +225,31 @@ def compile_plan(graph: EconomyGraph) -> _Plan:
     """The graph's step plan, built on first use and cached on it; building it
     is the one validity check, and a refused graph caches nothing.
 
+    Its params, in kernel order: the whole amount of each edge that does not
+    leave a gate, in edge order; per gate, in node order, the running sums of
+    its shares but the last, each share a weight divided by float() of the
+    gate's left-to-right total, which must be a finite positive number; the
+    cap of each fixed pool with outgoing edges (phase 4), in node order. Its
+    initial amounts are those of the monitored nodes, fixed pools clamped.
     Amount weights are whole counts >= 0: the kernel's rule for when to
     repeat a converter pass is exact only then (see flowtune.kernel), and a
-    graph's are positive. Gate weights are routing shares: each gate's must
-    sum to a finite positive number, and are divided by that sum. A balancer
-    genome's plan is weights_plan's.
+    graph's are positive.
     """
     cached = getattr(graph, "_sim_plan", None)
     if cached is not None:
         return cached
     if not is_valid(graph):
         raise InvalidEconomyError(f"refusing to simulate an invalid economy graph: {broken_rule(graph)}")
-    topology = topology_of(graph)
-    weights = [e.weight for e in graph.edges]
-    params = [int(weights[e]) for e in topology.amount_edges]
-    for k in topology.gates:
-        shares = [weights[e] for e in topology.out[k]]
-        total = float(check_gate_total(topology.ids[k], float_sum(shares)))
-        # running share sums; the last edge takes every draw above them (its sum counts as 1.0)
-        params += list(accumulate(w / total for w in shares))[:-1]
-    caps = [max([int(weights[e]) for e in topology.out[k]]) for k in topology.caps]
-    initial = list(topology.initial)
-    for slot, cap in zip(topology.cap_slots, caps):  # each fixed pool starts clamped to its cap
-        initial[slot] = min(initial[slot], cap)
-    plan = _Plan(topology, (*params, *caps), tuple(initial))
+    plan = weights_plan(topology_of(graph), [e.weight for e in graph.edges], scale=False)
     object.__setattr__(graph, "_sim_plan", plan)
     return plan
 
 
-def weights_plan(topology: "Topology", weights) -> _Plan:
-    """Step plan of topology's edge e carrying weights[e], gate weights first
-    scaled as a written economy holds them (kernel.Topology.params_form)."""
-    return _Plan(topology, *topology.params_form()(weights))
+def weights_plan(topology: "Topology", weights, scale: bool) -> _Plan:
+    """Step plan of topology's edge e carrying weights[e], by its params form
+    (kernel.Topology.params_form); with scale, the weights are a balancer
+    genome's, and each gate's are first scaled as a written economy holds them."""
+    return _Plan(topology, *topology.params_form(scale)(weights))
 
 
 def observe_stream(plan: _Plan, t: int, m: int, base_seed: int, rng):

@@ -1,5 +1,5 @@
-"""Independent brute-force test oracles: a constraint checker, a simulator
-and a balancing loop without the race.
+"""Independent brute-force test oracles: a constraint checker, a simulator,
+a step plan's data and a balancing loop without the race.
 
 The checker and the simulator are deliberately written from scratch
 against the documented connection rules and step phases, sharing no code
@@ -9,6 +9,7 @@ neighbors are found by scanning the raw edge list for every node.
 
 import csv
 import io
+import math
 import random
 import statistics
 
@@ -251,6 +252,44 @@ def simulate_amounts(graph, n: int, seed: int) -> list:
 
         history.append(dict(amounts))
     return history
+
+
+def plan_params(graph) -> tuple:
+    """(params, initial) of the graph's step plan, written from the
+    flowtune.sim.compile_plan docstring alone: the whole amount of each edge
+    not leaving a gate, in edge order; per gate, in node order, the running
+    share sums but the last, each share a weight divided by float() of the
+    gate's left-to-right total; the cap of each fixed pool with outgoing
+    edges, in node order. initial holds the pools' amounts (fixed pools
+    clamped to their caps), then the drains' zeros, each in node order. A
+    total that is not a finite positive number raises ValueError with the
+    message of flowtune.model.GateNormalizationError."""
+    kinds = {node.id: getattr(node.kind, "value", node.kind) for node in graph.nodes}
+    params = [int(e.weight) for e in graph.edges if kinds[e.src] != "random_gate"]
+    caps = {}
+    for node in graph.nodes:
+        weights = [e.weight for e in graph.edges if e.src == node.id]
+        if kinds[node.id] == "fixed_pool" and weights:
+            caps[node.id] = max(int(w) for w in weights)
+        if kinds[node.id] != "random_gate":
+            continue
+        total = 0
+        for w in weights:
+            total += w
+        try:
+            finite = math.isfinite(total)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not (finite and total > 0):
+            raise ValueError(f"gate {node.id!r}: outgoing weights do not sum to a finite positive number")
+        running = 0.0
+        for w in weights[:-1]:
+            running += w / float(total)
+            params.append(running)
+    initial = [min(node.initial_amount, caps.get(node.id, node.initial_amount))
+               for node in graph.nodes if kinds[node.id] in _POOL_KINDS]
+    initial += [0 for node in graph.nodes if kinds[node.id] == "drain"]
+    return tuple(params) + tuple(caps.values()), tuple(initial)
 
 
 def back_feeders(graph) -> set:

@@ -8,6 +8,7 @@ import os
 import stat
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -537,6 +538,54 @@ def test_two_outputs_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith(f"flowtune: error: {options[0]} and {options[1]} ") and err.count("\n") == 1
     assert os.listdir(work) == ["link.json"]
+
+
+@pytest.mark.parametrize("command", ["gen", "balance", "inter", "bench"])
+def test_an_unwritable_second_output_leaves_every_older_file(tmp_path, capsys, command):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    objective = {"pool": "damage_pool", "step": 3, "sim_length": 3, "runs": 2, "population": 4, "max_generations": 2}
+    argv, first, second = {
+        "gen": (["gen", write(inputs / "c.json", {"nodes": {"source": 1, "pool": 1, "drain": 1}, "seed": 2})],
+                "--out", "--report"),
+        "balance": (["balance", write(inputs / "a.json", fixture_text("archer")), "--objective",
+                     write(inputs / "o.json", {"kind": "absolute", "value": 5, **objective})], "--out", "--report"),
+        "inter": (["balance", write(inputs / "m.json", fixture_text("mage")), "--second",
+                   write(inputs / "a.json", fixture_text("archer")), "--objective",
+                   write(inputs / "i.json", {"kind": "inter_pair", "pool2": "damage_pool", **objective})],
+                  "--out", "--out2"),
+        "bench": (["bench", write(inputs / "s.json", {"graphs": 1, "node_range": [5, 6], "population": 4,
+                                                       "max_generations": 2, "runs": 2})], "--out", "--json"),
+    }[command]
+    work = tmp_path / "work"
+    work.mkdir()
+    older = work / "first.out"
+    older.write_bytes(b"an older output\n")
+    missing = str(work / "missing" / ".." / "second.out")  # no directory "missing"
+    assert main(argv + [first, str(older), second, missing, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"flowtune: cannot write {missing}: No such file or directory\n"
+    assert older.read_bytes() == b"an older output\n"
+    assert os.listdir(work) == ["first.out"]  # no other output, and no temporary file
+
+
+@pytest.mark.parametrize(
+    "command, doc, cap",
+    [
+        ("gen", {"nodes": {"source": 1, "pool": 1, "random_gate": 2**63}}, "100000"),
+        ("gen", {"nodes": {"source": 1, "pool": 99_999}, "population": 11}, "1000000"),
+        ("bench", {"graphs": 1, "node_range": [5, 2**63]}, "100000"),
+        ("bench", {"graphs": 1, "node_range": [5, 100_000], "generator_population": 11}, "1000000"),
+    ],
+    ids=["gen-nodes", "gen-population", "bench-nodes", "bench-population"],
+)
+def test_counts_above_the_generator_caps_are_refused_at_once(tmp_path, capsys, command, doc, cap):
+    config = write(tmp_path / "c.json", doc)
+    started = time.perf_counter()
+    assert main([command, config, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"flowtune: {config}: ") and f"cap of {cap}" in err and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["c.json"]
 
 
 @pytest.mark.parametrize("command", ["sim", "balance"])

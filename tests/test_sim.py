@@ -347,22 +347,26 @@ def test_hostile_node_ids_enter_kernels_as_data():
         got = observed_runs(twin_plan, 9, 3, 5)
         assert got == [{names[k]: v for k, v in run.items()} for run in plain]
         topology = twin_plan.topology
-        for source in (topology.source(False), topology.source(True), topology.params_source()):
+        sources = (topology.source(False), topology.source(True), topology.params_source(True),
+                   topology.params_source(False))
+        for source in sources:
             assert not set("'\"\\") & set(source)
             assert not any(node.id in source for node in twin.nodes)
         # nor does any id reach a form's namespace
         for form, allowed in ((topology.kernel(False), {"range", "reseed"}), (topology.kernel(True), {"range", "reseed"}),
-                              (topology.params_form(), {"int", "max", "gate_total", "a"})):
+                              (topology.params_form(True), {"int", "max", "gate_total", "a"}),
+                              (topology.params_form(False), {"int", "max", "float", "gate_total", "a"})):
             namespace = form.__globals__
             assert set(namespace) == {"__builtins__", *allowed} and namespace["__builtins__"] == {}
         weights = [e.weight for e in twin.edges]
-        assert topology.params_form()(weights) == compile_plan(twin.with_weights(gate_shares(twin, weights)))[1:3]
+        assert topology.params_form(True)(weights) == compile_plan(twin.with_weights(gate_shares(twin, weights)))[1:3]
         # an id is data there too: it only names a gate whose weights are refused
         for gate in topology.gates[:1]:
             for e in topology.out[gate]:
                 weights[e] = 1e308
-            with pytest.raises(GateNormalizationError, match=re.escape(repr(topology.ids[gate]))):
-                topology.params_form()(weights)
+            for scale in (True, False):
+                with pytest.raises(GateNormalizationError, match=re.escape(repr(topology.ids[gate]))):
+                    topology.params_form(scale)(weights)
 
 
 #: SHA-256 of the trace sources, Topology(graph).source(True), over
@@ -370,7 +374,7 @@ def test_hostile_node_ids_enter_kernels_as_data():
 PINNED_KERNEL_SOURCE = "bc6fe30a493a51c79a71ebfdac95be4a1b5e9370fdc2e057676888f9fc191135"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
 PINNED_MANY_SEED_SOURCE = "7e7cd25e3880b0bf069c0b80c822ff0d219424076e61d1589d188a0f6d4cbfa3"
-#: SHA-256 of the params form's source, Topology(graph).params_source(), over the same economies.
+#: SHA-256 of the genome params form's source, Topology(graph).params_source(True), over the same economies.
 PINNED_PARAMS_SOURCE = "f2982ebb33da3e442834b20fa7ce768632ca641afd89a1652a0836da95dba88a"
 
 
@@ -380,10 +384,32 @@ def test_emitted_kernel_source_matches_pinned_digest():
         topology = flowtune.kernel.Topology(graph)
         digest.update(topology.source(True).encode())
         many_seed.update(topology.source(False).encode())
-        params.update(topology.params_source().encode())
+        params.update(topology.params_source(True).encode())
     assert digest.hexdigest() == PINNED_KERNEL_SOURCE
     assert many_seed.hexdigest() == PINNED_MANY_SEED_SOURCE
     assert params.hexdigest() == PINNED_PARAMS_SOURCE
+
+
+def test_graph_plans_are_the_reference_arithmetic_bit_for_bit():
+    graphs = gated_economies() + oracle_economies(30, random.Random(5))
+    graphs += [gate_graph(*shares) for shares in ((3, 1), (1, 3), (2**53 + 1, 2**54 + 3), (0.1, 0.2), (1e308, 7e307))]
+    for graph in list(graphs):  # every amount weight above 2**53, each gate's shares as they are
+        graphs.append(graph.with_weights([
+            w if graph.nodes[src].kind is NodeKind.RANDOM_GATE else 2**53 + 1 + 2 * e
+            for e, (w, (src, _)) in enumerate(zip((edge.weight for edge in graph.edges), graph._ends))
+        ]))
+    for graph in graphs:
+        # repr tells every float apart, and an int from an equal float
+        assert repr(compile_plan(graph)[1:3]) == repr(oracle.plan_params(graph))
+    huge = gate_graph()  # gate weights (10**400, 1), past the constructor's checks: no document holds them
+    object.__setattr__(huge, "edges", (huge.edges[0], Edge("gate", "left", 10**400), Edge("gate", "right", 1)))
+    for graph in (gate_graph(1e308, 1e308), huge):
+        with pytest.raises(ValueError) as expected:
+            oracle.plan_params(graph)
+        with pytest.raises(GateNormalizationError) as raised:
+            compile_plan(graph)
+        assert str(raised.value) == str(expected.value)
+        assert getattr(graph, "_sim_plan", None) is None
 
 
 def test_reseeding_in_c_draws_what_a_new_generator_draws():
