@@ -65,6 +65,15 @@ ABANDONED = -1.0
 #: must fall to be abandoned; float rounding in the sum is far smaller.
 RACE_MARGIN = 1e-9
 
+#: The largest product of population_size and genes (edges, over all
+#: economies) a balance call accepts; a larger one is refused before any
+#: genome is drawn. By tracemalloc, a drawn population holds about 16 bytes
+#: per gene per genome on gate ladders (100-300 gates, population 42; a third
+#: of their genes are reals) and 32 where every gene is a real (32 MB at the
+#: cap), and the cache of measured genomes about 6 more per gene per genome
+#: with each generation.
+MAX_POPULATION_GENES = 1_000_000
+
 #: Largest step of one mutation: a whole count for an amount gene, a real
 #: for a probability gene.
 AMOUNT_DELTA_MAX = 3
@@ -443,6 +452,8 @@ def balance(
         _check_pool(graphs[economy_index], pool, role)
 
     layout = GenomeLayout(graphs)
+    if params.population_size * len(layout.genes) > MAX_POPULATION_GENES:
+        raise ValueError(f"population_size x genes exceeds the cap of {MAX_POPULATION_GENES}")
     # each observed pool's position in its economy's run tuples
     positions = [(index, layout.topologies[index].monitored.index(pool)) for index, pool in observed]
     m = objective.runs

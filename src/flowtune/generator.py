@@ -17,9 +17,9 @@ random.sample(range(n), 2) does on Python 3.10-3.13 and from the same
 random numbers, so a seed gives the same economy. It screens each draw
 inline, with the same rules as try_add, and adds only an edge that
 passes: one lookup in a kind-pair table (_KIND_PAIRS), one in each of the
-genome's degree flags (a node's entry is 1 while its degree in that
-direction is below its kind's maximum), and one in its edge set. Most
-draws fail the screen once the genomes saturate.
+genome's room arrays (a node's entry is how many more edges its kind
+allows in that direction, so nonzero admits one), and one in its edge
+set. Most draws fail the screen once the genomes saturate.
 
 A generation that adds and removes no edge leaves every genome as it
 was, so generate appends the previous minimum to the fitness history and
@@ -59,10 +59,11 @@ SAMPLED_KINDS = (
 
 #: The largest node total a config may ask for, and the largest product of
 #: population_size and node total; a count above them is refused before
-#: anything is allocated. By tracemalloc, generate holds 430-600 bytes per
-#: node while the genomes have few edges (4,000-16,000 nodes; 61 MB at both
-#: caps after 3 steps), and about 200 more per node per genome once their
-#: edges fill in (1,000 nodes, 4,000 steps).
+#: anything is allocated. By tracemalloc, generate holds about 410 bytes per
+#: node, and 2 more per node per genome, while the genomes have few edges
+#: (4,000-16,000 nodes, population 1-10; 43 MB at both caps after 3 steps),
+#: and about 170 more per node per genome once their edges fill in (1,000
+#: nodes, 4,000 steps).
 MAX_NODES = 100_000
 MAX_GENOME_NODES = 1_000_000
 
@@ -113,32 +114,33 @@ class EdgeListGenome:
 
     try_add enforces the no-duplicate, no-self-loop, neighbor-kind and
     maximum-degree rules, so the only constraint violations a genome can
-    carry are unmet minimum degrees (tracked in ``fitness``). The maximum
-    degrees live only in two flag arrays, ``_out_free`` and ``_in_free``:
-    entry v is 1 while v's out- (in-) degree is below its kind's maximum.
-    Adding an edge clears a flag its endpoint fills; removing one sets
-    both endpoints' flags again.
+    carry are unmet minimum degrees (tracked in ``fitness``). The degrees
+    live only in two room arrays, ``_out_room`` and ``_in_room``: entry v
+    is how many more edges v's kind allows out of (into) v, so a nonzero
+    entry admits one more. v's minimum in that direction is met exactly
+    while its room is at most ``_out_met[v]`` (``_in_met[v]``), its kind's
+    maximum less its minimum. A minimum of 0 puts that threshold at full
+    room, which an add never falls to and a removal never rises from, so
+    it is never counted.
     """
 
-    __slots__ = ("nodes", "edges", "_row", "_col", "_rules", "_edge_set", "_in_deg", "_out_deg",
-                 "_out_free", "_in_free", "_missing")
+    __slots__ = ("nodes", "edges", "_row", "_col", "_out_met", "_in_met", "_edge_set",
+                 "_out_room", "_in_room", "_missing")
 
     def __init__(self, nodes: tuple):
         self.nodes = nodes
         self.edges = []
         kinds = [n.kind.constraint_kind for n in nodes]
+        rules = [CONSTRAINTS[kind] for kind in kinds]
         # a->b passes the neighbor-kind rules when _KIND_PAIRS[_row[a] + _col[b]]
         self._col = [_TABLE_KINDS.index(kind) for kind in kinds]
         self._row = [len(_TABLE_KINDS) * i for i in self._col]
-        self._rules = [CONSTRAINTS[kind] for kind in kinds]
+        self._out_met = bytes(r.max_out - r.min_out for r in rules)
+        self._in_met = bytes(r.max_in - r.min_in for r in rules)
         self._edge_set = set()
-        self._in_deg = [0] * len(nodes)
-        self._out_deg = [0] * len(nodes)
-        self._out_free = bytearray(r.max_out > 0 for r in self._rules)
-        self._in_free = bytearray(r.max_in > 0 for r in self._rules)
-        self._missing = sum(
-            (1 if r.min_in > 0 else 0) + (1 if r.min_out > 0 else 0) for r in self._rules
-        )
+        self._out_room = bytearray(r.max_out for r in rules)
+        self._in_room = bytearray(r.max_in for r in rules)
+        self._missing = sum((r.min_in > 0) + (r.min_out > 0) for r in rules)
 
     @property
     def fitness(self) -> int:
@@ -147,7 +149,7 @@ class EdgeListGenome:
 
     def try_add(self, a: int, b: int) -> bool:
         """Add the directed edge a->b if every rule allows it."""
-        if a == b or (a, b) in self._edge_set or not self._out_free[a] or not self._in_free[b]:
+        if a == b or (a, b) in self._edge_set or not self._out_room[a] or not self._in_room[b]:
             return False
         if not _KIND_PAIRS[self._row[a] + self._col[b]]:
             return False
@@ -155,30 +157,23 @@ class EdgeListGenome:
         return True
 
     def _add(self, a: int, b: int) -> None:
-        """Add a->b, which passes try_add's rules; update degrees, flags and fitness."""
-        self._bump(self._out_deg, a, 1, self._rules[a].min_out)
-        self._bump(self._in_deg, b, 1, self._rules[b].min_in)
-        self._out_free[a] = self._out_deg[a] < self._rules[a].max_out
-        self._in_free[b] = self._in_deg[b] < self._rules[b].max_in
+        """Add a->b, which passes try_add's rules; update rooms and fitness."""
+        out_room, in_room = self._out_room, self._in_room
+        out_room[a] -= 1
+        in_room[b] -= 1
+        # a minimum is newly met when the room falls to its threshold
+        self._missing -= (out_room[a] == self._out_met[a]) + (in_room[b] == self._in_met[b])
         self._edge_set.add((a, b))
         self.edges.append((a, b))
 
     def remove_index(self, index: int) -> None:
         a, b = self.edges.pop(index)
         self._edge_set.discard((a, b))
-        self._bump(self._out_deg, a, -1, self._rules[a].min_out)
-        self._bump(self._in_deg, b, -1, self._rules[b].min_in)
-        self._out_free[a] = self._in_free[b] = 1
-
-    def _bump(self, degrees: list, v: int, delta: int, minimum: int) -> None:
-        """Add delta to degrees[v], counting a minimum it starts or stops meeting."""
-        old = degrees[v]
-        new = old + delta
-        if old < minimum <= new:
-            self._missing -= 1
-        elif new < minimum <= old:
-            self._missing += 1
-        degrees[v] = new
+        out_room, in_room = self._out_room, self._in_room
+        # a minimum met with no edge to spare stops being met
+        self._missing += (out_room[a] == self._out_met[a]) + (in_room[b] == self._in_met[b])
+        out_room[a] += 1
+        in_room[b] += 1
 
     def is_connected(self) -> bool:
         return indices_connected(len(self.nodes), self.edges)
@@ -189,12 +184,11 @@ class EdgeListGenome:
         clone.edges = list(self.edges)
         clone._row = self._row
         clone._col = self._col
-        clone._rules = self._rules
+        clone._out_met = self._out_met
+        clone._in_met = self._in_met
         clone._edge_set = set(self._edge_set)
-        clone._in_deg = list(self._in_deg)
-        clone._out_deg = list(self._out_deg)
-        clone._out_free = bytearray(self._out_free)
-        clone._in_free = bytearray(self._in_free)
+        clone._out_room = bytearray(self._out_room)
+        clone._in_room = bytearray(self._in_room)
         clone._missing = self._missing
         return clone
 
@@ -273,10 +267,10 @@ def generate(config: GeneratorConfig) -> GenerationResult:
     pool_branch = n <= 21
     table = _KIND_PAIRS
     row, col = first._row, first._col
-    screens = [(genome, genome._out_free, genome._in_free, genome._edge_set) for genome in population]
+    screens = [(genome, genome._out_room, genome._in_room, genome._edge_set) for genome in population]
     for generation in range(1, config.max_steps + 1):
         changed = False
-        for genome, out_free, in_free, edge_set in screens:
+        for genome, out_room, in_room, edge_set in screens:
             a = bits(k)
             while a >= n:
                 a = bits(k)
@@ -290,7 +284,7 @@ def generate(config: GeneratorConfig) -> GenerationResult:
                 b = bits(k)
                 while b >= n or b == a:
                     b = bits(k)
-            if table[row[a] + col[b]] and out_free[a] and in_free[b] and (a, b) not in edge_set:
+            if table[row[a] + col[b]] and out_room[a] and in_room[b] and (a, b) not in edge_set:
                 genome._add(a, b)  # try_add's rules, screened inline
                 changed = True
         if not (mutate_remove_edge(population, rng, config.remove_probability) or changed):

@@ -11,10 +11,10 @@ node k's amount nk, edge e's amount we, the batch staged on gate edge e
 se, gate k's share bounds bk_j and fixed pool k's cap ck. Weights enter
 only as data (a plan's params), and no node id reaches a kernel at all,
 so no id a document holds can change what runs. The params form,
-params(w), is the one rule that turns weights into a plan's params and
-initial amounts (Topology.params_form), in one variant for a graph's own
-weights and one for a balancer genome's slice, whose gate weights it
-scales first; it too holds no id. The adjacency the emitter walks is the
+params(w, scale), is the one rule that turns weights into a plan's params
+and initial amounts (Topology.params_form), for a graph's own weights and,
+with scale, for a balancer genome's slice, whose gate weights it scales
+first; it too holds no id. The adjacency the emitter walks is the
 graph's own (see model); this module builds none. sim imports this module
 with the first topology it compiles, not with the package.
 
@@ -102,28 +102,26 @@ class Topology:
             kernel = self._kernels[trace] = self._compile(self.source(trace), "kernel", namespace)
         return kernel
 
-    def params_form(self, scale: bool):
-        """params(w) -> (params, initial) of one variant, compiled on first use:
-        the kernel data (see sim.compile_plan) of this topology's edges carrying
-        the weights w, one per edge. Without scale, w is as a graph holds it, and
-        each share is divided by float() of its gate's checked total. With scale,
-        w is a balancer genome's slice, and each gate's weights are first scaled
-        as model.gate_shares scales them (scaled_shares' tolerance test and
-        division, then the total again). A gate total that is not a finite
-        positive number raises GateNormalizationError naming the gate, as
-        check_gate_total does.
+    def params_form(self):
+        """params(w, scale) -> (params, initial), compiled on first use: the
+        kernel data (see sim.compile_plan) of this topology's edges carrying
+        the weights w, one per edge. Each share is divided by float() of its
+        gate's checked total. Without scale, w is as a graph holds it. With
+        scale, w is a balancer genome's slice, and each gate's weights are
+        first scaled as model.gate_shares scales them (scaled_shares'
+        tolerance test and division, then the total again). A gate total that
+        is not a finite positive number raises GateNormalizationError naming
+        the gate, as check_gate_total does.
         """
-        form = self._kernels.get(("params", scale))
+        form = self._kernels.get("params")
         if form is None:
             gates, ids = self.gates, self.ids
 
             def gate_total(j, total):  # the checked total of gates[j], or its error
                 return check_gate_total(ids[gates[j]], total)
 
-            namespace = {"int": int, "max": max, "gate_total": gate_total, "a": self.initial}
-            if not scale:
-                namespace["float"] = float
-            form = self._kernels[("params", scale)] = self._compile(self.params_source(scale), "params", namespace)
+            namespace = {"int": int, "float": float, "max": max, "gate_total": gate_total, "a": self.initial}
+            form = self._kernels["params"] = self._compile(self.params_source(), "params", namespace)
         return form
 
     @staticmethod
@@ -133,21 +131,18 @@ class Topology:
         exec(compile(source, f"<flowtune {name} form>", "exec"), namespace)
         return namespace.pop(name)  # no cycle through its globals
 
-    def params_source(self, scale: bool) -> str:
-        """The Python source of the params form of one variant (see params_form)."""
+    def params_source(self) -> str:
+        """The Python source of the params form (see params_form)."""
         out = self.out
-        lines = ["def params(w):", f"    ({''.join(f'w{e}, ' for e in range(len(self.ends)))}) = w"]
+        lines = ["def params(w, scale):", f"    ({''.join(f'w{e}, ' for e in range(len(self.ends)))}) = w"]
         for j, k in enumerate(self.gates):
             total = " + ".join(f"w{e}" for e in out[k]) or "0"
-            if scale:
-                # a total that passes this test passes check_gate_total; one that fails it is checked there
-                check = f"if not 0 < t <= {sys.float_info.max!r}: t = gate_total({j}, t)"
-                lines += [f"    t = {total}", f"    {check}"]
-                lines.append(f"    if not {-GATE_WEIGHT_TOLERANCE!r} <= t - 1.0 <= {GATE_WEIGHT_TOLERANCE!r}:")
-                lines += [f"        w{e} = w{e} / t" for e in out[k]]
-                lines += [f"        t = {total}", f"        {check}"]
-            else:  # float() of the checked total
-                lines.append(f"    t = float(gate_total({j}, {total}))")
+            # a total that passes this test passes check_gate_total; one that fails it is checked there
+            check = f"if not 0 < t <= {sys.float_info.max!r}: t = gate_total({j}, t)"
+            lines += [f"    t = {total}", f"    {check}"]
+            lines.append(f"    if scale and not {-GATE_WEIGHT_TOLERANCE!r} <= t - 1.0 <= {GATE_WEIGHT_TOLERANCE!r}:")
+            lines += [f"        w{e} = w{e} / t" for e in out[k]]
+            lines += [f"        t = {total}", f"        {check}", "    t = float(t)"]
             bound = ""
             for i, e in enumerate(out[k][:-1]):
                 lines.append(f"    b{k}_{i} = {bound}w{e} / t")

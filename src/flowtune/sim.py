@@ -55,10 +55,11 @@ dicts of its snapshots are built when read. csv_writer formats the rows.
 
 A graph's connection rules are checked once, when its step plan
 (compile_plan) is first built, and the plan is cached on it. One rule, the
-topology's emitted params form, turns weights into a plan's data: a
-graph's own (compile_plan) and the balancer's candidates, gate weights
-scaled first (weights_plan). The balancer runs a plan only to the observed
-step (observe_stream), keeping each run's amounts at that step only.
+topology's emitted params form, compiled once per topology, turns weights
+into a plan's data: a graph's own (compile_plan) and, called with scale,
+the balancer's candidates, gate weights scaled first (weights_plan). The
+balancer runs a plan only to the observed step (observe_stream), keeping
+each run's amounts at that step only.
 """
 
 from __future__ import annotations
@@ -247,9 +248,10 @@ def compile_plan(graph: EconomyGraph) -> _Plan:
 
 def weights_plan(topology: "Topology", weights, scale: bool) -> _Plan:
     """Step plan of topology's edge e carrying weights[e], by its params form
-    (kernel.Topology.params_form); with scale, the weights are a balancer
-    genome's, and each gate's are first scaled as a written economy holds them."""
-    return _Plan(topology, *topology.params_form(scale)(weights))
+    (kernel.Topology.params_form), called with scale: with scale, the weights
+    are a balancer genome's, and each gate's are first scaled as a written
+    economy holds them."""
+    return _Plan(topology, *topology.params_form()(weights, scale))
 
 
 def observe_stream(plan: _Plan, t: int, m: int, base_seed: int, rng):

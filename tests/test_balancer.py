@@ -800,7 +800,7 @@ def test_params_form_gives_each_evaluated_genome_the_plan_of_its_graph(minecraft
         for (start, end), topology, graph in zip(layout.spans, layout.topologies, layout.apply(genome)):
             plan = compile_plan(graph)
             # repr tells every float apart, and an int from an equal float
-            assert repr(topology.params_form(True)(genome[start:end])) == repr(plan[1:3]), genome
+            assert repr(topology.params_form()(genome[start:end], True)) == repr(plan[1:3]), genome
 
 
 @pytest.mark.parametrize("shares", [(1e308, 1e308), (10**400, 1)])

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import flowtune.cli
+from flowtune.balancer import MAX_POPULATION_GENES, GenomeLayout
 from flowtune.cli import main
 from flowtune.fixtures import FIXTURE_NAMES, fixture_text
 from flowtune.model import NodeKind, is_valid, load_economy
@@ -586,6 +587,29 @@ def test_counts_above_the_generator_caps_are_refused_at_once(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith(f"flowtune: {config}: ") and f"cap of {cap}" in err and err.count("\n") == 1
     assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("command", ["balance", "bench"])
+def test_population_above_the_balancer_cap_is_refused_at_once(tmp_path, capsys, monkeypatch, torch_file, command):
+    def refuse(layout, rng):
+        raise AssertionError("a genome was drawn")
+
+    monkeypatch.setattr(GenomeLayout, "random_genome", refuse)
+    out = tmp_path / "out"
+    argv = {
+        "balance": [
+            "balance", torch_file, "--out", str(out), "--objective",
+            write(tmp_path / "o.json", {"kind": "absolute", "pool": "torch_pool", "value": 60, "step": 16,
+                                         "sim_length": 16, "population": 2**63}),
+        ],
+        "bench": ["bench", write(tmp_path / "spec.json", {"graphs": 1, "population": 2**63}), "--out", str(out)],
+    }[command]
+    started = time.perf_counter()
+    assert main(argv + ["--quiet"]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("flowtune: ") and f"cap of {MAX_POPULATION_GENES}" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sim", "balance"])

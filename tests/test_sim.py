@@ -347,26 +347,24 @@ def test_hostile_node_ids_enter_kernels_as_data():
         got = observed_runs(twin_plan, 9, 3, 5)
         assert got == [{names[k]: v for k, v in run.items()} for run in plain]
         topology = twin_plan.topology
-        sources = (topology.source(False), topology.source(True), topology.params_source(True),
-                   topology.params_source(False))
+        sources = (topology.source(False), topology.source(True), topology.params_source())
         for source in sources:
             assert not set("'\"\\") & set(source)
             assert not any(node.id in source for node in twin.nodes)
         # nor does any id reach a form's namespace
         for form, allowed in ((topology.kernel(False), {"range", "reseed"}), (topology.kernel(True), {"range", "reseed"}),
-                              (topology.params_form(True), {"int", "max", "gate_total", "a"}),
-                              (topology.params_form(False), {"int", "max", "float", "gate_total", "a"})):
+                              (topology.params_form(), {"int", "float", "max", "gate_total", "a"})):
             namespace = form.__globals__
             assert set(namespace) == {"__builtins__", *allowed} and namespace["__builtins__"] == {}
         weights = [e.weight for e in twin.edges]
-        assert topology.params_form(True)(weights) == compile_plan(twin.with_weights(gate_shares(twin, weights)))[1:3]
+        assert topology.params_form()(weights, True) == compile_plan(twin.with_weights(gate_shares(twin, weights)))[1:3]
         # an id is data there too: it only names a gate whose weights are refused
         for gate in topology.gates[:1]:
             for e in topology.out[gate]:
                 weights[e] = 1e308
             for scale in (True, False):
                 with pytest.raises(GateNormalizationError, match=re.escape(repr(topology.ids[gate]))):
-                    topology.params_form(scale)(weights)
+                    topology.params_form()(weights, scale)
 
 
 #: SHA-256 of the trace sources, Topology(graph).source(True), over
@@ -374,8 +372,8 @@ def test_hostile_node_ids_enter_kernels_as_data():
 PINNED_KERNEL_SOURCE = "bc6fe30a493a51c79a71ebfdac95be4a1b5e9370fdc2e057676888f9fc191135"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
 PINNED_MANY_SEED_SOURCE = "7e7cd25e3880b0bf069c0b80c822ff0d219424076e61d1589d188a0f6d4cbfa3"
-#: SHA-256 of the genome params form's source, Topology(graph).params_source(True), over the same economies.
-PINNED_PARAMS_SOURCE = "f2982ebb33da3e442834b20fa7ce768632ca641afd89a1652a0836da95dba88a"
+#: SHA-256 of the params form's source, Topology(graph).params_source(), over the same economies.
+PINNED_PARAMS_SOURCE = "2063d3ead833aa6827c023a28796e54c9e34b56085491bae91b81de4b0241cb3"
 
 
 def test_emitted_kernel_source_matches_pinned_digest():
@@ -384,7 +382,7 @@ def test_emitted_kernel_source_matches_pinned_digest():
         topology = flowtune.kernel.Topology(graph)
         digest.update(topology.source(True).encode())
         many_seed.update(topology.source(False).encode())
-        params.update(topology.params_source(True).encode())
+        params.update(topology.params_source().encode())
     assert digest.hexdigest() == PINNED_KERNEL_SOURCE
     assert many_seed.hexdigest() == PINNED_MANY_SEED_SOURCE
     assert params.hexdigest() == PINNED_PARAMS_SOURCE
