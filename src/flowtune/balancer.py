@@ -13,16 +13,17 @@ larger alpha is a prefix of the same search (BalanceReport.at_alpha).
 
 Weights flagged static in the graph are never altered. Weights on edges
 leaving a random gate evolve as raw positive reals ("probability genes")
-and are normalized per gate when compiled into a step plan or written
-into a graph; all other genes are positive integers ("amount genes").
+and are normalized per gate when a step kernel reads them or when they
+are written into a graph; all other genes are positive integers ("amount
+genes").
 
 balance checks each input economy once, then measures a genome on one
-step plan per economy run to the observed step, building no graph: each
-economy's topology turns the genome's slice of weights into the plan's
-params (kernel.Topology.params_form), and its observe kernel yields the
-runs one by one, each reseeding a generator the balance call makes for
-itself, so calls in concurrent threads do not disturb each other. The
-report's observations are that measurement of the best genome under seeds
+step plan per economy run to the observed step, building no graph: the
+plan is the economy's topology with the genome's slice of weights, which
+its observe kernel scales and turns into its own data (flowtune.kernel)
+before it yields the runs one by one, each reseeding a generator the
+balance call makes for itself, so calls in concurrent threads do not
+disturb each other. The report's observations are that measurement of the best genome under seeds
 of their own; the balanced graphs carry the measured weights, so
 simulating them reproduces it. sim_length only bounds observe_step.
 
@@ -51,7 +52,7 @@ from operator import itemgetter
 from typing import Sequence, Union
 
 from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, gate_shares, is_valid
-from .sim import monitored_node_ids, observe_stream, topology_of, weights_plan
+from .sim import Plan, monitored_node_ids, observe_stream, topology_of
 from .util import check_number, derive_seed
 
 #: A genome reaching this fitness is balanced and stops the search.
@@ -234,10 +235,10 @@ class GenomeLayout:
         )
 
     def plans(self, genome: tuple) -> tuple:
-        """One step plan per graph for the genome's weights, from each topology's
-        params form; no graph is built."""
+        """One step plan per graph: its topology with the genome's slice of
+        weights, gate weights scaled (see flowtune.kernel); no graph is built."""
         spans = zip(self.spans, self.topologies)
-        return tuple(weights_plan(topology, genome[start:end], scale=True) for (start, end), topology in spans)
+        return tuple(Plan(topology, genome[start:end], True) for (start, end), topology in spans)
 
 
 def clamp_positive(value: float, probability: bool) -> float:

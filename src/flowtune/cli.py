@@ -221,8 +221,10 @@ def _cmd_sim(args) -> int:
         raise _UsageError("--steps must be >= 1")
     if args.runs < 1:
         raise _UsageError("--runs must be >= 1")
-    graph = _read_economy(args.economy)
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:  # random.Random(-s) draws what random.Random(s) draws: runs would repeat
+        raise _UsageError("--seed must be >= 0")
+    graph = _read_economy(args.economy)
     try:
         monitored = topology_of(graph).monitored
         chunks = csv_writer(monitored, args.steps) if args.trace else None  # checks the ids before any run

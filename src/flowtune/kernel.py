@@ -4,19 +4,29 @@ A kernel is Python source, generated from a graph's node kinds and edges,
 that runs t steps, straight-line, on local variables, with the phases and
 draws the sim docstring states, once per seed of a list, reseeding one
 generator in C before each run. The emitter writes two forms of it, both
-generators with the one signature kernel(p, a, rng, seeds, t) that yield
-one tuple per run once the run ends: the observe form yields the run's
-final amounts, the trace form its amounts after every step. The source names
-node k's amount nk, edge e's amount we, the batch staged on gate edge e
-se, gate k's share bounds bk_j and fixed pool k's cap ck. Weights enter
-only as data (a plan's params), and no node id reaches a kernel at all,
-so no id a document holds can change what runs. The params form,
-params(w, scale), is the one rule that turns weights into a plan's params
-and initial amounts (Topology.params_form), for a graph's own weights and,
-with scale, for a balancer genome's slice, whose gate weights it scales
-first; it too holds no id. The adjacency the emitter walks is the
-graph's own (see model); this module builds none. sim imports this module
-with the first topology it compiles, not with the package.
+generators with the one signature kernel(w, scale, rng, seeds, t) that
+yield one tuple per run once the run ends: the observe form yields the
+run's final amounts, the trace form its amounts after every step. w holds
+one weight per edge, in edge order: a graph's own or, with scale, a
+balancer genome's slice, whose gate weights are first scaled as
+model.gate_shares scales them (scaled_shares' tolerance test and division,
+then the total again).
+
+The source names node k's amount nk, edge e's weight we, the batch staged
+on gate edge e se, gate k's share bounds bk_j and fixed pool k's cap ck.
+A prologue, run once per call before the first run, is the one rule that
+turns the weights into these locals, with the arithmetic sim.compile_plan
+states: per gate, its total checked as check_gate_total checks it (an
+inline test, with the check itself only for a total that fails it), with
+scale the scaling above, then the bounds, each share divided by float()
+of the total; int() of each amount weight; the caps; and a, the step-0
+amounts of Topology.monitored with fixed pools clamped. A total that is not a
+finite positive number raises GateNormalizationError naming the gate when
+the first run is read. Weights enter only as data, and no node id
+reaches a kernel at all, so no id a document holds can change what runs.
+The adjacency the emitter walks is the graph's own (see model); this
+module builds none. sim imports this module with the first topology it
+compiles, not with the package.
 
 Phase 2 repeats converter passes only where a repeat can fire something.
 A converter k feeds the converters that read an amount its one output
@@ -54,8 +64,8 @@ class Topology:
         self.held = pools + [k for k, kind in enumerate(kinds) if kind is NodeKind.DRAIN]
         self.monitored = tuple(self.ids[k] for k in self.held)
         self.initial = tuple(graph.nodes[k].initial_amount for k in self.held)
-        # the params, in kernel order: the amount of every edge that does not
-        # leave a gate, the bounds of every gate, the cap of every fixed pool
+        # what a kernel's prologue reads: the edges that do not leave a gate,
+        # whose weights are amounts, the gates, and the capped fixed pools
         self.amount_edges = [e for e, (src, _) in enumerate(self.ends) if kinds[src] is not NodeKind.RANDOM_GATE]
         self.gates = [k for k, kind in enumerate(kinds) if kind is NodeKind.RANDOM_GATE]
         # with outgoing edges (one without is not clamped); cap_slots are their places in held
@@ -89,8 +99,9 @@ class Topology:
     def kernel(self, trace: bool):
         """The step kernel of one form, compiled on first use.
 
-        kernel(params, initial, rng, seeds, t) is a generator that runs t
-        steps from initial once per seed, reseeding rng with the seed first,
+        kernel(w, scale, rng, seeds, t) is a generator that turns the weights
+        w into its locals (see the module docstring), then runs t steps from
+        the initial amounts once per seed, reseeding rng with the seed first,
         and yields one tuple per run as soon as the run ends, so a caller that
         stops reading runs no further seed. With trace, the tuple is the run's
         rows, the amounts of self.monitored at steps 0 ... t; without, those at
@@ -98,69 +109,16 @@ class Topology:
         """
         kernel = self._kernels.get(trace)
         if kernel is None:
-            namespace = {"range": range, "reseed": _random.Random.seed}
-            kernel = self._kernels[trace] = self._compile(self.source(trace), "kernel", namespace)
-        return kernel
-
-    def params_form(self):
-        """params(w, scale) -> (params, initial), compiled on first use: the
-        kernel data (see sim.compile_plan) of this topology's edges carrying
-        the weights w, one per edge. Each share is divided by float() of its
-        gate's checked total. Without scale, w is as a graph holds it. With
-        scale, w is a balancer genome's slice, and each gate's weights are
-        first scaled as model.gate_shares scales them (scaled_shares'
-        tolerance test and division, then the total again). A gate total that
-        is not a finite positive number raises GateNormalizationError naming
-        the gate, as check_gate_total does.
-        """
-        form = self._kernels.get("params")
-        if form is None:
             gates, ids = self.gates, self.ids
 
             def gate_total(j, total):  # the checked total of gates[j], or its error
                 return check_gate_total(ids[gates[j]], total)
 
-            namespace = {"int": int, "float": float, "max": max, "gate_total": gate_total, "a": self.initial}
-            form = self._kernels["params"] = self._compile(self.params_source(), "params", namespace)
-        return form
-
-    @staticmethod
-    def _compile(source: str, name: str, namespace: dict):
-        """The function source defines as name, run with no builtins but namespace."""
-        namespace["__builtins__"] = {}
-        exec(compile(source, f"<flowtune {name} form>", "exec"), namespace)
-        return namespace.pop(name)  # no cycle through its globals
-
-    def params_source(self) -> str:
-        """The Python source of the params form (see params_form)."""
-        out = self.out
-        lines = ["def params(w, scale):", f"    ({''.join(f'w{e}, ' for e in range(len(self.ends)))}) = w"]
-        for j, k in enumerate(self.gates):
-            total = " + ".join(f"w{e}" for e in out[k]) or "0"
-            # a total that passes this test passes check_gate_total; one that fails it is checked there
-            check = f"if not 0 < t <= {sys.float_info.max!r}: t = gate_total({j}, t)"
-            lines += [f"    t = {total}", f"    {check}"]
-            lines.append(f"    if scale and not {-GATE_WEIGHT_TOLERANCE!r} <= t - 1.0 <= {GATE_WEIGHT_TOLERANCE!r}:")
-            lines += [f"        w{e} = w{e} / t" for e in out[k]]
-            lines += [f"        t = {total}", f"        {check}", "    t = float(t)"]
-            bound = ""
-            for i, e in enumerate(out[k][:-1]):
-                lines.append(f"    b{k}_{i} = {bound}w{e} / t")
-                bound = f"b{k}_{i} + "
-        for k in self.caps:
-            amounts = ", ".join(f"int(w{e})" for e in out[k])
-            lines.append(f"    c{k} = {f'max({amounts})' if len(out[k]) > 1 else amounts}")
-        params = [f"int(w{e})" for e in self.amount_edges]
-        params += [f"b{k}_{i}" for k in self.gates for i in range(len(out[k]) - 1)]
-        params += [f"c{k}" for k in self.caps]
-        initial = "a"
-        if self.caps:
-            amounts = [repr(amount) for amount in self.initial]
-            for slot, k in zip(self.cap_slots, self.caps):
-                amounts[slot] = f"c{k} if {amounts[slot]} > c{k} else {amounts[slot]}"
-            initial = f"({''.join(f'{amount}, ' for amount in amounts)})"
-        lines.append(f"    return ({''.join(f'{param}, ' for param in params)}), {initial}")
-        return "\n".join(lines) + "\n"
+            namespace = {"__builtins__": {}, "range": range, "reseed": _random.Random.seed, "int": int,
+                         "float": float, "max": max, "gate_total": gate_total, "a": self.initial}
+            exec(compile(self.source(trace), "<flowtune kernel form>", "exec"), namespace)
+            kernel = self._kernels[trace] = namespace.pop("kernel")  # no cycle through its globals
+        return kernel
 
     def source(self, trace: bool) -> str:
         """The kernel's Python source; with trace, it keeps every step's amounts."""
@@ -190,13 +148,37 @@ class Topology:
         def by_id(kind):
             return sorted((k for k, node_kind in enumerate(kinds) if node_kind is kind), key=self.ids.__getitem__)
 
+        put(0, "def kernel(w, scale, rng, seeds, t):")
+        # the prologue: the weights as the locals the steps read (see the module docstring)
+        put(1, f"({''.join(f'w{e}, ' for e in range(len(ends)))}) = w")
+        for j, k in enumerate(self.gates):
+            total = " + ".join(f"w{e}" for e in out[k]) or "0"
+            # a total that passes this test passes check_gate_total; one that fails it is checked there
+            check = f"if not 0 < total <= {sys.float_info.max!r}: total = gate_total({j}, total)"
+            put(1, f"total = {total}")
+            put(1, check)
+            put(1, f"if scale and not {-GATE_WEIGHT_TOLERANCE!r} <= total - 1.0 <= {GATE_WEIGHT_TOLERANCE!r}:")
+            for e in out[k]:
+                put(2, f"w{e} = w{e} / total")
+            put(2, f"total = {total}")
+            put(2, check)
+            put(1, "total = float(total)")
+            bound = ""
+            for i, e in enumerate(out[k][:-1]):
+                put(1, f"b{k}_{i} = {bound}w{e} / total")
+                bound = f"b{k}_{i} + "
+        for e in self.amount_edges:
+            put(1, f"w{e} = int(w{e})")
+        for k in self.caps:
+            amounts = ", ".join(f"w{e}" for e in out[k])
+            put(1, f"c{k} = {f'max({amounts})' if len(out[k]) > 1 else amounts}")
+        if self.caps:  # else a is the namespace's initial amounts
+            amounts = [repr(amount) for amount in self.initial]
+            for slot, k in zip(self.cap_slots, self.caps):
+                amounts[slot] = f"c{k} if {amounts[slot]} > c{k} else {amounts[slot]}"
+            put(1, f"a = ({''.join(f'{amount}, ' for amount in amounts)})")
         held = "".join(f"n{k}, " for k in self.held)
-        params = [f"w{e}" for e in self.amount_edges]
-        params += [f"b{k}_{j}" for k in self.gates for j in range(len(out[k]) - 1)]
-        params += [f"c{k}" for k in self.caps]
         staged = [e for e, (src, dst) in enumerate(ends) if kinds[src] is gate and not kinds[dst].is_pool_like]
-        put(0, "def kernel(p, a, rng, seeds, t):")
-        put(1, f"({''.join(f'{name}, ' for name in params)}) = p")
         # one run per seed on the one generator; a gate-free run draws nothing
         if self.gates:
             put(1, "draw = rng.random")

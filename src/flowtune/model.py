@@ -199,18 +199,6 @@ class EconomyGraph:
     def node(self, node_id: str) -> Node:
         return self.nodes[self._position(node_id)]
 
-    def out_edges(self, node_id: str) -> tuple:
-        return tuple(self.edges[e] for e in self._out[self._position(node_id)])
-
-    def in_edges(self, node_id: str) -> tuple:
-        return tuple(self.edges[e] for e in self._in[self._position(node_id)])
-
-    def out_degree(self, node_id: str) -> int:
-        return len(self._out[self._position(node_id)])
-
-    def in_degree(self, node_id: str) -> int:
-        return len(self._in[self._position(node_id)])
-
     def with_weights(self, weights: Sequence) -> "EconomyGraph":
         """New graph with edge weights replaced positionally."""
         if len(weights) != len(self.edges):
@@ -252,25 +240,26 @@ def validate_node(node: Union[Node, str], graph: EconomyGraph) -> int:
 
 def _violations(node_id: str, graph: EconomyGraph):
     """One line per dissatisfied connection constraint of one node."""
-    found = graph.node(node_id)
-    rule = constraint_for(found.kind)
-    name = f"{found.kind.value} {node_id!r}"
+    k = graph._position(node_id)
+    nodes, ends, into, out = graph.nodes, graph._ends, graph._in[k], graph._out[k]
+    rule = constraint_for(nodes[k].kind)
+    name = f"{nodes[k].kind.value} {node_id!r}"
     for direction, degree, low, high in (
-        ("in", graph.in_degree(node_id), rule.min_in, rule.max_in),
-        ("out", graph.out_degree(node_id), rule.min_out, rule.max_out),
+        ("in", len(into), rule.min_in, rule.max_in),
+        ("out", len(out), rule.min_out, rule.max_out),
     ):
         if degree < low:
             yield f"{name} has {direction}-degree {degree}, needs at least {low}"
         if degree > high:
             yield f"{name} has {direction}-degree {degree}, allows at most {high}"
-    for edge in graph.in_edges(node_id):
-        kind = graph.node(edge.src).kind
-        if kind.constraint_kind not in rule.allowed_inputs:
-            yield f"{name} cannot take an edge from {kind.value} {edge.src!r}"
-    for edge in graph.out_edges(node_id):
-        kind = graph.node(edge.dst).kind
-        if kind.constraint_kind not in rule.allowed_outputs:
-            yield f"{name} cannot have an edge to {kind.value} {edge.dst!r}"
+    for e in into:
+        src = nodes[ends[e][0]]
+        if src.kind.constraint_kind not in rule.allowed_inputs:
+            yield f"{name} cannot take an edge from {src.kind.value} {src.id!r}"
+    for e in out:
+        dst = nodes[ends[e][1]]
+        if dst.kind.constraint_kind not in rule.allowed_outputs:
+            yield f"{name} cannot have an edge to {dst.kind.value} {dst.id!r}"
 
 
 def broken_rule(graph: EconomyGraph) -> str | None:

@@ -53,13 +53,14 @@ A trace keeps one row per step: the tuple of amounts of every pool, fixed
 pool and drain (a drain's cumulative total), in its monitored order; the
 dicts of its snapshots are built when read. csv_writer formats the rows.
 
-A graph's connection rules are checked once, when its step plan
-(compile_plan) is first built, and the plan is cached on it. One rule, the
-topology's emitted params form, compiled once per topology, turns weights
-into a plan's data: a graph's own (compile_plan) and, called with scale,
-the balancer's candidates, gate weights scaled first (weights_plan). The
-balancer runs a plan only to the observed step (observe_stream), keeping
-each run's amounts at that step only.
+A step plan (Plan) is a topology with the weights its kernels read. A
+graph's connection rules and gate totals are checked once, when its plan
+(compile_plan) is first built, and the plan is cached on it; building it
+compiles nothing. The balancer's candidates are plans of their genome's
+weights with scale, gate weights scaled first. Each kernel call turns its
+plan's weights into the kernel's data itself (flowtune.kernel), so one rule
+serves both. The balancer runs a plan only to the observed step
+(observe_stream), keeping each run's amounts at that step only.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, is_valid
+from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, gate_shares, is_valid
 from .util import check_number
 
 
@@ -142,9 +143,11 @@ def simulate(graph: EconomyGraph, n: int, seed: int) -> SimulationTrace:
 def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> RunEnsemble:
     """m independent runs with seeds base_seed+0 ... base_seed+m-1.
 
-    A graph without random gates draws no random numbers, so its runs
-    are identical: it is simulated once, and its m traces (each with its
-    own run_seed) share one rows tuple.
+    base_seed must be >= 0: random.Random(-s) draws what random.Random(s)
+    draws, so a range of seeds across 0 would repeat runs. A graph without
+    random gates draws no random numbers, so its runs are identical: it is
+    simulated once, and its m traces (each with its own run_seed) share one
+    rows tuple.
     """
     runs, monitored = trace_runs(graph, n, m, base_seed), topology_of(graph).monitored
     traces = tuple(SimulationTrace(base_seed + i, monitored, rows) for i, rows in enumerate(runs))
@@ -157,7 +160,7 @@ def trace_runs(graph: EconomyGraph, n: int, m: int, base_seed: int):
     and graph are checked at the call, each gated run simulated when read."""
     check_number("simulation length", n, integer=True, minimum=1)
     check_number("run count", m, integer=True, minimum=1)
-    check_number("seed", base_seed, integer=True)
+    check_number("seed", base_seed, integer=True, minimum=0)  # see simulate_ensemble
     plan = compile_plan(graph)
     return _runs(plan, plan.topology.kernel(True), random.Random(0), n, m, base_seed)
 
@@ -202,12 +205,12 @@ def ensemble_to_csv(ensemble: RunEnsemble) -> str:
 # --- step kernels ----------------------------------------------------------------
 
 
-class _Plan(NamedTuple):
-    """A weight vector on a compiled topology: the per-genome data only."""
+class Plan(NamedTuple):
+    """Weights on a compiled topology: what its kernels read besides the generator, seeds and length."""
 
     topology: "Topology"
-    params: tuple  # whole amounts, gate share bounds and fixed-pool caps, in kernel order
-    initial: tuple  # the step-0 amounts of topology.monitored
+    weights: tuple  # one per edge, in edge order
+    scale: bool  # a balancer genome's weights, whose gate weights are scaled first (flowtune.kernel)
 
 
 def topology_of(graph: EconomyGraph) -> "Topology":
@@ -222,39 +225,35 @@ def topology_of(graph: EconomyGraph) -> "Topology":
     return topology
 
 
-def compile_plan(graph: EconomyGraph) -> _Plan:
-    """The graph's step plan, built on first use and cached on it; building it
-    is the one validity check, and a refused graph caches nothing.
+def compile_plan(graph: EconomyGraph) -> Plan:
+    """The graph's step plan, its own weights unscaled, built on first use and
+    cached on it; building it is the one check, and a refused graph caches
+    nothing: its connection rules, then each gate's total, as gate_shares
+    checks it.
 
-    Its params, in kernel order: the whole amount of each edge that does not
-    leave a gate, in edge order; per gate, in node order, the running sums of
-    its shares but the last, each share a weight divided by float() of the
-    gate's left-to-right total, which must be a finite positive number; the
-    cap of each fixed pool with outgoing edges (phase 4), in node order. Its
-    initial amounts are those of the monitored nodes, fixed pools clamped.
-    Amount weights are whole counts >= 0: the kernel's rule for when to
-    repeat a converter pass is exact only then (see flowtune.kernel), and a
-    graph's are positive.
+    From the weights, each kernel's prologue (flowtune.kernel) computes the
+    whole amount of each edge that does not leave a gate, in edge order; per
+    gate, in node order, the running sums of its shares but the last, each
+    share a weight divided by float() of the gate's left-to-right total,
+    which must be a finite positive number; the cap of each fixed pool with
+    outgoing edges (phase 4), in node order; and the initial amounts of the
+    monitored nodes, fixed pools clamped. Amount weights are whole counts >=
+    0: the kernel's rule for when to repeat a converter pass is exact only
+    then (see flowtune.kernel), and a graph's are positive.
     """
     cached = getattr(graph, "_sim_plan", None)
     if cached is not None:
         return cached
     if not is_valid(graph):
         raise InvalidEconomyError(f"refusing to simulate an invalid economy graph: {broken_rule(graph)}")
-    plan = weights_plan(topology_of(graph), [e.weight for e in graph.edges], scale=False)
+    weights = tuple(e.weight for e in graph.edges)
+    gate_shares(graph, weights)  # raises if a gate's total is not a finite positive number
+    plan = Plan(topology_of(graph), weights, False)
     object.__setattr__(graph, "_sim_plan", plan)
     return plan
 
 
-def weights_plan(topology: "Topology", weights, scale: bool) -> _Plan:
-    """Step plan of topology's edge e carrying weights[e], by its params form
-    (kernel.Topology.params_form), called with scale: with scale, the weights
-    are a balancer genome's, and each gate's are first scaled as a written
-    economy holds them."""
-    return _Plan(topology, *topology.params_form()(weights, scale))
-
-
-def observe_stream(plan: _Plan, t: int, m: int, base_seed: int, rng):
+def observe_stream(plan: Plan, t: int, m: int, base_seed: int, rng):
     """An iterator over the runs of seeds base_seed ... base_seed+m-1 to step
     t on the caller's generator rng: per run, the amounts of
     plan.topology.monitored at step t, which equal row t of a longer run with
@@ -263,12 +262,12 @@ def observe_stream(plan: _Plan, t: int, m: int, base_seed: int, rng):
     return _runs(plan, plan.topology.kernel(False), rng, t, m, base_seed)
 
 
-def _runs(plan: _Plan, kernel, rng, t: int, m: int, base_seed: int):
+def _runs(plan: Plan, kernel, rng, t: int, m: int, base_seed: int):
     """An iterator over kernel's runs of plan to step t with seeds base_seed ...
     base_seed+m-1, each reseeding rng first. A plan without gates draws no
     random numbers: it runs base_seed only, at once, and that run is repeated
     m times."""
     if plan.topology.gates:
-        return kernel(plan.params, plan.initial, rng, range(base_seed, base_seed + m), t)
-    (run,) = kernel(plan.params, plan.initial, rng, (base_seed,), t)
+        return kernel(plan.weights, plan.scale, rng, range(base_seed, base_seed + m), t)
+    (run,) = kernel(plan.weights, plan.scale, rng, (base_seed,), t)
     return repeat(run, m)

@@ -68,6 +68,23 @@ def observed_runs(plan, t: int, m: int, base_seed: int) -> list:
     return [dict(zip(plan.topology.monitored, run)) for run in runs]
 
 
+def plan_data(plan) -> tuple:
+    """(params, initial) as plan's observe kernel computes them before its
+    first step, in the order of oracle.plan_params: the documented locals of
+    one run to step 0, suspended at its yield, read from its frame. params
+    holds each amount edge's we, in edge order, each gate's bk_j, in node
+    order, and each capped fixed pool's ck, in node order; initial is the
+    run's yielded step-0 amounts. A gate total the prologue refuses raises."""
+    topology = plan.topology
+    run = topology.kernel(False)(plan.weights, plan.scale, random.Random(0), (0,), 0)
+    initial = next(run)
+    names = [f"w{e}" for e in topology.amount_edges]
+    names += [f"b{k}_{j}" for k in topology.gates for j in range(len(topology.out[k]) - 1)]
+    names += [f"c{k}" for k in topology.caps]
+    local = run.gi_frame.f_locals
+    return tuple(local[name] for name in names), initial
+
+
 def count_kernel_calls(monkeypatch) -> list:
     """Make every step kernel log each call as [runs asked for, runs it
     yielded, steps per run]: [len(seeds), runs read, t]; returns the log. An
@@ -79,10 +96,10 @@ def count_kernel_calls(monkeypatch) -> list:
     def counting(topology, trace):
         kernel = real(topology, trace)
 
-        def counted(p, a, rng, seeds, t):
+        def counted(w, scale, rng, seeds, t):
             call = [len(seeds), 0, t]
             calls.append(call)
-            for run in kernel(p, a, rng, seeds, t):
+            for run in kernel(w, scale, rng, seeds, t):
                 call[1] += 1
                 yield run
 

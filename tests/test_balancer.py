@@ -31,7 +31,7 @@ from flowtune.balancer import (
 )
 
 import oracle
-from conftest import chain_graph, count_kernel_calls, observed_runs
+from conftest import chain_graph, count_kernel_calls, observed_runs, plan_data
 from test_sim import oracle_economies
 
 
@@ -274,8 +274,8 @@ def test_plans_observe_what_the_applied_graphs_simulate(minecraft, mage, archer)
             genome = layout.random_genome(rng)
             base_seed = rng.randrange(10**6)
             for plan, graph in zip(layout.plans(genome), layout.apply(genome)):
-                # the same params bit for bit, gate share bounds included
-                assert plan[1:] == compile_plan(graph)[1:]
+                # the same kernel data bit for bit, gate share bounds included
+                assert repr(plan_data(plan)) == repr(plan_data(compile_plan(graph)))
                 ensemble = simulate_ensemble(graph, n, m, base_seed)
                 for t in range(1, n + 1):
                     observed = observed_runs(plan, t, m, base_seed)
@@ -797,10 +797,9 @@ def test_params_form_gives_each_evaluated_genome_the_plan_of_its_graph(minecraft
         balance(graphs, objective, BalanceParams(population_size=6, max_generations=15, seed=seed))
     assert len(evaluated) > 1000
     for layout, genome in evaluated:
-        for (start, end), topology, graph in zip(layout.spans, layout.topologies, layout.apply(genome)):
-            plan = compile_plan(graph)
+        for plan, graph in zip(real(layout, genome), layout.apply(genome)):
             # repr tells every float apart, and an int from an equal float
-            assert repr(topology.params_form()(genome[start:end], True)) == repr(plan[1:3]), genome
+            assert repr(plan_data(plan)) == repr(plan_data(compile_plan(graph))), genome
 
 
 @pytest.mark.parametrize("shares", [(1e308, 1e308), (10**400, 1)])
@@ -810,7 +809,8 @@ def test_params_form_refuses_gate_totals_that_are_not_finite(archer, shares):
     genome[3:5] = shares  # the crit_gate weights
     with pytest.raises(flowtune.model.GateNormalizationError) as expected:
         flowtune.model.gate_shares(archer, genome)
+    (plan,) = layout.plans(tuple(genome))
     with pytest.raises(flowtune.model.GateNormalizationError) as raised:
-        layout.plans(tuple(genome))
+        next(observe_stream(plan, 1, 1, 0, random.Random(0)))
     assert str(raised.value) == str(expected.value)
     assert str(raised.value) == "gate 'crit_gate': outgoing weights do not sum to a finite positive number"

@@ -145,6 +145,18 @@ def test_sim_rejects_zero_steps(tmp_path, torch_file):
     assert main(["sim", torch_file, "--steps", "0", "--quiet"]) == 1
 
 
+def test_sim_rejects_a_negative_seed(tmp_path, capsys):
+    # random.Random(-s) draws what random.Random(s) draws, so seeds -2 ... 2 would repeat runs
+    economy = write(tmp_path / "archer.json", fixture_text("archer"))
+    trace = tmp_path / "trace.csv"
+    assert main(["sim", economy, "--steps", "20", "--runs", "5", "--seed", "-2", "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "flowtune: error: --seed must be >= 0\n" and captured.out == ""
+    assert not trace.exists()
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        simulate_ensemble(load_economy(fixture_text("archer")), 20, 5, -2)
+
+
 def test_sim_rejects_invalid_economy(tmp_path, capsys):
     bad = write(
         tmp_path / "bad.json",

@@ -16,6 +16,7 @@ from flowtune.model import (
     EconomyGraph, Edge, GateNormalizationError, InvalidEconomyError, Node, NodeKind, gate_shares, is_valid,
 )
 from flowtune.sim import (
+    Plan,
     compile_plan,
     ensemble_to_csv,
     monitored_node_ids,
@@ -27,7 +28,7 @@ from flowtune.generator import GeneratorConfig, generate, random_node_counts
 from flowtune.util import derive_seed
 
 import oracle
-from conftest import chain_graph, count_kernel_calls, gate_graph, observed_runs
+from conftest import chain_graph, count_kernel_calls, gate_graph, observed_runs, plan_data
 
 
 def with_coal_cost(minecraft, x):
@@ -347,45 +348,41 @@ def test_hostile_node_ids_enter_kernels_as_data():
         got = observed_runs(twin_plan, 9, 3, 5)
         assert got == [{names[k]: v for k, v in run.items()} for run in plain]
         topology = twin_plan.topology
-        sources = (topology.source(False), topology.source(True), topology.params_source())
-        for source in sources:
+        for source in (topology.source(False), topology.source(True)):
             assert not set("'\"\\") & set(source)
             assert not any(node.id in source for node in twin.nodes)
         # nor does any id reach a form's namespace
-        for form, allowed in ((topology.kernel(False), {"range", "reseed"}), (topology.kernel(True), {"range", "reseed"}),
-                              (topology.params_form(), {"int", "float", "max", "gate_total", "a"})):
+        allowed = {"range", "reseed", "int", "float", "max", "gate_total", "a"}
+        for form in (topology.kernel(False), topology.kernel(True)):
             namespace = form.__globals__
             assert set(namespace) == {"__builtins__", *allowed} and namespace["__builtins__"] == {}
         weights = [e.weight for e in twin.edges]
-        assert topology.params_form()(weights, True) == compile_plan(twin.with_weights(gate_shares(twin, weights)))[1:3]
+        written = compile_plan(twin.with_weights(gate_shares(twin, weights)))
+        assert plan_data(Plan(topology, weights, True)) == plan_data(written)
         # an id is data there too: it only names a gate whose weights are refused
         for gate in topology.gates[:1]:
             for e in topology.out[gate]:
                 weights[e] = 1e308
             for scale in (True, False):
                 with pytest.raises(GateNormalizationError, match=re.escape(repr(topology.ids[gate]))):
-                    topology.params_form()(weights, scale)
+                    observed_runs(Plan(topology, weights, scale), 9, 3, 5)
 
 
 #: SHA-256 of the trace sources, Topology(graph).source(True), over
 #: gated_economies() and oracle_economies(30, random.Random(5)).
-PINNED_KERNEL_SOURCE = "bc6fe30a493a51c79a71ebfdac95be4a1b5e9370fdc2e057676888f9fc191135"
+PINNED_KERNEL_SOURCE = "ff16929c1c15fa612d7f06ed4225301ce2d77dd35ca094430076c859bc1315c0"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
-PINNED_MANY_SEED_SOURCE = "7e7cd25e3880b0bf069c0b80c822ff0d219424076e61d1589d188a0f6d4cbfa3"
-#: SHA-256 of the params form's source, Topology(graph).params_source(), over the same economies.
-PINNED_PARAMS_SOURCE = "2063d3ead833aa6827c023a28796e54c9e34b56085491bae91b81de4b0241cb3"
+PINNED_MANY_SEED_SOURCE = "3903a1007869fc20f14689badec1b7be583646765041790ef0ee5ab8412529da"
 
 
 def test_emitted_kernel_source_matches_pinned_digest():
-    digest, many_seed, params = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    digest, many_seed = hashlib.sha256(), hashlib.sha256()
     for graph in gated_economies() + oracle_economies(30, random.Random(5)):
         topology = flowtune.kernel.Topology(graph)
         digest.update(topology.source(True).encode())
         many_seed.update(topology.source(False).encode())
-        params.update(topology.params_source().encode())
     assert digest.hexdigest() == PINNED_KERNEL_SOURCE
     assert many_seed.hexdigest() == PINNED_MANY_SEED_SOURCE
-    assert params.hexdigest() == PINNED_PARAMS_SOURCE
 
 
 def test_graph_plans_are_the_reference_arithmetic_bit_for_bit():
@@ -398,7 +395,7 @@ def test_graph_plans_are_the_reference_arithmetic_bit_for_bit():
         ]))
     for graph in graphs:
         # repr tells every float apart, and an int from an equal float
-        assert repr(compile_plan(graph)[1:3]) == repr(oracle.plan_params(graph))
+        assert repr(plan_data(compile_plan(graph))) == repr(oracle.plan_params(graph))
     huge = gate_graph()  # gate weights (10**400, 1), past the constructor's checks: no document holds them
     object.__setattr__(huge, "edges", (huge.edges[0], Edge("gate", "left", 10**400), Edge("gate", "right", 1)))
     for graph in (gate_graph(1e308, 1e308), huge):
