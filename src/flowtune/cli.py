@@ -35,7 +35,7 @@ from .model import (
     load_economy,
     save_economy,
 )
-from .sim import csv_writer, topology_of, trace_runs
+from .sim import csv_writer, monitored_node_ids, trace_runs
 from .util import dump_json
 
 EXIT_OK = 0
@@ -180,6 +180,8 @@ def _options(doc: dict, keywords: dict, seed_override=None) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    if args.seed is not None and args.seed < 0:  # Random(-s) draws what Random(s) draws: one search
+        raise _UsageError("--seed must be >= 0")
     report_path = args.report or f"{args.out}.report.json"
     _distinct_outputs(("--out", args.out), ("--report", report_path))
     doc = _read_json(args.config)
@@ -225,25 +227,26 @@ def _cmd_sim(args) -> int:
     if seed < 0:  # random.Random(-s) draws what random.Random(s) draws: runs would repeat
         raise _UsageError("--seed must be >= 0")
     graph = _read_economy(args.economy)
+    ids = monitored_node_ids(graph)  # a run's columns, as trace_runs yields it
     try:
-        monitored = topology_of(graph).monitored
-        chunks = csv_writer(monitored, args.steps) if args.trace else None  # checks the ids before any run
+        chunks = csv_writer(ids, args.steps) if args.trace else None  # checks the ids before any run
         runs = trace_runs(graph, args.steps, args.runs, seed)
     except EconomyError as exc:
         raise EconomyError(f"{args.economy}: {exc}") from exc
-    finals = []  # each run's amounts at --steps, in monitored order: all a run leaves behind
+    w = len(ids)
+    finals = []  # each run's amounts at --steps, by id: all a run leaves behind
 
     def kept():
-        for rows in runs:
-            finals.append(rows[-1])
-            yield rows
+        for run in runs:
+            finals.append(run[len(run) - w:])  # not run[-w:]: with w = 0 that is the whole run
+            yield run
 
     if args.trace:
         _write((args.trace, chunks(kept())))
     else:
-        finals = [rows[-1] for rows in runs]
+        finals = [run[len(run) - w:] for run in runs]
     if not args.quiet:
-        for node_id, final in sorted(zip(monitored, zip(*finals))):
+        for node_id, final in zip(ids, zip(*finals)):
             print(f"{node_id}: {_summary_text(final)}")
     return EXIT_OK
 

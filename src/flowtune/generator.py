@@ -92,7 +92,7 @@ class GeneratorConfig:
         if self.population_size * total > MAX_GENOME_NODES:
             raise ValueError(f"population_size x nodes exceeds the cap of {MAX_GENOME_NODES}")
         check_number("max_steps", self.max_steps, integer=True, minimum=1)
-        check_number("seed", self.seed, integer=True)
+        check_number("seed", self.seed, integer=True, minimum=0)  # Random(-s) draws what Random(s) draws
         check_number("remove_probability", self.remove_probability)
         if not 0.0 <= self.remove_probability <= 1.0:
             raise ValueError("remove_probability must be in [0, 1]")

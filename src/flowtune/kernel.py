@@ -6,11 +6,13 @@ draws the sim docstring states, once per seed of a list, reseeding one
 generator in C before each run. The emitter writes two forms of it, both
 generators with the one signature kernel(w, scale, rng, seeds, t) that
 yield one tuple per run once the run ends: the observe form yields the
-run's final amounts, the trace form its amounts after every step. w holds
-one weight per edge, in edge order: a graph's own or, with scale, a
-balancer genome's slice, whose gate weights are first scaled as
-model.gate_shares scales them (scaled_shares' tolerance test and division,
-then the total again).
+run's final amounts, in Topology.monitored order; the trace form yields
+its amounts at steps 0 ... t as one flat tuple, step-major, node ids
+ascending within a step. That is the trace CSV's column order, so no
+caller reorders or flattens a run. w holds one weight per edge, in edge
+order: a graph's own or, with scale, a balancer genome's slice, whose
+gate weights are first scaled as model.gate_shares scales them
+(scaled_shares' tolerance test and division, then the total again).
 
 The source names node k's amount nk, edge e's weight we, the batch staged
 on gate edge e se, gate k's share bounds bk_j and fixed pool k's cap ck.
@@ -19,11 +21,14 @@ turns the weights into these locals, with the arithmetic sim.compile_plan
 states: per gate, its total checked as check_gate_total checks it (an
 inline test, with the check itself only for a total that fails it), with
 scale the scaling above, then the bounds, each share divided by float()
-of the total; int() of each amount weight; the caps; and a, the step-0
-amounts of Topology.monitored with fixed pools clamped. A total that is not a
-finite positive number raises GateNormalizationError naming the gate when
-the first run is read. Weights enter only as data, and no node id
-reaches a kernel at all, so no id a document holds can change what runs.
+of the total; the caps, each the largest amount weight out of its fixed
+pool; and a, the step-0 amounts of Topology.monitored with fixed pools
+clamped. Amount weights are read as they are: whole counts, as
+EconomyGraph coerces a graph's and the balancer draws a genome's. A total
+that is not a finite positive number raises GateNormalizationError naming
+the gate when the first run is read. Weights enter only as data, and no
+node id reaches a kernel at all, so no id a document holds can change what
+runs.
 The adjacency the emitter walks is the graph's own (see model); this
 module builds none. sim imports this module with the first topology it
 compiles, not with the package.
@@ -104,8 +109,9 @@ class Topology:
         the initial amounts once per seed, reseeding rng with the seed first,
         and yields one tuple per run as soon as the run ends, so a caller that
         stops reading runs no further seed. With trace, the tuple is the run's
-        rows, the amounts of self.monitored at steps 0 ... t; without, those at
-        step t. A topology without gates draws nothing, so it never reseeds.
+        amounts at steps 0 ... t, flat and step-major, each step's in node id
+        order; without, those of self.monitored at step t. A topology without
+        gates draws nothing, so it never reseeds.
         """
         kernel = self._kernels.get(trace)
         if kernel is None:
@@ -167,8 +173,6 @@ class Topology:
             for i, e in enumerate(out[k][:-1]):
                 put(1, f"b{k}_{i} = {bound}w{e} / total")
                 bound = f"b{k}_{i} + "
-        for e in self.amount_edges:
-            put(1, f"w{e} = int(w{e})")
         for k in self.caps:
             amounts = ", ".join(f"w{e}" for e in out[k])
             put(1, f"c{k} = {f'max({amounts})' if len(out[k]) > 1 else amounts}")
@@ -178,6 +182,7 @@ class Topology:
                 amounts[slot] = f"c{k} if {amounts[slot]} > c{k} else {amounts[slot]}"
             put(1, f"a = ({''.join(f'{amount}, ' for amount in amounts)})")
         held = "".join(f"n{k}, " for k in self.held)
+        columns = "".join(f"n{k}, " for k in sorted(self.held, key=self.ids.__getitem__))
         staged = [e for e, (src, dst) in enumerate(ends) if kinds[src] is gate and not kinds[dst].is_pool_like]
         # one run per seed on the one generator; a gate-free run draws nothing
         if self.gates:
@@ -186,8 +191,8 @@ class Topology:
         if self.gates:
             put(2, "reseed(rng, seed)")
         put(2, f"({held}) = a")
-        if trace:
-            put(2, "run = [a]")
+        if trace:  # the run's amounts, flat, step-major, node ids ascending within a step
+            put(2, f"run = [{columns}]")
         step = 3  # the depth of one step's body
         put(step - 1, "for _ in range(t):")
         if staged:  # staged batches last one step
@@ -232,7 +237,7 @@ class Topology:
             put(step, f"if n{k} > c{k}:")
             put(step + 1, f"n{k} = c{k}")
         if trace:
-            put(step, f"run.append(({held}))")
+            put(step, f"run += ({columns})")
         # a run is read as soon as it ends, and the next one is only run if it is asked for
         put(2, "yield (*run,)" if trace else f"yield ({held})")
         return "\n".join(lines) + "\n"

@@ -49,9 +49,12 @@ call, and observe_stream takes its caller's (balance makes one per call).
 Streams on one generator may interleave whole runs, and calls in
 concurrent threads do not disturb each other's draws.
 
-A trace keeps one row per step: the tuple of amounts of every pool, fixed
-pool and drain (a drain's cumulative total), in its monitored order; the
-dicts of its snapshots are built when read. csv_writer formats the rows.
+trace_runs yields each run as the trace kernel leaves it: one flat tuple
+of the amounts of every pool, fixed pool and drain (a drain's cumulative
+total), step by step, node ids ascending within a step. That is the trace
+table's column order, and csv_writer formats the tuple as it is.
+simulate_ensemble cuts it into a trace's rows, one tuple per step in its
+monitored order; the dicts of its snapshots are built when read.
 
 A step plan (Plan) is a topology with the weights its kernels read. A
 graph's connection rules and gate totals are checked once, when its plan
@@ -68,8 +71,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import repeat
 from typing import NamedTuple
 
 from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, gate_shares, is_valid
@@ -150,14 +152,24 @@ def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> Ru
     rows tuple.
     """
     runs, monitored = trace_runs(graph, n, m, base_seed), topology_of(graph).monitored
-    traces = tuple(SimulationTrace(base_seed + i, monitored, rows) for i, rows in enumerate(runs))
-    return RunEnsemble(graph, base_seed, traces)
+    w = len(monitored)
+    column = {node_id: c for c, node_id in enumerate(sorted(monitored))}  # a run's columns: ids ascending
+    traces, last = [], None
+    for i, run in enumerate(runs):
+        if run is not last:  # a gate-free economy's runs are one tuple, cut into rows once
+            last = run
+            rows = tuple(zip(*(run[column[node_id]::w] for node_id in monitored))) if w else ((),) * (n + 1)
+        traces.append(SimulationTrace(base_seed + i, monitored, rows))
+    return RunEnsemble(graph, base_seed, tuple(traces))
 
 
 def trace_runs(graph: EconomyGraph, n: int, m: int, base_seed: int):
-    """The rows tuples of n steps with seeds base_seed ... base_seed+m-1, an
-    iterator over one trace kernel call on a generator of its own; arguments
-    and graph are checked at the call, each gated run simulated when read."""
+    """The runs of n steps with seeds base_seed ... base_seed+m-1, an iterator
+    over one trace kernel call on a generator of its own. Each run is one flat
+    tuple of (n+1)*w amounts, step-major, the w amounts of a step in the order
+    of monitored_node_ids(graph), as csv_writer reads them; a gate-free
+    economy's m runs are one tuple. Arguments and graph are checked at the
+    call, each gated run simulated when read."""
     check_number("simulation length", n, integer=True, minimum=1)
     check_number("run count", m, integer=True, minimum=1)
     check_number("seed", base_seed, integer=True, minimum=0)  # see simulate_ensemble
@@ -165,31 +177,27 @@ def trace_runs(graph: EconomyGraph, n: int, m: int, base_seed: int):
     return _runs(plan, plan.topology.kernel(True), random.Random(0), n, m, base_seed)
 
 
-def csv_writer(monitored: tuple, length: int):
+def csv_writer(ids, length: int):
     """chunks(runs) -> the trace table in UTF-8 chunks: the header, then one
-    chunk per rows tuple of runs (amounts in monitored order), its lines for
-    steps 0 ... length and ids ascending, ids quoted as the csv module quotes
-    them. A chunk is one bytes % over templates built here; a run with the
-    previous run's rows tuple (a gate-free economy's runs share one) reuses
-    its flattened amounts. An id UTF-8 cannot encode raises EconomyError here.
+    chunk per run of runs, a flat tuple as trace_runs yields it, its lines
+    for steps 0 ... length and, within a step, the node ids in ids, the
+    table's column order (monitored_node_ids), quoted as the csv module
+    quotes them. A chunk is one bytes % of the run's tuple as it is over
+    templates built here. An id UTF-8 cannot encode raises EconomyError here.
     """
-    order = sorted(range(len(monitored)), key=monitored.__getitem__)  # node ids ascending
     try:
-        fields = [monitored[k].encode("utf-8") for k in order]
+        fields = [node_id.encode("utf-8") for node_id in ids]
     except UnicodeEncodeError as exc:
         raise EconomyError(f"node id {exc.object!r} cannot be written to a UTF-8 trace") from None
     fields = [b'"%s"' % f.replace(b'"', b'""') if any(c in f for c in b',"\r\n') else f for f in fields]
-    # b"" first, so that a run's prefix starts every line; each % of an id doubled, as it is a template's
-    templates = [b""] + [b"%d,%s,%%d\n" % (t, f.replace(b"%", b"%%")) for t in range(length + 1) for f in fields]
-    # itemgetter of one index returns the amount itself, not a tuple
-    pick = itemgetter(*order) if len(order) > 1 else lambda row: [row[k] for k in order]
+    # each % of an id doubled, as it is a template's
+    suffixes = [b",%s,%%d\n" % f.replace(b"%", b"%%") for f in fields]
+    # b"" first, so that a run's prefix starts every line
+    templates = [b""] + [prefix + suffix for prefix in [b"%d" % t for t in range(length + 1)] for suffix in suffixes]
 
     def chunks(runs):
         yield b"run,step,node_id,amount\n"
-        last = None
-        for run, rows in enumerate(runs):
-            if rows is not last:
-                last, amounts = rows, tuple(chain.from_iterable(map(pick, rows)))
+        for run, amounts in enumerate(runs):
             yield (b"%d," % run).join(templates) % amounts
 
     return chunks
@@ -198,8 +206,11 @@ def csv_writer(monitored: tuple, length: int):
 def ensemble_to_csv(ensemble: RunEnsemble) -> str:
     """Trace table run,step,node_id,amount (csv_writer), runs by seed offset. An
     economy without pools and drains gives the header alone."""
-    chunks = csv_writer(ensemble.traces[0].monitored, ensemble.length)
-    return b"".join(chunks(trace.rows for trace in ensemble.traces)).decode()
+    monitored = ensemble.traces[0].monitored
+    columns = sorted(range(len(monitored)), key=monitored.__getitem__)  # node ids ascending
+    chunks = csv_writer([monitored[c] for c in columns], ensemble.length)
+    runs = (tuple(row[c] for row in trace.rows for c in columns) for trace in ensemble.traces)
+    return b"".join(chunks(runs)).decode()
 
 
 # --- step kernels ----------------------------------------------------------------
@@ -232,10 +243,11 @@ def compile_plan(graph: EconomyGraph) -> Plan:
     checks it.
 
     From the weights, each kernel's prologue (flowtune.kernel) computes the
-    whole amount of each edge that does not leave a gate, in edge order; per
-    gate, in node order, the running sums of its shares but the last, each
-    share a weight divided by float() of the gate's left-to-right total,
-    which must be a finite positive number; the cap of each fixed pool with
+    amount of each edge that does not leave a gate, in edge order, its weight
+    as it is (an int: EconomyGraph turns a whole float into one); per gate, in
+    node order, the running sums of its shares but the last, each share a
+    weight divided by float() of the gate's left-to-right total, which must
+    be a finite positive number; the cap of each fixed pool with
     outgoing edges (phase 4), in node order; and the initial amounts of the
     monitored nodes, fixed pools clamped. Amount weights are whole counts >=
     0: the kernel's rule for when to repeat a converter pass is exact only

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import stat
+import statistics
 import sys
 import threading
 import time
@@ -18,11 +19,12 @@ import flowtune.cli
 from flowtune.balancer import MAX_POPULATION_GENES, GenomeLayout
 from flowtune.cli import main
 from flowtune.fixtures import FIXTURE_NAMES, fixture_text
-from flowtune.model import NodeKind, is_valid, load_economy
+from flowtune.model import NodeKind, is_valid, load_economy, save_economy
 from flowtune.sim import ensemble_to_csv, monitored_node_ids, simulate_ensemble
 
 import oracle
 from conftest import count_kernel_calls
+from test_sim import CSV_EDGE_CASES
 
 
 def write(path, payload):
@@ -70,6 +72,22 @@ def test_gen_unknown_kind(tmp_path):
     assert main(["gen", config, "--out", str(tmp_path / "x"), "--quiet"]) == 2
 
 
+def test_gen_rejects_a_negative_seed(tmp_path, capsys):
+    # random.Random(-s) draws what random.Random(s) draws, so seed -7 would search as seed 7 does
+    doc = {"nodes": {"source": 2, "random_gate": 1, "pool": 3, "converter": 1, "drain": 1}, "seed": 7}
+    config = write(tmp_path / "cfg.json", doc)
+    out = tmp_path / "econ.json"
+    assert main(["gen", config, "--out", str(out), "--seed", "-7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "flowtune: error: --seed must be >= 0\n" and captured.out == ""
+    negative = write(tmp_path / "negative.json", {**doc, "seed": -7})
+    assert main(["gen", negative, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"flowtune: {negative}: seed must be >= 0\n" and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "negative.json"]
+    assert main(["gen", negative, "--out", str(out), "--seed", "7", "--quiet"]) == 0  # an override wins
+
+
 def test_sim_prints_final_means_and_writes_trace(tmp_path, capsys, torch_file):
     trace_path = tmp_path / "trace.csv"
     code = main(["sim", torch_file, "--steps", "16", "--trace", str(trace_path)])
@@ -79,6 +97,24 @@ def test_sim_prints_final_means_and_writes_trace(tmp_path, capsys, torch_file):
     lines = trace_path.read_text().strip().split("\n")
     assert lines[0] == "run,step,node_id,amount"
     assert "0,16,torch_pool,60" in lines
+
+
+@pytest.mark.parametrize("name", sorted(CSV_EDGE_CASES))
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+def test_sim_summary_reads_each_runs_final_amounts(tmp_path, capsys, name, traced):
+    graph = CSV_EDGE_CASES[name]
+    economy = tmp_path / "economy.json"
+    economy.write_bytes(save_economy(graph))
+    trace = ["--trace", str(tmp_path / "trace.csv")] if traced else []
+    assert main(["sim", str(economy), "--steps", "6", "--runs", "3", "--seed", "2", *trace]) == 0
+    ensemble = simulate_ensemble(graph, 6, 3, 2)
+    expected = [
+        f"{node_id}: {statistics.fmean(finals):.3f} ± {statistics.pstdev(finals):.3f}"
+        for node_id in monitored_node_ids(graph) for finals in [ensemble.observe(node_id, 6)]
+    ]
+    assert capsys.readouterr().out.splitlines() == expected
+    if traced:
+        assert (tmp_path / "trace.csv").read_text("utf-8") == ensemble_to_csv(ensemble)
 
 
 def test_sim_prints_means_of_amounts_above_2_53_exactly(tmp_path, capsys):

@@ -23,6 +23,7 @@ from flowtune.sim import (
     observe_stream,
     simulate,
     simulate_ensemble,
+    trace_runs,
 )
 from flowtune.generator import GeneratorConfig, generate, random_node_counts
 from flowtune.util import derive_seed
@@ -370,9 +371,9 @@ def test_hostile_node_ids_enter_kernels_as_data():
 
 #: SHA-256 of the trace sources, Topology(graph).source(True), over
 #: gated_economies() and oracle_economies(30, random.Random(5)).
-PINNED_KERNEL_SOURCE = "ff16929c1c15fa612d7f06ed4225301ce2d77dd35ca094430076c859bc1315c0"
+PINNED_KERNEL_SOURCE = "dadd7c0af7b48cb7309c0ecbbea86406c17273f2285dd8646f6512e9acac2dd1"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
-PINNED_MANY_SEED_SOURCE = "3903a1007869fc20f14689badec1b7be583646765041790ef0ee5ab8412529da"
+PINNED_MANY_SEED_SOURCE = "6fd5d8b63c59ac10036a2c761db6d4b4ef865802c853e5b49b32835c7ba4fb47"
 
 
 def test_emitted_kernel_source_matches_pinned_digest():
@@ -545,6 +546,21 @@ def test_csv_matches_a_table_read_through_observe():
         if not any(node.kind is NodeKind.RANDOM_GATE for node in graph.nodes):  # its traces share one rows tuple
             assert all(trace.rows is ensemble.traces[0].rows for trace in ensemble.traces), name
     assert ensemble_to_csv(simulate_ensemble(CSV_EDGE_CASES["no pool or drain"], 6, 3, 2)) == "run,step,node_id,amount\n"
+
+
+def test_trace_runs_are_flat_tuples_in_csv_column_order():
+    economies = gated_economies() + oracle_economies(30, random.Random(5)) + list(CSV_EDGE_CASES.values())
+    for index, graph in enumerate(economies):
+        ids = monitored_node_ids(graph)
+        runs = list(trace_runs(graph, 8, 3, 4))
+        expected = [tuple(step[node_id] for step in oracle.simulate_amounts(graph, 8, 4 + i) for node_id in ids)
+                    for i in range(3)]
+        assert runs == expected, index
+        assert all(type(run) is tuple and len(run) == 9 * len(ids) for run in runs), index
+        if not any(node.kind is NodeKind.RANDOM_GATE for node in graph.nodes):  # one run, written m times
+            assert all(run is runs[0] for run in runs), index
+    widths = {len(monitored_node_ids(graph)) for graph in CSV_EDGE_CASES.values()}
+    assert {0, 1} <= widths
 
 
 def test_snapshots_are_step_dicts_built_on_first_read():
