@@ -39,6 +39,16 @@ An abandoned genome's mean is cached as ABANDONED, below every real
 mean, so it never becomes a parent and is never reported. Parents are
 kept, so c never falls from one generation to the next: a genome
 abandoned once would be cut again whenever it reappears.
+
+After each truncation the cut candidates' means are dropped, so the cache
+does not grow with the generations. A genome met again after its mean was
+dropped is measured again, on the same seeds: it gets its old mean or is
+abandoned. Either way it cannot survive: it was cut once, so its mean is
+at most c, and the stable sort keeps it behind every parent. Equal genomes
+get the same seeds only with the same repr (derive_seed), and a real gene
+holding a whole number may be held as an int in one and as a float in the
+other, so such a genome's mean is kept to the end of the search: an equal
+genome met later gets it, as it would have without the drop.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import repeat
 from operator import itemgetter
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, gate_shares, is_valid
 from .sim import Plan, monitored_node_ids, observe_stream, topology_of
@@ -71,8 +81,9 @@ RACE_MARGIN = 1e-9
 #: genome is drawn. By tracemalloc, a drawn population holds about 16 bytes
 #: per gene per genome on gate ladders (100-300 gates, population 42; a third
 #: of their genes are reals) and 32 where every gene is a real (32 MB at the
-#: cap), and the cache of measured genomes about 6 more per gene per genome
-#: with each generation.
+#: cap). The means it caches are those of the parents and of one
+#: generation's candidates (see the module docstring), so they do not grow
+#: with the generations.
 MAX_POPULATION_GENES = 1_000_000
 
 #: Largest step of one mutation: a whole count for an amount gene, a real
@@ -299,8 +310,7 @@ def mutate(layout: GenomeLayout, population: list, rng: random.Random) -> None:
 # --- the balancing loop --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObservationStats:
+class ObservationStats(NamedTuple):
     economy_index: int
     pool: str
     mean: float
@@ -324,10 +334,11 @@ class BalanceReport:
 
     The work counters describe the whole search, the report's observation
     included, and are neither compared nor written out: evaluations are the
-    distinct weight vectors measured for fitness, cache_hits the fitness
-    lookups answered without a measurement, runs the kernel runs simulated
-    (a gate-free economy is run once per measurement), steps their steps,
-    and pruned_runs the runs of gated economies that the race skipped.
+    fitness measurements (a genome met again after its mean was dropped is
+    measured again), cache_hits the fitness lookups answered without one,
+    runs the kernel runs simulated (a gate-free economy is run once per
+    measurement), steps their steps, and pruned_runs the runs of gated
+    economies that the race skipped.
     """
 
     best_weights: tuple
@@ -457,11 +468,12 @@ def balance(
         raise ValueError(f"population_size x genes exceeds the cap of {MAX_POPULATION_GENES}")
     # each observed pool's position in its economy's run tuples
     positions = [(index, layout.topologies[index].monitored.index(pool)) for index, pool in observed]
+    reals = [i for i in layout.mutable if layout.genes[i].probability]  # may hold a whole number as int or float
     m = objective.runs
     rng = random.Random(params.seed)
     run_rng = random.Random(0)  # every run reseeds it first; this call's own, so threads share none
     means = {}
-    cache_hits = runs_simulated = pruned_runs = 0
+    evaluations = cache_hits = runs_simulated = pruned_runs = 0
     floor = -m  # abandon nothing before the first population is ranked: no sum is below it
 
     # a run read from a gated economy is simulated then; a gate-free one is run once per measurement
@@ -491,12 +503,14 @@ def balance(
         return zip(map(itemgetter(x), runs[first]), map(itemgetter(y), runs[other]))
 
     def mean(genome: tuple) -> float:
-        """The genome's mean proportion; equal tuples share the first one's.
-        A genome abandoned by the race gets ABANDONED (see the module docstring)."""
-        nonlocal cache_hits, runs_simulated, pruned_runs
+        """The genome's mean proportion; equal tuples share the first one's while
+        it is kept. A genome abandoned by the race gets ABANDONED (see the module
+        docstring)."""
+        nonlocal evaluations, cache_hits, runs_simulated, pruned_runs
         if genome in means:
             cache_hits += 1
             return means[genome]
+        evaluations += 1
         read = total = 0
         for read, total in enumerate(prop_sums(pairs(streams(genome))), 1):
             if total + (m - read) < floor:
@@ -527,6 +541,10 @@ def balance(
             mutate(layout, candidates, rng)
         candidates.sort(key=mean, reverse=True)
         population = candidates[: params.population_size]
+        parents = set(population)
+        for genome in candidates[params.population_size:]:  # drop the cut ones' means (see the module docstring)
+            if genome not in parents and not any(genome[i] % 1 == 0 for i in reals):
+                means.pop(genome, None)
         best_means.append(mean(population[0]))
 
     best = population[0]
@@ -542,7 +560,7 @@ def balance(
         means=tuple(best_means),
         observations=tuple(observations),
         balanced_graphs=layout.apply(best),
-        evaluations=len(means),
+        evaluations=evaluations,
         cache_hits=cache_hits,
         runs=runs_simulated,
         steps=runs_simulated * objective.observe_step,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import asdict, dataclass, fields
-from typing import Callable, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple, Sequence
 
 from .balancer import BalanceObjective, BalanceParams, BalanceReport, ObjectiveKind, balance
 from .generator import GeneratorConfig, generate, random_node_counts
@@ -97,8 +97,7 @@ class BenchmarkSpec:
         return cls(**doc)
 
 
-@dataclass(frozen=True)
-class BenchmarkTask:
+class BenchmarkTask(NamedTuple):
     graph_index: int
     graph: EconomyGraph
     pool: str
@@ -107,8 +106,7 @@ class BenchmarkTask:
     report: BalanceReport  # the search at the spec's smallest alpha
 
 
-@dataclass(frozen=True)
-class BenchmarkRun:
+class BenchmarkRun(NamedTuple):
     graph_index: int
     alpha: float
     balanced: bool
@@ -118,12 +116,11 @@ class BenchmarkRun:
     best_fitness: float
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        doc = self._asdict()
         return {"graph": doc.pop("graph_index"), **doc}
 
 
-@dataclass(frozen=True)
-class BenchmarkRow:
+class BenchmarkRow(NamedTuple):
     alpha: float
     attempted: int
     balanced_pct: float
@@ -132,11 +129,10 @@ class BenchmarkRow:
     median_generations: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class BenchmarkResult:
+class BenchmarkResult(NamedTuple):
     spec: BenchmarkSpec
     rows: tuple
     runs: tuple

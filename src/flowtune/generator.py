@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .model import (
     CONSTRAINTS,
@@ -59,9 +59,9 @@ SAMPLED_KINDS = (
 
 #: The largest node total a config may ask for, and the largest product of
 #: population_size and node total; a count above them is refused before
-#: anything is allocated. By tracemalloc, generate holds about 410 bytes per
+#: anything is allocated. By tracemalloc, generate holds about 370 bytes per
 #: node, and 2 more per node per genome, while the genomes have few edges
-#: (4,000-16,000 nodes, population 1-10; 43 MB at both caps after 3 steps),
+#: (4,000-16,000 nodes, population 1-10; 40 MB at both caps after 3 steps),
 #: and about 170 more per node per genome once their edges fill in (1,000
 #: nodes, 4,000 steps).
 MAX_NODES = 100_000
@@ -216,8 +216,7 @@ def mutate_remove_edge(population, rng: random.Random, remove_probability: float
     return False
 
 
-@dataclass(frozen=True)
-class GenerationResult:
+class GenerationResult(NamedTuple):
     graph: EconomyGraph
     valid: bool
     generations: int

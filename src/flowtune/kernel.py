@@ -69,9 +69,7 @@ class Topology:
         self.held = pools + [k for k, kind in enumerate(kinds) if kind is NodeKind.DRAIN]
         self.monitored = tuple(self.ids[k] for k in self.held)
         self.initial = tuple(graph.nodes[k].initial_amount for k in self.held)
-        # what a kernel's prologue reads: the edges that do not leave a gate,
-        # whose weights are amounts, the gates, and the capped fixed pools
-        self.amount_edges = [e for e, (src, _) in enumerate(self.ends) if kinds[src] is not NodeKind.RANDOM_GATE]
+        # what a kernel's prologue reads besides the weights: the gates and the capped fixed pools
         self.gates = [k for k, kind in enumerate(kinds) if kind is NodeKind.RANDOM_GATE]
         # with outgoing edges (one without is not clamped); cap_slots are their places in held
         self.cap_slots = [i for i, k in enumerate(pools) if kinds[k] is NodeKind.FIXED_POOL and self.out[k]]
@@ -120,7 +118,7 @@ class Topology:
             def gate_total(j, total):  # the checked total of gates[j], or its error
                 return check_gate_total(ids[gates[j]], total)
 
-            namespace = {"__builtins__": {}, "range": range, "reseed": _random.Random.seed, "int": int,
+            namespace = {"__builtins__": {}, "range": range, "reseed": _random.Random.seed,
                          "float": float, "max": max, "gate_total": gate_total, "a": self.initial}
             exec(compile(self.source(trace), "<flowtune kernel form>", "exec"), namespace)
             kernel = self._kernels[trace] = namespace.pop("kernel")  # no cycle through its globals

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .util import dump_json, float_sum, is_finite_number
 
@@ -76,8 +76,7 @@ class NodeKind(str, Enum):
         return NodeKind.POOL if self is NodeKind.FIXED_POOL else self
 
 
-@dataclass(frozen=True)
-class NodeConstraint:
+class NodeConstraint(NamedTuple):
     """Degree bounds and permitted neighbor kinds for one node kind."""
 
     min_in: int
@@ -111,16 +110,14 @@ def constraint_for(kind: NodeKind) -> NodeConstraint:
     return CONSTRAINTS[kind.constraint_kind]
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     kind: NodeKind
     label: str | None = None
     initial_amount: int = 0
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     weight: float

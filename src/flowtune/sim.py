@@ -109,8 +109,7 @@ class SimulationTrace:
         return self.monitored.index(node_id)
 
 
-@dataclass(frozen=True)
-class RunEnsemble:
+class RunEnsemble(NamedTuple):
     """Repeated runs of one graph with seeds base, base+1, ..., base+m-1."""
 
     graph: EconomyGraph

@@ -78,7 +78,8 @@ def plan_data(plan) -> tuple:
     topology = plan.topology
     run = topology.kernel(False)(plan.weights, plan.scale, random.Random(0), (0,), 0)
     initial = next(run)
-    names = [f"w{e}" for e in topology.amount_edges]
+    gate = NodeKind.RANDOM_GATE
+    names = [f"w{e}" for e, (src, _) in enumerate(topology.ends) if topology.kinds[src] is not gate]
     names += [f"b{k}_{j}" for k in topology.gates for j in range(len(topology.out[k]) - 1)]
     names += [f"c{k}" for k in topology.caps]
     local = run.gi_frame.f_locals

@@ -4,6 +4,7 @@ import random
 import statistics
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -32,7 +33,7 @@ from flowtune.balancer import (
 
 import oracle
 from conftest import chain_graph, count_kernel_calls, observed_runs, plan_data
-from test_sim import oracle_economies
+from test_sim import gate_ladder, oracle_economies
 
 
 # --- prop ---------------------------------------------------------------------
@@ -785,6 +786,33 @@ def test_racing_reports_what_a_search_without_it_reports(minecraft, mage, archer
         assert report == expected and report.to_dict() == expected.to_dict(), (objective, seed)
         pruned += report.pruned_runs
     assert pruned > 0
+
+
+def test_a_genome_equal_to_a_dropped_one_keeps_the_first_ones_mean():
+    # this search meets a gate gene held as an int and, after the first was cut, as an equal float
+    graphs, objective = absolute_case(whole_gate_economy(2, 3), "left", 9)
+    params = BalanceParams(population_size=6, max_generations=40, seed=16)
+    report = balance(graphs, objective, params)
+    expected = oracle.reference_balance(graphs, objective, params)
+    assert report == expected and report.to_dict() == expected.to_dict()
+
+
+def test_balance_memory_does_not_grow_with_the_generations():
+    graph = gate_ladder(20)
+    objective = BalanceObjective(
+        ObjectiveKind.ABSOLUTE, "p0", observe_step=3, sim_length=3, runs=2, target_value=10**6
+    )
+    balance(graph, objective, BalanceParams(population_size=6, max_generations=0, seed=1))  # compiles the kernel
+    peaks = {}
+    for generations in (10, 40):
+        tracemalloc.start()
+        try:
+            report = balance(graph, objective, BalanceParams(population_size=6, max_generations=generations, seed=1))
+            peaks[generations] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.generations == generations
+    assert peaks[40] < 1.5 * peaks[10], peaks
 
 
 def test_params_form_gives_each_evaluated_genome_the_plan_of_its_graph(minecraft, mage, archer, monkeypatch):

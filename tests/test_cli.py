@@ -7,6 +7,7 @@ import json
 import os
 import stat
 import statistics
+import subprocess
 import sys
 import threading
 import time
@@ -38,6 +39,17 @@ def write(path, payload):
 @pytest.fixture
 def torch_file(tmp_path):
     return write(tmp_path / "torch.json", fixture_text("minecraft_torch"))
+
+
+def test_importing_the_package_and_cli_leaves_the_kernel_emitter_unloaded():
+    # each command imports both; the emitter loads with the first topology compiled, keeping set-up cheap
+    src = str(Path(flowtune.cli.__file__).resolve().parents[1])
+    code = "import sys, flowtune, flowtune.cli; print('flowtune.kernel' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_gen_writes_valid_economy_and_report(tmp_path):
