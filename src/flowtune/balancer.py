@@ -63,7 +63,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, gate_shares, is_valid
 from .sim import Plan, monitored_node_ids, observe_stream, topology_of
-from .util import check_number, derive_seed
+from .util import check_number, derive_seed, pstdev
 
 #: A genome reaching this fitness is balanced and stops the search.
 BALANCED_FITNESS = 1.0
@@ -247,9 +247,9 @@ class GenomeLayout:
 
     def plans(self, genome: tuple) -> tuple:
         """One step plan per graph: its topology with the genome's slice of
-        weights, gate weights scaled (see flowtune.kernel); no graph is built."""
+        weights, for the observe form (see flowtune.kernel); no graph is built."""
         spans = zip(self.spans, self.topologies)
-        return tuple(Plan(topology, genome[start:end], True) for (start, end), topology in spans)
+        return tuple(Plan(topology, genome[start:end]) for (start, end), topology in spans)
 
 
 def clamp_positive(value: float, probability: bool) -> float:
@@ -553,7 +553,7 @@ def balance(
     observations = []
     for (index, pool), (_, k) in zip(observed, positions):
         values = [run[k] for run in runs[index]]
-        observations.append(ObservationStats(index, pool, statistics.fmean(values), statistics.pstdev(values), m))
+        observations.append(ObservationStats(index, pool, statistics.fmean(values), pstdev(values), m))
     return BalanceReport(
         best_weights=best,
         alpha=objective.alpha,

@@ -36,7 +36,7 @@ from .model import (
     save_economy,
 )
 from .sim import csv_writer, monitored_node_ids, trace_runs
-from .util import dump_json
+from .util import dump_json, pstdev
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -255,7 +255,7 @@ def _summary_text(amounts) -> str:
     """The mean and the population standard deviation of whole amounts, to 3
     decimals each, exact even where a float cannot hold an amount (above 2**53)."""
     if max(amounts) <= 2**53:
-        return f"{statistics.fmean(amounts):.3f} ± {statistics.pstdev(amounts):.3f}"
+        return f"{statistics.fmean(amounts):.3f} ± {pstdev(amounts):.3f}"
     n = len(amounts)
     mean = round(Fraction(1000 * sum(amounts), n))  # in thousandths, ties to even, as float formatting
     # 10**6 times the variance; its square root is the deviation in thousandths

@@ -4,31 +4,30 @@ A kernel is Python source, generated from a graph's node kinds and edges,
 that runs t steps, straight-line, on local variables, with the phases and
 draws the sim docstring states, once per seed of a list, reseeding one
 generator in C before each run. The emitter writes two forms of it, both
-generators with the one signature kernel(w, scale, rng, seeds, t) that
-yield one tuple per run once the run ends: the observe form yields the
-run's final amounts, in Topology.monitored order; the trace form yields
-its amounts at steps 0 ... t as one flat tuple, step-major, node ids
-ascending within a step. That is the trace CSV's column order, so no
-caller reorders or flattens a run. w holds one weight per edge, in edge
-order: a graph's own or, with scale, a balancer genome's slice, whose
-gate weights are first scaled as model.gate_shares scales them
-(scaled_shares' tolerance test and division, then the total again).
+generators with the one signature kernel(w, rng, seeds, t) that yield one
+tuple per run once the run ends; w holds one weight per edge, in edge
+order. The observe form reads a balancer genome's slice, gate weights
+first scaled as model.gate_shares scales them (scaled_shares' tolerance
+test and division, then the total again), and yields the run's final
+amounts, in Topology.monitored order. The trace form reads a graph's own
+weights, gate totals checked by sim.compile_plan, and yields the run's
+amounts at steps 0 ... t as one flat tuple, step-major, node ids ascending
+within a step: the trace CSV's column order, so no caller reorders it.
 
 The source names node k's amount nk, edge e's weight we, the batch staged
-on gate edge e se, gate k's share bounds bk_j and fixed pool k's cap ck.
-A prologue, run once per call before the first run, is the one rule that
+on gate edge e se, gate k's share bounds bk_j and fixed pool k's cap ck. A
+prologue, run once per call before the first run, is the form's rule that
 turns the weights into these locals, with the arithmetic sim.compile_plan
-states: per gate, its total checked as check_gate_total checks it (an
-inline test, with the check itself only for a total that fails it), with
-scale the scaling above, then the bounds, each share divided by float()
-of the total; the caps, each the largest amount weight out of its fixed
-pool; and a, the step-0 amounts of Topology.monitored with fixed pools
-clamped. Amount weights are read as they are: whole counts, as
-EconomyGraph coerces a graph's and the balancer draws a genome's. A total
-that is not a finite positive number raises GateNormalizationError naming
-the gate when the first run is read. Weights enter only as data, and no
-node id reaches a kernel at all, so no id a document holds can change what
-runs.
+states: per gate, in the observe form, its total checked as
+check_gate_total checks it, and the scaling above; then the bounds, each
+share divided by float() of the total; the caps, each the largest amount
+weight out of its fixed pool; and a, the step-0 amounts of
+Topology.monitored with fixed pools clamped. Amount weights are read as
+they are: whole counts, as EconomyGraph coerces a graph's and the balancer
+draws a genome's. The observe form raises GateNormalizationError naming a
+gate whose total is not a finite positive number when the first run is
+read. Weights enter only as data, and no node id reaches a kernel at all,
+so no id a document holds can change what runs.
 The adjacency the emitter walks is the graph's own (see model); this
 module builds none. sim imports this module with the first topology it
 compiles, not with the package.
@@ -102,14 +101,14 @@ class Topology:
     def kernel(self, trace: bool):
         """The step kernel of one form, compiled on first use.
 
-        kernel(w, scale, rng, seeds, t) is a generator that turns the weights
-        w into its locals (see the module docstring), then runs t steps from
-        the initial amounts once per seed, reseeding rng with the seed first,
-        and yields one tuple per run as soon as the run ends, so a caller that
-        stops reading runs no further seed. With trace, the tuple is the run's
-        amounts at steps 0 ... t, flat and step-major, each step's in node id
-        order; without, those of self.monitored at step t. A topology without
-        gates draws nothing, so it never reseeds.
+        kernel(w, rng, seeds, t) is a generator that turns the weights w
+        into its locals by its form's rule (see the module docstring), then
+        runs t steps from the initial amounts once per seed, reseeding rng
+        with the seed first, and yields one tuple per run as soon as the run
+        ends, so a caller that stops reading runs no further seed. With trace,
+        the tuple is the run's amounts at steps 0 ... t, flat and step-major,
+        each step's in node id order; without, those of self.monitored at
+        step t. A topology without gates draws nothing, so it never reseeds.
         """
         kernel = self._kernels.get(trace)
         if kernel is None:
@@ -152,20 +151,21 @@ class Topology:
         def by_id(kind):
             return sorted((k for k, node_kind in enumerate(kinds) if node_kind is kind), key=self.ids.__getitem__)
 
-        put(0, "def kernel(w, scale, rng, seeds, t):")
-        # the prologue: the weights as the locals the steps read (see the module docstring)
+        put(0, "def kernel(w, rng, seeds, t):")
+        # the prologue: the weights as the locals the steps read, by the form's rule (see the module docstring)
         put(1, f"({''.join(f'w{e}, ' for e in range(len(ends)))}) = w")
         for j, k in enumerate(self.gates):
             total = " + ".join(f"w{e}" for e in out[k]) or "0"
-            # a total that passes this test passes check_gate_total; one that fails it is checked there
-            check = f"if not 0 < total <= {sys.float_info.max!r}: total = gate_total({j}, total)"
             put(1, f"total = {total}")
-            put(1, check)
-            put(1, f"if scale and not {-GATE_WEIGHT_TOLERANCE!r} <= total - 1.0 <= {GATE_WEIGHT_TOLERANCE!r}:")
-            for e in out[k]:
-                put(2, f"w{e} = w{e} / total")
-            put(2, f"total = {total}")
-            put(2, check)
+            if not trace:  # a genome's gate weights, checked and scaled; compile_plan checked a graph's
+                # a total that passes this test passes check_gate_total; one that fails it is checked there
+                check = f"if not 0 < total <= {sys.float_info.max!r}: total = gate_total({j}, total)"
+                put(1, check)
+                put(1, f"if not {-GATE_WEIGHT_TOLERANCE!r} <= total - 1.0 <= {GATE_WEIGHT_TOLERANCE!r}:")
+                for e in out[k]:
+                    put(2, f"w{e} = w{e} / total")
+                put(2, f"total = {total}")
+                put(2, check)
             put(1, "total = float(total)")
             bound = ""
             for i, e in enumerate(out[k][:-1]):

@@ -56,14 +56,14 @@ table's column order, and csv_writer formats the tuple as it is.
 simulate_ensemble cuts it into a trace's rows, one tuple per step in its
 monitored order; the dicts of its snapshots are built when read.
 
-A step plan (Plan) is a topology with the weights its kernels read. A
-graph's connection rules and gate totals are checked once, when its plan
-(compile_plan) is first built, and the plan is cached on it; building it
-compiles nothing. The balancer's candidates are plans of their genome's
-weights with scale, gate weights scaled first. Each kernel call turns its
-plan's weights into the kernel's data itself (flowtune.kernel), so one rule
-serves both. The balancer runs a plan only to the observed step
-(observe_stream), keeping each run's amounts at that step only.
+A step plan (Plan) is a topology with the weights its kernels read, and
+each kernel form has one rule for them (flowtune.kernel). trace_runs runs
+a graph's own plan (compile_plan) in the trace form, which reads the
+weights as they are: compile_plan checks the graph's connection rules and
+gate totals once, when the plan is first built and cached on the graph,
+and compiles nothing. The balancer runs its genomes' plans (observe_stream)
+in the observe form, which scales their gate weights first, only to the
+observed step, keeping each run's amounts at that step only.
 """
 
 from __future__ import annotations
@@ -216,11 +216,11 @@ def ensemble_to_csv(ensemble: RunEnsemble) -> str:
 
 
 class Plan(NamedTuple):
-    """Weights on a compiled topology: what its kernels read besides the generator, seeds and length."""
+    """Weights on a compiled topology, a graph's or a genome's (flowtune.kernel):
+    what its kernels read besides the generator, seeds and length."""
 
     topology: "Topology"
     weights: tuple  # one per edge, in edge order
-    scale: bool  # a balancer genome's weights, whose gate weights are scaled first (flowtune.kernel)
 
 
 def topology_of(graph: EconomyGraph) -> "Topology":
@@ -236,10 +236,10 @@ def topology_of(graph: EconomyGraph) -> "Topology":
 
 
 def compile_plan(graph: EconomyGraph) -> Plan:
-    """The graph's step plan, its own weights unscaled, built on first use and
-    cached on it; building it is the one check, and a refused graph caches
-    nothing: its connection rules, then each gate's total, as gate_shares
-    checks it.
+    """The graph's step plan, its own weights as the trace form reads them,
+    built on first use and cached on it; building it is the one check, and a
+    refused graph caches nothing: its connection rules, then each gate's
+    total, as gate_shares checks it.
 
     From the weights, each kernel's prologue (flowtune.kernel) computes the
     amount of each edge that does not leave a gate, in edge order, its weight
@@ -259,17 +259,17 @@ def compile_plan(graph: EconomyGraph) -> Plan:
         raise InvalidEconomyError(f"refusing to simulate an invalid economy graph: {broken_rule(graph)}")
     weights = tuple(e.weight for e in graph.edges)
     gate_shares(graph, weights)  # raises if a gate's total is not a finite positive number
-    plan = Plan(topology_of(graph), weights, False)
+    plan = Plan(topology_of(graph), weights)
     object.__setattr__(graph, "_sim_plan", plan)
     return plan
 
 
 def observe_stream(plan: Plan, t: int, m: int, base_seed: int, rng):
     """An iterator over the runs of seeds base_seed ... base_seed+m-1 to step
-    t on the caller's generator rng: per run, the amounts of
-    plan.topology.monitored at step t, which equal row t of a longer run with
-    the same seed. A gated plan's run is simulated when it is read, so runs a
-    reader does not read are never simulated."""
+    t on the caller's generator rng, in the observe form (a genome's plan):
+    per run, the amounts of plan.topology.monitored at step t, which equal
+    row t of a longer run with the same seed. A gated plan's run is simulated
+    when it is read, so runs a reader does not read are never simulated."""
     return _runs(plan, plan.topology.kernel(False), rng, t, m, base_seed)
 
 
@@ -279,6 +279,6 @@ def _runs(plan: Plan, kernel, rng, t: int, m: int, base_seed: int):
     random numbers: it runs base_seed only, at once, and that run is repeated
     m times."""
     if plan.topology.gates:
-        return kernel(plan.weights, plan.scale, rng, range(base_seed, base_seed + m), t)
-    (run,) = kernel(plan.weights, plan.scale, rng, (base_seed,), t)
+        return kernel(plan.weights, rng, range(base_seed, base_seed + m), t)
+    (run,) = kernel(plan.weights, rng, (base_seed,), t)
     return repeat(run, m)

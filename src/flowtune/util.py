@@ -1,4 +1,4 @@
-"""Small shared helpers: stable seed derivation, parameter checks, sums, JSON output."""
+"""Small shared helpers: stable seed derivation, parameter checks, sums, a standard deviation, JSON output."""
 
 from __future__ import annotations
 
@@ -50,6 +50,20 @@ def float_sum(values):
     for value in values:
         total += value
     return total
+
+
+def pstdev(amounts) -> float:
+    """The population standard deviation of one or more whole amounts (ints),
+    as statistics.pstdev gives it from Python 3.11 on (3.10 rounds twice):
+    the root of their exact variance num / den, correctly rounded. The root
+    times 2**shift has at least 55 bits; its floor, made odd where inexact,
+    rounds to the same float as the root."""
+    n, total = len(amounts), sum(amounts)
+    num, den = n * sum(a * a for a in amounts) - total * total, n * n
+    shift = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
+    scaled = num << 2 * shift
+    root = math.isqrt(scaled // den)
+    return (root | (root * root * den != scaled)) / (1 << shift)
 
 
 def dump_json(obj) -> bytes:

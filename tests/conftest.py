@@ -68,16 +68,22 @@ def observed_runs(plan, t: int, m: int, base_seed: int) -> list:
     return [dict(zip(plan.topology.monitored, run)) for run in runs]
 
 
-def plan_data(plan) -> tuple:
-    """(params, initial) as plan's observe kernel computes them before its
+def plan_data(plan, trace: bool = False) -> tuple:
+    """(params, initial) as a kernel form computes them from plan before its
     first step, in the order of oracle.plan_params: the documented locals of
-    one run to step 0, suspended at its yield, read from its frame. params
-    holds each amount edge's we, in edge order, each gate's bk_j, in node
-    order, and each capped fixed pool's ck, in node order; initial is the
-    run's yielded step-0 amounts. A gate total the prologue refuses raises."""
+    one run to step 0, suspended at its yield, read from its frame. Without
+    trace, through the observe form, which reads a genome's plan; with trace,
+    through the trace form, whose prologue is a graph plan's own
+    (compile_plan). params holds each amount edge's we, in edge order, each
+    gate's bk_j, in node order, and each capped fixed pool's ck, in node
+    order; initial is the run's step-0 amounts, in monitored order. A gate
+    total the observe form refuses raises."""
     topology = plan.topology
-    run = topology.kernel(False)(plan.weights, plan.scale, random.Random(0), (0,), 0)
+    run = topology.kernel(trace)(plan.weights, random.Random(0), (0,), 0)
     initial = next(run)
+    if trace:  # the trace form's columns are the monitored ids ascending
+        initial = dict(zip(sorted(topology.monitored), initial))
+        initial = tuple(initial[node_id] for node_id in topology.monitored)
     gate = NodeKind.RANDOM_GATE
     names = [f"w{e}" for e, (src, _) in enumerate(topology.ends) if topology.kinds[src] is not gate]
     names += [f"b{k}_{j}" for k in topology.gates for j in range(len(topology.out[k]) - 1)]
@@ -97,10 +103,10 @@ def count_kernel_calls(monkeypatch) -> list:
     def counting(topology, trace):
         kernel = real(topology, trace)
 
-        def counted(w, scale, rng, seeds, t):
+        def counted(w, rng, seeds, t):
             call = [len(seeds), 0, t]
             calls.append(call)
-            for run in kernel(w, scale, rng, seeds, t):
+            for run in kernel(w, rng, seeds, t):
                 call[1] += 1
                 yield run
 

@@ -8,6 +8,7 @@ neighbors are found by scanning the raw edge list for every node.
 """
 
 import csv
+import decimal
 import io
 import math
 import random
@@ -254,6 +255,16 @@ def simulate_amounts(graph, n: int, seed: int) -> list:
     return history
 
 
+def pstdev(amounts) -> float:
+    """The population standard deviation of whole amounts, written from the
+    flowtune.util.pstdev docstring alone: the root of their variance, taken
+    in decimal at 80 digits from the exact sums, then rounded to a float."""
+    n = len(amounts)
+    with decimal.localcontext(decimal.Context(prec=80)):
+        squares = decimal.Decimal(n * sum(a * a for a in amounts) - sum(amounts) ** 2)
+        return float((squares / (n * n)).sqrt())
+
+
 def plan_params(graph) -> tuple:
     """(params, initial) of the graph's step plan, written from the
     flowtune.sim.compile_plan docstring alone: the whole amount of each edge
@@ -402,7 +413,7 @@ def reference_balance(graphs, objective, params):
         best.append(mean(population[0]))
 
     observations = tuple(
-        ObservationStats(index, pool, statistics.fmean(amounts), statistics.pstdev(amounts), len(amounts))
+        ObservationStats(index, pool, statistics.fmean(amounts), pstdev(amounts), len(amounts))
         for (index, pool), amounts in zip(observed, values(population[0], "report"))
     )
     return BalanceReport(

@@ -121,7 +121,7 @@ def test_sim_summary_reads_each_runs_final_amounts(tmp_path, capsys, name, trace
     assert main(["sim", str(economy), "--steps", "6", "--runs", "3", "--seed", "2", *trace]) == 0
     ensemble = simulate_ensemble(graph, 6, 3, 2)
     expected = [
-        f"{node_id}: {statistics.fmean(finals):.3f} ± {statistics.pstdev(finals):.3f}"
+        f"{node_id}: {statistics.fmean(finals):.3f} ± {oracle.pstdev(finals):.3f}"
         for node_id in monitored_node_ids(graph) for finals in [ensemble.observe(node_id, 6)]
     ]
     assert capsys.readouterr().out.splitlines() == expected

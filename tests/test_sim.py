@@ -13,7 +13,8 @@ import flowtune.kernel
 import flowtune.sim
 from flowtune.fixtures import load_fixture
 from flowtune.model import (
-    EconomyGraph, Edge, GateNormalizationError, InvalidEconomyError, Node, NodeKind, gate_shares, is_valid,
+    GATE_WEIGHT_TOLERANCE, EconomyGraph, Edge, GateNormalizationError, InvalidEconomyError, Node, NodeKind,
+    gate_shares, is_valid,
 )
 from flowtune.sim import (
     Plan,
@@ -359,21 +360,24 @@ def test_hostile_node_ids_enter_kernels_as_data():
             assert set(namespace) == {"__builtins__", *allowed} and namespace["__builtins__"] == {}
         weights = [e.weight for e in twin.edges]
         written = compile_plan(twin.with_weights(gate_shares(twin, weights)))
-        assert plan_data(Plan(topology, weights, True)) == plan_data(written)
-        # an id is data there too: it only names a gate whose weights are refused
+        assert plan_data(Plan(topology, weights)) == plan_data(written, trace=True)
+        # an id is data there too: it only names a gate whose weights are refused,
+        # by the observe form in a genome's plan and by compile_plan in a graph
         for gate in topology.gates[:1]:
             for e in topology.out[gate]:
                 weights[e] = 1e308
-            for scale in (True, False):
-                with pytest.raises(GateNormalizationError, match=re.escape(repr(topology.ids[gate]))):
-                    observed_runs(Plan(topology, weights, scale), 9, 3, 5)
+            named = re.escape(repr(topology.ids[gate]))
+            with pytest.raises(GateNormalizationError, match=named):
+                observed_runs(Plan(topology, weights), 9, 3, 5)
+            with pytest.raises(GateNormalizationError, match=named):
+                compile_plan(twin.with_weights(weights))
 
 
 #: SHA-256 of the trace sources, Topology(graph).source(True), over
 #: gated_economies() and oracle_economies(30, random.Random(5)).
-PINNED_KERNEL_SOURCE = "dadd7c0af7b48cb7309c0ecbbea86406c17273f2285dd8646f6512e9acac2dd1"
+PINNED_KERNEL_SOURCE = "5a8f8c0a96ce2e6cad89f292756e0035cb0a295cbf2b8c0b4b91cbdfb36940c5"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
-PINNED_MANY_SEED_SOURCE = "6fd5d8b63c59ac10036a2c761db6d4b4ef865802c853e5b49b32835c7ba4fb47"
+PINNED_MANY_SEED_SOURCE = "f190893bf7c6ed8fdf71ae1022a17336daeaea6b36601465f17aa2eb3b9dd5da"
 
 
 def test_emitted_kernel_source_matches_pinned_digest():
@@ -386,6 +390,20 @@ def test_emitted_kernel_source_matches_pinned_digest():
     assert many_seed.hexdigest() == PINNED_MANY_SEED_SOURCE
 
 
+def test_each_kernel_form_has_one_weights_rule():
+    tolerance = f"{-GATE_WEIGHT_TOLERANCE!r} <= total - 1.0 <= {GATE_WEIGHT_TOLERANCE!r}"
+    for graph in gated_economies()[:12]:
+        topology = flowtune.kernel.Topology(graph)
+        trace, observe = topology.source(True), topology.source(False)
+        # the trace form reads a graph's weights, checked by compile_plan: no check, no scaling
+        assert "gate_total(" not in trace and tolerance not in trace
+        assert ("gate_total(" in observe and tolerance in observe) == bool(topology.gates)
+        for source in (trace, observe):
+            assert source.startswith("def kernel(w, rng, seeds, t):\n") and "scale" not in source
+        for form in (topology.kernel(False), topology.kernel(True)):
+            assert form.__code__.co_varnames[:form.__code__.co_argcount] == ("w", "rng", "seeds", "t")
+
+
 def test_graph_plans_are_the_reference_arithmetic_bit_for_bit():
     graphs = gated_economies() + oracle_economies(30, random.Random(5))
     graphs += [gate_graph(*shares) for shares in ((3, 1), (1, 3), (2**53 + 1, 2**54 + 3), (0.1, 0.2), (1e308, 7e307))]
@@ -396,7 +414,7 @@ def test_graph_plans_are_the_reference_arithmetic_bit_for_bit():
         ]))
     for graph in graphs:
         # repr tells every float apart, and an int from an equal float
-        assert repr(plan_data(compile_plan(graph))) == repr(oracle.plan_params(graph))
+        assert repr(plan_data(compile_plan(graph), trace=True)) == repr(oracle.plan_params(graph))
     huge = gate_graph()  # gate weights (10**400, 1), past the constructor's checks: no document holds them
     object.__setattr__(huge, "edges", (huge.edges[0], Edge("gate", "left", 10**400), Edge("gate", "right", 1)))
     for graph in (gate_graph(1e308, 1e308), huge):
