@@ -14,6 +14,17 @@ weights, gate totals checked by sim.compile_plan, and yields the run's
 amounts at steps 0 ... t as one flat tuple, step-major, node ids ascending
 within a step: the trace CSV's column order, so no caller reorders it.
 
+The trace form simulates a run that no seed changes only once. Every run
+starts from the same amounts, and no step before a run's first draw reads
+a random number, so runs agree up to their first draw, and a run that
+draws nothing is every seed's run. Once a run ends without a draw (a
+gate-free topology's always does; a gated form sets u = 2.0 after each
+reseed, which any draw overwrites), the kernel yields that tuple for every
+seed and returns, with no further reseed or step; only the first run can
+end so. A run equal to the one before it is yielded as that same tuple, so
+a reader can tell a repeat by identity (sim.csv_writer renumbers the chunk
+it wrote for it).
+
 The source names node k's amount nk, edge e's weight we, the batch staged
 on gate edge e se, gate k's share bounds bk_j and fixed pool k's cap ck. A
 prologue, run once per call before the first run, is the form's rule that
@@ -108,7 +119,10 @@ class Topology:
         ends, so a caller that stops reading runs no further seed. With trace,
         the tuple is the run's amounts at steps 0 ... t, flat and step-major,
         each step's in node id order; without, those of self.monitored at
-        step t. A topology without gates draws nothing, so it never reseeds.
+        step t. A topology without gates draws nothing, so it never reseeds;
+        the trace form yields a run that drew nothing for every seed at once,
+        and a run equal to the one before it as that tuple (see the module
+        docstring).
         """
         kernel = self._kernels.get(trace)
         if kernel is None:
@@ -185,9 +199,13 @@ class Topology:
         # one run per seed on the one generator; a gate-free run draws nothing
         if self.gates:
             put(1, "draw = rng.random")
+            if trace:
+                put(1, "last = None")
         put(1, "for seed in seeds:")
         if self.gates:
             put(2, "reseed(rng, seed)")
+            if trace:  # a draw overwrites it
+                put(2, "u = 2.0")
         put(2, f"({held}) = a")
         if trace:  # the run's amounts, flat, step-major, node ids ascending within a step
             put(2, f"run = [{columns}]")
@@ -234,8 +252,22 @@ class Topology:
         for k in self.caps:
             put(step, f"if n{k} > c{k}:")
             put(step + 1, f"n{k} = c{k}")
+        # a run is read as soon as it ends, and the next one is only run if it is asked for
         if trace:
             put(step, f"run += ({columns})")
-        # a run is read as soon as it ends, and the next one is only run if it is asked for
-        put(2, "yield (*run,)" if trace else f"yield ({held})")
+            put(2, "run = (*run,)")
+            # a run that drew nothing is every seed's run (see the module docstring)
+            gated = bool(self.gates)
+            if gated:
+                put(2, "if u == 2.0:")
+            put(2 + gated, "for _ in seeds:")
+            put(3 + gated, "yield run")
+            put(2 + gated, "return")
+            if gated:  # a run equal to the one before is yielded as that tuple
+                put(2, "if run == last:")
+                put(3, "run = last")
+                put(2, "yield run")
+                put(2, "last = run")
+        else:
+            put(2, f"yield ({held})")
         return "\n".join(lines) + "\n"

@@ -33,19 +33,23 @@ batch a gate routes, in the order the batches arrive. The gate's shares
 are its outgoing weights in edge-list order, each divided by their
 left-to-right sum; it takes the draw u = rng.random() and picks the
 first edge whose running (left-to-right) share sum exceeds u, the last
-edge's sum counting as 1.0. No other step draws, so an economy without
-gates draws nothing and every seed gives the same run: it is simulated
-once, and that run is repeated for each seed (its traces share one rows
-tuple).
+edge's sum counting as 1.0. No other step draws, and every run starts
+from the same amounts, so runs agree up to their first draw, and a run
+that draws nothing, as every run of an economy without gates does, is
+every seed's run: it is simulated once and yielded for each seed. The
+trace kernel also yields a run equal to the one before it as that tuple;
+simulate_ensemble's traces of one tuple share one rows tuple, and
+csv_writer writes such a run as the chunk before, renumbered.
 
 Steps run in kernels generated per topology (flowtune.kernel), compiled
 once per graph object, on first use, and cached there; weights enter them
 as data, and node ids not at all. Each simulate, simulate_ensemble,
 trace_runs or observe_stream call is one kernel call, a generator that
-yields each run as it ends, after its own reseed in C of one generator,
-so a reader holds and simulates only the runs it reads. The call that
-starts the runs owns the generator they reseed: trace_runs makes one per
-call, and observe_stream takes its caller's (balance makes one per call).
+yields each run as it ends, after its own reseed in C of one generator
+(a run that draws nothing is simulated once, above), so a reader holds
+and simulates only the runs it reads. The call that starts the runs owns
+the generator they reseed: trace_runs makes one per call, and
+observe_stream takes its caller's (balance makes one per call).
 Streams on one generator may interleave whole runs, and calls in
 concurrent threads do not disturb each other's draws.
 
@@ -145,17 +149,17 @@ def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> Ru
     """m independent runs with seeds base_seed+0 ... base_seed+m-1.
 
     base_seed must be >= 0: random.Random(-s) draws what random.Random(s)
-    draws, so a range of seeds across 0 would repeat runs. A graph without
-    random gates draws no random numbers, so its runs are identical: it is
-    simulated once, and its m traces (each with its own run_seed) share one
-    rows tuple.
+    draws, so a range of seeds across 0 would repeat runs. A run equal to
+    the one before it shares that run's rows tuple (each trace keeps its own
+    run_seed); a run that draws nothing, as every run of a graph without
+    random gates does, is simulated once, and all m traces share its rows.
     """
     runs, monitored = trace_runs(graph, n, m, base_seed), topology_of(graph).monitored
     w = len(monitored)
     column = {node_id: c for c, node_id in enumerate(sorted(monitored))}  # a run's columns: ids ascending
     traces, last = [], None
     for i, run in enumerate(runs):
-        if run is not last:  # a gate-free economy's runs are one tuple, cut into rows once
+        if run is not last:  # a repeated run is the tuple before, cut into rows once
             last = run
             rows = tuple(zip(*(run[column[node_id]::w] for node_id in monitored))) if w else ((),) * (n + 1)
         traces.append(SimulationTrace(base_seed + i, monitored, rows))
@@ -166,14 +170,16 @@ def trace_runs(graph: EconomyGraph, n: int, m: int, base_seed: int):
     """The runs of n steps with seeds base_seed ... base_seed+m-1, an iterator
     over one trace kernel call on a generator of its own. Each run is one flat
     tuple of (n+1)*w amounts, step-major, the w amounts of a step in the order
-    of monitored_node_ids(graph), as csv_writer reads them; a gate-free
-    economy's m runs are one tuple. Arguments and graph are checked at the
-    call, each gated run simulated when read."""
+    of monitored_node_ids(graph), as csv_writer reads them. A run that draws
+    nothing, as every run of a gate-free economy does, is simulated once and
+    is all m runs, and a run equal to the one before it is that tuple (see
+    flowtune.kernel). Arguments and graph are checked at the call, each run
+    simulated when read."""
     check_number("simulation length", n, integer=True, minimum=1)
     check_number("run count", m, integer=True, minimum=1)
     check_number("seed", base_seed, integer=True, minimum=0)  # see simulate_ensemble
     plan = compile_plan(graph)
-    return _runs(plan, plan.topology.kernel(True), random.Random(0), n, m, base_seed)
+    return plan.topology.kernel(True)(plan.weights, random.Random(0), range(base_seed, base_seed + m), n)
 
 
 def csv_writer(ids, length: int):
@@ -182,7 +188,10 @@ def csv_writer(ids, length: int):
     for steps 0 ... length and, within a step, the node ids in ids, the
     table's column order (monitored_node_ids), quoted as the csv module
     quotes them. A chunk is one bytes % of the run's tuple as it is over
-    templates built here. An id UTF-8 cannot encode raises EconomyError here.
+    templates built here; a run that is the tuple before it is the chunk
+    before, each line's run number one higher, unless an id holds an LF,
+    which could put one of those numbers in a field. An id UTF-8 cannot
+    encode raises EconomyError here.
     """
     try:
         fields = [node_id.encode("utf-8") for node_id in ids]
@@ -194,10 +203,18 @@ def csv_writer(ids, length: int):
     # b"" first, so that a run's prefix starts every line
     templates = [b""] + [prefix + suffix for prefix in [b"%d" % t for t in range(length + 1)] for suffix in suffixes]
 
+    renumber = not any(b"\n" in f for f in fields)  # an LF in a field could precede "<run>,"
+
     def chunks(runs):
         yield b"run,step,node_id,amount\n"
+        last = chunk = None
         for run, amounts in enumerate(runs):
-            yield (b"%d," % run).join(templates) % amounts
+            if amounts is last and renumber:  # the chunk before, each line's run number one higher
+                chunk = (b"\n" + chunk).replace(b"\n%d," % (run - 1), b"\n%d," % run)[1:]
+            else:
+                chunk = (b"%d," % run).join(templates) % amounts
+            last = amounts
+            yield chunk
 
     return chunks
 
@@ -208,8 +225,16 @@ def ensemble_to_csv(ensemble: RunEnsemble) -> str:
     monitored = ensemble.traces[0].monitored
     columns = sorted(range(len(monitored)), key=monitored.__getitem__)  # node ids ascending
     chunks = csv_writer([monitored[c] for c in columns], ensemble.length)
-    runs = (tuple(row[c] for row in trace.rows for c in columns) for trace in ensemble.traces)
-    return b"".join(chunks(runs)).decode()
+
+    def runs():
+        rows = run = None
+        for trace in ensemble.traces:
+            if trace.rows is not rows:  # traces that share rows share one flat run, which csv_writer renumbers
+                rows = trace.rows
+                run = tuple(row[c] for row in rows for c in columns)
+            yield run
+
+    return b"".join(chunks(runs())).decode()
 
 
 # --- step kernels ----------------------------------------------------------------
@@ -269,15 +294,10 @@ def observe_stream(plan: Plan, t: int, m: int, base_seed: int, rng):
     t on the caller's generator rng, in the observe form (a genome's plan):
     per run, the amounts of plan.topology.monitored at step t, which equal
     row t of a longer run with the same seed. A gated plan's run is simulated
-    when it is read, so runs a reader does not read are never simulated."""
-    return _runs(plan, plan.topology.kernel(False), rng, t, m, base_seed)
-
-
-def _runs(plan: Plan, kernel, rng, t: int, m: int, base_seed: int):
-    """An iterator over kernel's runs of plan to step t with seeds base_seed ...
-    base_seed+m-1, each reseeding rng first. A plan without gates draws no
-    random numbers: it runs base_seed only, at once, and that run is repeated
-    m times."""
+    when it is read, so runs a reader does not read are never simulated. A
+    plan without gates draws no random numbers: it runs base_seed only, at
+    once, and that run is repeated m times."""
+    kernel = plan.topology.kernel(False)
     if plan.topology.gates:
         return kernel(plan.weights, rng, range(base_seed, base_seed + m), t)
     (run,) = kernel(plan.weights, rng, (base_seed,), t)

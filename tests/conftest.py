@@ -116,6 +116,21 @@ def count_kernel_calls(monkeypatch) -> list:
     return calls
 
 
+def count_namespace_calls(monkeypatch, kernel, name: str) -> list:
+    """Make a compiled kernel log the arguments of each call it makes to name
+    in its namespace; returns the log. Its trace form calls reseed once per
+    reseed and range once per simulated run (for its steps)."""
+    calls = []
+    real = kernel.__globals__[name]
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setitem(kernel.__globals__, name, counting)
+    return calls
+
+
 @pytest.fixture
 def minecraft():
     return load_fixture("minecraft_torch")

@@ -19,6 +19,7 @@ from flowtune.model import (
 from flowtune.sim import (
     Plan,
     compile_plan,
+    csv_writer,
     ensemble_to_csv,
     monitored_node_ids,
     observe_stream,
@@ -30,7 +31,7 @@ from flowtune.generator import GeneratorConfig, generate, random_node_counts
 from flowtune.util import derive_seed
 
 import oracle
-from conftest import chain_graph, count_kernel_calls, gate_graph, observed_runs, plan_data
+from conftest import chain_graph, count_kernel_calls, count_namespace_calls, gate_graph, observed_runs, plan_data
 
 
 def with_coal_cost(minecraft, x):
@@ -375,7 +376,7 @@ def test_hostile_node_ids_enter_kernels_as_data():
 
 #: SHA-256 of the trace sources, Topology(graph).source(True), over
 #: gated_economies() and oracle_economies(30, random.Random(5)).
-PINNED_KERNEL_SOURCE = "5a8f8c0a96ce2e6cad89f292756e0035cb0a295cbf2b8c0b4b91cbdfb36940c5"
+PINNED_KERNEL_SOURCE = "318d4efd97cb849f18a93bf8f20f3529f23821eca701be09486fd5ab45589193"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
 PINNED_MANY_SEED_SOURCE = "f190893bf7c6ed8fdf71ae1022a17336daeaea6b36601465f17aa2eb3b9dd5da"
 
@@ -564,6 +565,78 @@ def test_csv_matches_a_table_read_through_observe():
         if not any(node.kind is NodeKind.RANDOM_GATE for node in graph.nodes):  # its traces share one rows tuple
             assert all(trace.rows is ensemble.traces[0].rows for trace in ensemble.traces), name
     assert ensemble_to_csv(simulate_ensemble(CSV_EDGE_CASES["no pool or drain"], 6, 3, 2)) == "run,step,node_id,amount\n"
+
+
+class CountingRandom(random.Random):
+    """A generator that counts its draws, and draws what random.Random draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def test_a_trace_stream_that_draws_nothing_is_simulated_once(monkeypatch):
+    """A run that draws nothing is every seed's run: the trace kernel reseeds
+    once and yields that one tuple for every seed. A stream that draws
+    reseeds before every run, and yields a run equal to the one before it as
+    that tuple. At short t some gates are never fed, so both kinds occur."""
+    m, base_seed = 4, 6
+    seen = {"draws nothing": 0, "draws": 0}
+    for index, graph in enumerate(gated_economies() + oracle_economies(30, random.Random(5))):
+        plan = compile_plan(graph)
+        kernel = plan.topology.kernel(True)
+        reseeds = count_namespace_calls(monkeypatch, kernel, "reseed")
+        ids = monitored_node_ids(graph)
+        for t in (1, 2, 4):
+            rng = CountingRandom(0)
+            del reseeds[:]
+            runs = list(kernel(plan.weights, rng, range(base_seed, base_seed + m), t))
+            expected = [tuple(amounts[node_id] for amounts in oracle.simulate_amounts(graph, t, base_seed + r)
+                              for node_id in ids) for r in range(m)]
+            assert runs == expected, (index, t)
+            pairs = list(zip(runs, runs[1:]))
+            assert [run is before for before, run in pairs] == [run == before for before, run in pairs], (index, t)
+            if rng.draws:
+                assert len(reseeds) == m, (index, t)
+            else:
+                assert len(reseeds) == bool(plan.topology.gates), (index, t)
+                assert all(run is runs[0] for run in runs), (index, t)
+            if plan.topology.gates:
+                seen["draws" if rng.draws else "draws nothing"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def pool_economy(ids) -> EconomyGraph:
+    """A gate-free economy of a pool for each id: source j feeds the pools
+    ids[2j:2j + 3], so consecutive sources share one pool."""
+    sources = range(0, len(ids) - 1, 2)
+    edges = [(f"s{j}", node_id, j + i + 1) for j in sources for i, node_id in enumerate(ids[j:j + 3])]
+    return _economy([(f"s{j}", "source") for j in sources] + [(node_id, "pool") for node_id in ids], edges)
+
+
+def test_a_repeated_run_is_written_as_the_chunk_before_renumbered():
+    """csv_writer writes a run that is the tuple before it as the chunk before,
+    each line's run number one higher; ensemble_to_csv passes traces that
+    share rows as one tuple. The bytes are those of formatting every run,
+    across 9 -> 10 and 99 -> 100, for ids the csv module quotes or that hold
+    a %. An id that holds an LF could put "\n<run>," inside a field, so its
+    runs are each formatted."""
+    header = "run,step,node_id,amount\n"
+    no_columns = simulate_ensemble(CSV_EDGE_CASES["no pool or drain"], 6, 12, 2)
+    assert ensemble_to_csv(no_columns) == oracle.trace_csv(no_columns) == header
+    assert b"".join(csv_writer([], 6)([()] * 12)) == header.encode()
+    quoted = ["d,x", 'say "hi"', "cr\rid", "100% %d %s", "plain"]
+    for ids in (quoted, ["lf\n0,id", "lf\n1,id", "crlf\r\n9,id"]):
+        graph = pool_economy(ids)
+        for m in (3, 12, 101):
+            ensemble = simulate_ensemble(graph, 2, m, 4)
+            assert all(trace.rows is ensemble.traces[0].rows for trace in ensemble.traces)
+            assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble), (ids, m)
+            run = next(trace_runs(graph, 2, 1, 4))
+            chunks = csv_writer(monitored_node_ids(graph), 2)
+            assert b"".join(chunks([run] * m)) == b"".join(chunks(tuple(list(run)) for _ in range(m)))
 
 
 def test_trace_runs_are_flat_tuples_in_csv_column_order():
@@ -765,13 +838,15 @@ def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
     plan = compile_plan(graph)
     assert bool(plan.topology.gates) is gated
     t, n, m, base_seed = 7, 9, 4, 21
+    steps = count_namespace_calls(monkeypatch, plan.topology.kernel(True), "range")
     calls = count_kernel_calls(monkeypatch)
     observed = list(observe_stream(plan, t, m, base_seed, random.Random(0)))
     runs = m if gated else 1
     assert calls == [[runs, runs, t]]
     del calls[:]
     ensemble = simulate_ensemble(graph, n, m, base_seed)
-    assert calls == [[runs, runs, n]]  # one kernel call
+    # one kernel call, which yields every run and simulates each distinct one: a gate-free run draws nothing
+    assert calls == [[m, m, n]] and steps == [(n,)] * runs
 
     singles = [simulate(graph, n, base_seed + r) for r in range(m)]
     assert ensemble.traces == tuple(singles)  # run_seed included
