@@ -17,15 +17,16 @@ and are normalized per gate when a step kernel reads them or when they
 are written into a graph; all other genes are positive integers ("amount
 genes").
 
-balance checks each input economy once, then measures a genome on one
-step plan per economy run to the observed step, building no graph: the
-plan is the economy's topology with the genome's slice of weights, which
-its observe kernel scales and turns into its own data (flowtune.kernel)
-before it yields the runs one by one, each reseeding a generator the
-balance call makes for itself, so calls in concurrent threads do not
-disturb each other. The report's observations are that measurement of the best genome under seeds
-of their own; the balanced graphs carry the measured weights, so
-simulating them reproduces it. sim_length only bounds observe_step.
+balance checks each input economy once per call, through its topology
+(sim.checked_topology), then measures a genome by running, per economy, its
+slice of the genome on that topology to the observed step, building no
+graph: the observe kernel scales the slice and turns it into its own data
+(flowtune.kernel) before it yields the runs one by one, each reseeding a
+generator the balance call makes for itself, so calls in concurrent
+threads do not disturb each other. The report's observations are that
+measurement of the best genome under seeds of their own; the balanced
+graphs carry the measured weights, so simulating them reproduces it.
+sim_length only bounds observe_step.
 
 Each generation races its candidates. A candidate's proportions are
 summed left to right as its runs are read; after run k of m, with sum S,
@@ -61,8 +62,8 @@ from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
 
-from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, gate_shares, is_valid
-from .sim import Plan, monitored_node_ids, observe_stream, topology_of
+from .model import EconomyError, EconomyGraph, NodeKind, gate_shares
+from .sim import checked_topology, observe_stream, topology_of
 from .util import check_number, derive_seed, pstdev
 
 #: A genome reaching this fitness is balanced and stops the search.
@@ -245,12 +246,6 @@ class GenomeLayout:
             for (start, end), graph in zip(self.spans, self.graphs)
         )
 
-    def plans(self, genome: tuple) -> tuple:
-        """One step plan per graph: its topology with the genome's slice of
-        weights, for the observe form (see flowtune.kernel); no graph is built."""
-        spans = zip(self.spans, self.topologies)
-        return tuple(Plan(topology, genome[start:end]) for (start, end), topology in spans)
-
 
 def clamp_positive(value: float, probability: bool) -> float:
     """Gene floor: results <= 0 become 1 (amounts) or 0.01 (probabilities)."""
@@ -426,7 +421,7 @@ def _observed_pools(objective: BalanceObjective) -> list:
 def _check_pool(graph: EconomyGraph, pool: str, role: str) -> None:
     if not graph.has_node(pool):
         raise ValueError(f"{role} {pool!r} does not exist in the economy")
-    if pool not in monitored_node_ids(graph):
+    if pool not in topology_of(graph).monitored:
         raise ValueError(f"{role} {pool!r} is not a pool or drain")
 
 
@@ -454,9 +449,7 @@ def balance(
         )
     for index, graph in enumerate(graphs):
         try:
-            if not is_valid(graph):
-                raise InvalidEconomyError(f"cannot balance an invalid economy graph: {broken_rule(graph)}")
-            gate_shares(graph, [e.weight for e in graph.edges])  # raises if a gate cannot be normalized
+            checked_topology(graph)
         except EconomyError as exc:
             exc.economy_index = index
             raise
@@ -487,9 +480,10 @@ def balance(
         step = objective.observe_step
         return [
             observe_stream(
-                plan, step, m, derive_seed(params.seed, *tag, i, genome) if plan.topology.gates else 0, run_rng
+                topology, genome[start:end], step, m,
+                derive_seed(params.seed, *tag, i, genome) if topology.gates else 0, run_rng,
             )
-            for i, plan in enumerate(layout.plans(genome))
+            for i, ((start, end), topology) in enumerate(zip(layout.spans, layout.topologies))
         ]
 
     def pairs(runs: list):

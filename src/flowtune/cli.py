@@ -237,14 +237,19 @@ def _cmd_sim(args) -> int:
     finals = []  # each run's amounts at --steps, by id: all a run leaves behind
 
     def kept():
+        last = None
         for run in runs:
-            finals.append(run[len(run) - w:])  # not run[-w:]: with w = 0 that is the whole run
+            # a repeated run is the tuple before (trace_runs), so it shares that run's final amounts;
+            # not run[-w:]: with w = 0 that is the whole run
+            finals.append(finals[-1] if run is last else run[len(run) - w:])
+            last = run
             yield run
 
     if args.trace:
         _write((args.trace, chunks(kept())))
     else:
-        finals = [run[len(run) - w:] for run in runs]
+        for _ in kept():
+            pass
     if not args.quiet:
         for node_id, final in zip(ids, zip(*finals)):
             print(f"{node_id}: {_summary_text(final)}")

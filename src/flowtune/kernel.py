@@ -10,7 +10,7 @@ order. The observe form reads a balancer genome's slice, gate weights
 first scaled as model.gate_shares scales them (scaled_shares' tolerance
 test and division, then the total again), and yields the run's final
 amounts, in Topology.monitored order. The trace form reads a graph's own
-weights, gate totals checked by sim.compile_plan, and yields the run's
+weights, gate totals checked by sim.topology_of, and yields the run's
 amounts at steps 0 ... t as one flat tuple, step-major, node ids ascending
 within a step: the trace CSV's column order, so no caller reorders it.
 
@@ -28,7 +28,7 @@ it wrote for it).
 The source names node k's amount nk, edge e's weight we, the batch staged
 on gate edge e se, gate k's share bounds bk_j and fixed pool k's cap ck. A
 prologue, run once per call before the first run, is the form's rule that
-turns the weights into these locals, with the arithmetic sim.compile_plan
+turns the weights into these locals, with the arithmetic sim.topology_of
 states: per gate, in the observe form, its total checked as
 check_gate_total checks it, and the scaling above; then the bounds, each
 share divided by float() of the total; the caps, each the largest amount
@@ -53,7 +53,7 @@ kernel runs one pass; otherwise it loops, and only a back feeder's firing
 asks for another pass. This is exact. A converter's test is monotone in
 its inputs (n >= w, s > 0), and a firing only lowers its own inputs and
 raises the inputs of the converters it feeds, as every edge amount is
->= 0 (compile_plan's precondition). So a converter c that did not fire
+>= 0 (topology_of's precondition). So a converter c that did not fire
 when a pass examined it can fire in the next pass only if a converter
 that feeds c fired in between. The first firing of a next pass has no
 firing before it in that pass, so what fed it fired after it in the
@@ -171,7 +171,7 @@ class Topology:
         for j, k in enumerate(self.gates):
             total = " + ".join(f"w{e}" for e in out[k]) or "0"
             put(1, f"total = {total}")
-            if not trace:  # a genome's gate weights, checked and scaled; compile_plan checked a graph's
+            if not trace:  # a genome's gate weights, checked and scaled; topology_of checked a graph's
                 # a total that passes this test passes check_gate_total; one that fails it is checked there
                 check = f"if not 0 < total <= {sys.float_info.max!r}: total = gate_total({j}, total)"
                 put(1, check)

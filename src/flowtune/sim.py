@@ -60,14 +60,14 @@ table's column order, and csv_writer formats the tuple as it is.
 simulate_ensemble cuts it into a trace's rows, one tuple per step in its
 monitored order; the dicts of its snapshots are built when read.
 
-A step plan (Plan) is a topology with the weights its kernels read, and
-each kernel form has one rule for them (flowtune.kernel). trace_runs runs
-a graph's own plan (compile_plan) in the trace form, which reads the
-weights as they are: compile_plan checks the graph's connection rules and
-gate totals once, when the plan is first built and cached on the graph,
-and compiles nothing. The balancer runs its genomes' plans (observe_stream)
-in the observe form, which scales their gate weights first, only to the
-observed step, keeping each run's amounts at that step only.
+trace_runs runs a graph's topology (topology_of) in the trace form on the
+graph's own weights, which it reads as they are: topology_of checks the
+graph's connection rules and gate totals once, when the topology is first
+built and cached on the graph (checked_topology, which balance calls on
+every call, checks a cached graph again but builds nothing). The balancer runs its genomes' weights on
+their economies' topologies (observe_stream) in the observe form, which
+scales their gate weights first, only to the observed step, keeping each
+run's amounts at that step only.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ def trace_runs(graph: EconomyGraph, n: int, m: int, base_seed: int):
     check_number("simulation length", n, integer=True, minimum=1)
     check_number("run count", m, integer=True, minimum=1)
     check_number("seed", base_seed, integer=True, minimum=0)  # see simulate_ensemble
-    plan = compile_plan(graph)
-    return plan.topology.kernel(True)(plan.weights, random.Random(0), range(base_seed, base_seed + m), n)
+    kernel = topology_of(graph).kernel(True)
+    return kernel(tuple(e.weight for e in graph.edges), random.Random(0), range(base_seed, base_seed + m), n)
 
 
 def csv_writer(ids, length: int):
@@ -240,31 +240,9 @@ def ensemble_to_csv(ensemble: RunEnsemble) -> str:
 # --- step kernels ----------------------------------------------------------------
 
 
-class Plan(NamedTuple):
-    """Weights on a compiled topology, a graph's or a genome's (flowtune.kernel):
-    what its kernels read besides the generator, seeds and length."""
-
-    topology: "Topology"
-    weights: tuple  # one per edge, in edge order
-
-
 def topology_of(graph: EconomyGraph) -> "Topology":
-    """The graph's compiled topology, built on first use and cached on it;
-    its validity is not checked."""
-    topology = getattr(graph, "_sim_topology", None)
-    if topology is None:
-        from .kernel import Topology  # the emitter loads with the first topology, not with flowtune
-
-        topology = Topology(graph)
-        object.__setattr__(graph, "_sim_topology", topology)
-    return topology
-
-
-def compile_plan(graph: EconomyGraph) -> Plan:
-    """The graph's step plan, its own weights as the trace form reads them,
-    built on first use and cached on it; building it is the one check, and a
-    refused graph caches nothing: its connection rules, then each gate's
-    total, as gate_shares checks it.
+    """The graph's compiled topology, checked and built by checked_topology
+    on first use and cached on it.
 
     From the weights, each kernel's prologue (flowtune.kernel) computes the
     amount of each edge that does not leave a gate, in edge order, its weight
@@ -277,28 +255,40 @@ def compile_plan(graph: EconomyGraph) -> Plan:
     0: the kernel's rule for when to repeat a converter pass is exact only
     then (see flowtune.kernel), and a graph's are positive.
     """
-    cached = getattr(graph, "_sim_plan", None)
-    if cached is not None:
-        return cached
+    topology = getattr(graph, "_sim_topology", None)
+    return checked_topology(graph) if topology is None else topology
+
+
+def checked_topology(graph: EconomyGraph) -> "Topology":
+    """topology_of(graph), after checking the graph even if its topology is
+    cached: its connection rules, then each gate's total, as gate_shares
+    checks it. A refused graph caches nothing. balance checks its economies
+    here on every call, so that a call does the same work whatever earlier
+    calls did with its graphs.
+    """
     if not is_valid(graph):
         raise InvalidEconomyError(f"refusing to simulate an invalid economy graph: {broken_rule(graph)}")
-    weights = tuple(e.weight for e in graph.edges)
-    gate_shares(graph, weights)  # raises if a gate's total is not a finite positive number
-    plan = Plan(topology_of(graph), weights)
-    object.__setattr__(graph, "_sim_plan", plan)
-    return plan
+    gate_shares(graph, [e.weight for e in graph.edges])  # raises if a gate's total is not a finite positive number
+    topology = getattr(graph, "_sim_topology", None)
+    if topology is None:
+        from .kernel import Topology  # the emitter loads with the first topology, not with flowtune
+
+        topology = Topology(graph)
+        object.__setattr__(graph, "_sim_topology", topology)
+    return topology
 
 
-def observe_stream(plan: Plan, t: int, m: int, base_seed: int, rng):
+def observe_stream(topology: "Topology", weights: tuple, t: int, m: int, base_seed: int, rng):
     """An iterator over the runs of seeds base_seed ... base_seed+m-1 to step
-    t on the caller's generator rng, in the observe form (a genome's plan):
-    per run, the amounts of plan.topology.monitored at step t, which equal
-    row t of a longer run with the same seed. A gated plan's run is simulated
-    when it is read, so runs a reader does not read are never simulated. A
-    plan without gates draws no random numbers: it runs base_seed only, at
-    once, and that run is repeated m times."""
-    kernel = plan.topology.kernel(False)
-    if plan.topology.gates:
-        return kernel(plan.weights, rng, range(base_seed, base_seed + m), t)
-    (run,) = kernel(plan.weights, rng, (base_seed,), t)
+    t on the caller's generator rng, in the observe form (a genome's weights,
+    one per edge of topology, in edge order): per run, the amounts of
+    topology.monitored at step t, which equal row t of a longer run with the
+    same seed. A gated topology's run is simulated when it is read, so runs a
+    reader does not read are never simulated. A topology without gates draws
+    no random numbers: it runs base_seed only, at once, and that run is
+    repeated m times."""
+    kernel = topology.kernel(False)
+    if topology.gates:
+        return kernel(weights, rng, range(base_seed, base_seed + m), t)
+    (run,) = kernel(weights, rng, (base_seed,), t)
     return repeat(run, m)

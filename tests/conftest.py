@@ -61,25 +61,30 @@ def gate_graph(w_left: float = 0.5, w_right: float = 0.5, feed: int = 1) -> Econ
     )
 
 
-def observed_runs(plan, t: int, m: int, base_seed: int) -> list:
-    """observe_stream's m runs of plan to step t on a generator of their own,
-    each as a dict from monitored id to amount."""
-    runs = observe_stream(plan, t, m, base_seed, random.Random(0))
-    return [dict(zip(plan.topology.monitored, run)) for run in runs]
+def observed_runs(topology, weights: tuple, t: int, m: int, base_seed: int) -> list:
+    """observe_stream's m runs of weights on topology to step t on a generator
+    of their own, each as a dict from monitored id to amount."""
+    runs = observe_stream(topology, weights, t, m, base_seed, random.Random(0))
+    return [dict(zip(topology.monitored, run)) for run in runs]
 
 
-def plan_data(plan, trace: bool = False) -> tuple:
-    """(params, initial) as a kernel form computes them from plan before its
-    first step, in the order of oracle.plan_params: the documented locals of
-    one run to step 0, suspended at its yield, read from its frame. Without
-    trace, through the observe form, which reads a genome's plan; with trace,
-    through the trace form, whose prologue is a graph plan's own
-    (compile_plan). params holds each amount edge's we, in edge order, each
-    gate's bk_j, in node order, and each capped fixed pool's ck, in node
-    order; initial is the run's step-0 amounts, in monitored order. A gate
-    total the observe form refuses raises."""
-    topology = plan.topology
-    run = topology.kernel(trace)(plan.weights, random.Random(0), (0,), 0)
+def edge_weights(graph: EconomyGraph) -> tuple:
+    """The graph's own weights, in edge order, as trace_runs passes them to
+    the trace form."""
+    return tuple(e.weight for e in graph.edges)
+
+
+def plan_data(topology, weights: tuple, trace: bool = False) -> tuple:
+    """(params, initial) as a kernel form of topology computes them from
+    weights before its first step, in the order of oracle.plan_params: the
+    documented locals of one run to step 0, suspended at its yield, read from
+    its frame. Without trace, through the observe form, which reads a
+    genome's weights; with trace, through the trace form, whose prologue is a
+    graph's own (topology_of). params holds each amount edge's we, in edge
+    order, each gate's bk_j, in node order, and each capped fixed pool's ck,
+    in node order; initial is the run's step-0 amounts, in monitored order. A
+    gate total the observe form refuses raises."""
+    run = topology.kernel(trace)(weights, random.Random(0), (0,), 0)
     initial = next(run)
     if trace:  # the trace form's columns are the monitored ids ascending
         initial = dict(zip(sorted(topology.monitored), initial))

@@ -267,7 +267,7 @@ def pstdev(amounts) -> float:
 
 def plan_params(graph) -> tuple:
     """(params, initial) of the graph's step plan, written from the
-    flowtune.sim.compile_plan docstring alone: the whole amount of each edge
+    flowtune.sim.topology_of docstring alone: the whole amount of each edge
     not leaving a gate, in edge order; per gate, in node order, the running
     share sums but the last, each share a weight divided by float() of the
     gate's left-to-right total; the cap of each fixed pool with outgoing

@@ -14,7 +14,7 @@ import flowtune.model
 import flowtune.sim
 from flowtune.generator import GeneratorConfig, generate
 from flowtune.model import EconomyGraph, Edge, InvalidEconomyError, Node, NodeKind, save_economy
-from flowtune.sim import compile_plan, monitored_node_ids, observe_stream, simulate_ensemble
+from flowtune.sim import monitored_node_ids, observe_stream, simulate_ensemble, topology_of
 from flowtune.util import derive_seed, dump_json
 from flowtune.balancer import (
     BALANCED_FITNESS,
@@ -32,7 +32,7 @@ from flowtune.balancer import (
 )
 
 import oracle
-from conftest import chain_graph, count_kernel_calls, observed_runs, plan_data
+from conftest import chain_graph, count_kernel_calls, edge_weights, observed_runs, plan_data
 from test_sim import gate_ladder, oracle_economies
 
 
@@ -107,9 +107,10 @@ def test_pairwise_fitness_intra_uses_one_ensemble():
         (Node("feed", NodeKind.SOURCE), Node("a", NodeKind.POOL), Node("b", NodeKind.POOL)),
         (Edge("feed", "a", 1), Edge("feed", "b", 1)),
     )
-    plan = compile_plan(graph.with_weights([15, 30]))
-    assert plan.topology.monitored == ("a", "b")
-    (run,) = observe_stream(plan, 2, 1, 0, random.Random(0))
+    graph = graph.with_weights([15, 30])
+    topology = topology_of(graph)
+    assert topology.monitored == ("a", "b")
+    (run,) = observe_stream(topology, edge_weights(graph), 2, 1, 0, random.Random(0))
     assert run == (30, 60)
     assert fitness([run[0]], [run[1]], alpha=0.0) == pytest.approx(0.5, abs=1e-12)
 
@@ -274,12 +275,15 @@ def test_plans_observe_what_the_applied_graphs_simulate(minecraft, mage, archer)
         for _ in range(8):
             genome = layout.random_genome(rng)
             base_seed = rng.randrange(10**6)
-            for plan, graph in zip(layout.plans(genome), layout.apply(genome)):
+            for (start, end), topology, graph in zip(layout.spans, layout.topologies, layout.apply(genome)):
+                weights = genome[start:end]
                 # the same kernel data bit for bit, gate share bounds included
-                assert repr(plan_data(plan)) == repr(plan_data(compile_plan(graph), trace=True))
+                assert repr(plan_data(topology, weights)) == repr(
+                    plan_data(topology_of(graph), edge_weights(graph), trace=True)
+                )
                 ensemble = simulate_ensemble(graph, n, m, base_seed)
                 for t in range(1, n + 1):
-                    observed = observed_runs(plan, t, m, base_seed)
+                    observed = observed_runs(topology, weights, t, m, base_seed)
                     for node_id in monitored_node_ids(graph):
                         assert [run[node_id] for run in observed] == ensemble.observe(node_id, t)
 
@@ -294,7 +298,7 @@ def test_balance_checks_and_rebuilds_graphs_independently_of_generations(minecra
         return wrapper
 
     checked = counted("is_valid", flowtune.model.is_valid)
-    for module in (flowtune.model, flowtune.sim, flowtune.balancer):
+    for module in (flowtune.model, flowtune.sim):
         monkeypatch.setattr(module, "is_valid", checked)
     monkeypatch.setattr(EconomyGraph, "with_weights", counted("with_weights", EconomyGraph.with_weights))
     unreachable = objective_for_torch(alpha=0.0, value=5000, runs=2)
@@ -816,18 +820,25 @@ def test_balance_memory_does_not_grow_with_the_generations():
 
 
 def test_params_form_gives_each_evaluated_genome_the_plan_of_its_graph(minecraft, mage, archer, monkeypatch):
-    evaluated = []
-    real = GenomeLayout.plans
+    streams = []  # (graphs, topology, weights): one per economy of each evaluated genome
+    real = flowtune.balancer.observe_stream
+    graphs, genomes = (), 0
     monkeypatch.setattr(
-        GenomeLayout, "plans", lambda layout, genome: evaluated.append((layout, genome)) or real(layout, genome)
+        flowtune.balancer, "observe_stream",
+        lambda topology, weights, *args: streams.append((graphs, topology, weights)) or real(topology, weights, *args),
     )
     for graphs, objective, seed in race_cases(minecraft, mage, archer):
+        before = len(streams)
         balance(graphs, objective, BalanceParams(population_size=6, max_generations=15, seed=seed))
-    assert len(evaluated) > 1000
-    for layout, genome in evaluated:
-        for plan, graph in zip(real(layout, genome), layout.apply(genome)):
-            # repr tells every float apart, and an int from an equal float
-            assert repr(plan_data(plan)) == repr(plan_data(compile_plan(graph), trace=True)), genome
+        genomes += (len(streams) - before) // len(graphs)  # one stream per economy of each genome
+    assert genomes > 1000
+    for economies, topology, weights in streams:
+        graph = next(graph for graph in economies if topology_of(graph) is topology)
+        (applied,) = GenomeLayout([graph]).apply(weights)  # the economy's graph as balance writes it
+        # repr tells every float apart, and an int from an equal float
+        assert repr(plan_data(topology, weights)) == repr(
+            plan_data(topology_of(applied), edge_weights(applied), trace=True)
+        ), weights
 
 
 @pytest.mark.parametrize("shares", [(1e308, 1e308), (10**400, 1)])
@@ -837,8 +848,8 @@ def test_params_form_refuses_gate_totals_that_are_not_finite(archer, shares):
     genome[3:5] = shares  # the crit_gate weights
     with pytest.raises(flowtune.model.GateNormalizationError) as expected:
         flowtune.model.gate_shares(archer, genome)
-    (plan,) = layout.plans(tuple(genome))
+    (topology,) = layout.topologies
     with pytest.raises(flowtune.model.GateNormalizationError) as raised:
-        next(observe_stream(plan, 1, 1, 0, random.Random(0)))
+        next(observe_stream(topology, tuple(genome), 1, 1, 0, random.Random(0)))
     assert str(raised.value) == str(expected.value)
     assert str(raised.value) == "gate 'crit_gate': outgoing weights do not sum to a finite positive number"

@@ -380,6 +380,19 @@ def test_trace_memory_does_not_grow_with_runs(tmp_path):
     assert peaks[400] < 2 * peaks[50], peaks
 
 
+def test_sim_summary_keeps_one_final_per_distinct_run(tmp_path):
+    # every run of the gate-free torch economy is one tuple, so its final amounts are kept once
+    economy = write(tmp_path / "torch.json", fixture_text("minecraft_torch"))
+    main(["sim", economy, "--steps", "3", "--quiet"])  # imports and first-use caches
+    tracemalloc.start()
+    try:
+        assert main(["sim", economy, "--steps", "3", "--runs", "200000", "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+
+
 def test_balance_absolute_objective(tmp_path, torch_file):
     objective = write(
         tmp_path / "obj.json",
@@ -701,8 +714,8 @@ def test_invalid_economy_message_names_its_file(tmp_path, capsys, command):
     balance = ["balance", "--objective", objective, "--out", str(out), "--out2", str(tmp_path / "out2.json")]
     argv, message = {
         "sim": (["sim", bad, "--steps", "3", "--trace", str(out)], "refusing to simulate an invalid economy graph"),
-        "balance-first": (balance + [bad, "--second", mage], "cannot balance an invalid economy graph"),
-        "balance-second": (balance + [mage, "--second", bad], "cannot balance an invalid economy graph"),
+        "balance-first": (balance + [bad, "--second", mage], "refusing to simulate an invalid economy graph"),
+        "balance-second": (balance + [mage, "--second", bad], "refusing to simulate an invalid economy graph"),
     }[command]
     rule = "source 's' has out-degree 0, needs at least 1"
     assert main(argv + ["--quiet"]) == 2

@@ -26,7 +26,7 @@ from flowtune.model import (
     save_economy,
     validate_node,
 )
-from flowtune.sim import compile_plan, simulate
+from flowtune.sim import simulate, topology_of
 
 from conftest import chain_graph, gate_graph, random_wellformed_graph
 import oracle
@@ -199,7 +199,7 @@ def test_gate_weights_summing_to_infinity_cannot_be_normalized():
     with pytest.raises(GateNormalizationError):
         normalize_gate_weights(g)
     with pytest.raises(GateNormalizationError):
-        compile_plan(g)
+        topology_of(g)
 
 
 def test_roundtrip_preserves_semantics(minecraft, mage, archer):

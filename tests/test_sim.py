@@ -17,21 +17,23 @@ from flowtune.model import (
     gate_shares, is_valid,
 )
 from flowtune.sim import (
-    Plan,
-    compile_plan,
     csv_writer,
     ensemble_to_csv,
     monitored_node_ids,
     observe_stream,
     simulate,
     simulate_ensemble,
+    topology_of,
     trace_runs,
 )
+from flowtune.balancer import BalanceObjective, BalanceParams, ObjectiveKind, balance
 from flowtune.generator import GeneratorConfig, generate, random_node_counts
 from flowtune.util import derive_seed
 
 import oracle
-from conftest import chain_graph, count_kernel_calls, count_namespace_calls, gate_graph, observed_runs, plan_data
+from conftest import (
+    chain_graph, count_kernel_calls, count_namespace_calls, edge_weights, gate_graph, observed_runs, plan_data,
+)
 
 
 def with_coal_cost(minecraft, x):
@@ -146,9 +148,9 @@ def test_counts_and_seeds_must_be_integers(archer, n, m, seed):
 def test_invalid_graph_refused(monkeypatch):
     calls = count_kernel_calls(monkeypatch)
     g = EconomyGraph((Node("s", NodeKind.SOURCE), Node("p", NodeKind.POOL)), ())
-    for _ in range(2):  # a refusal is not cached as a plan
+    for _ in range(2):  # a refusal is not cached as a topology
         with pytest.raises(InvalidEconomyError):
-            compile_plan(g)
+            topology_of(g)
         with pytest.raises(InvalidEconomyError):
             simulate(g, 1, seed=0)
         with pytest.raises(InvalidEconomyError):
@@ -164,8 +166,22 @@ def test_validity_checked_once_per_graph(monkeypatch):
     monkeypatch.setattr(flowtune.sim, "is_valid", lambda graph: calls.append(graph) or real(graph))
     graph = chain_graph()
     simulate_ensemble(graph, 10, 10, 0)
-    assert compile_plan(graph) is compile_plan(graph)
+    assert topology_of(graph) is topology_of(graph)
     assert calls == [graph]
+    # both entries share the one check: a graph balanced first is not checked again when simulated
+    del calls[:]
+    graph = chain_graph()
+    objective = BalanceObjective(ObjectiveKind.ABSOLUTE, "p", 3, 3, runs=2, target_value=2)
+    balance(graph, objective, BalanceParams(population_size=4, max_generations=2))
+    simulate(graph, 5, 0)
+    assert calls == [graph]
+    # and a refused graph caches nothing, whichever entry refused it
+    bad = EconomyGraph((Node("s", NodeKind.SOURCE), Node("p", NodeKind.POOL)), ())
+    for enter in (lambda: balance(bad, objective), lambda: simulate(bad, 5, 0)):
+        with pytest.raises(InvalidEconomyError):
+            enter()
+        assert not hasattr(bad, "_sim_topology")
+    assert calls == [graph, bad, bad]
 
 
 @pytest.mark.parametrize("graph", [load_fixture("minecraft_torch"), gate_graph(0.7, 0.3)], ids=["torch", "gate"])
@@ -345,12 +361,10 @@ def test_hostile_node_ids_enter_kernels_as_data():
             assert list(got.snapshots) == [{names[k]: v for k, v in s.items()} for s in plain.snapshots]
         ensemble = simulate_ensemble(twin, 15, 3, 5)
         assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble)
-        plain_plan = compile_plan(graph)
-        twin_plan = compile_plan(twin)
-        plain = observed_runs(plain_plan, 9, 3, 5)
-        got = observed_runs(twin_plan, 9, 3, 5)
+        topology = topology_of(twin)
+        plain = observed_runs(topology_of(graph), edge_weights(graph), 9, 3, 5)
+        got = observed_runs(topology, edge_weights(twin), 9, 3, 5)
         assert got == [{names[k]: v for k, v in run.items()} for run in plain]
-        topology = twin_plan.topology
         for source in (topology.source(False), topology.source(True)):
             assert not set("'\"\\") & set(source)
             assert not any(node.id in source for node in twin.nodes)
@@ -360,18 +374,18 @@ def test_hostile_node_ids_enter_kernels_as_data():
             namespace = form.__globals__
             assert set(namespace) == {"__builtins__", *allowed} and namespace["__builtins__"] == {}
         weights = [e.weight for e in twin.edges]
-        written = compile_plan(twin.with_weights(gate_shares(twin, weights)))
-        assert plan_data(Plan(topology, weights)) == plan_data(written, trace=True)
+        written = twin.with_weights(gate_shares(twin, weights))
+        assert plan_data(topology, weights) == plan_data(topology_of(written), edge_weights(written), trace=True)
         # an id is data there too: it only names a gate whose weights are refused,
-        # by the observe form in a genome's plan and by compile_plan in a graph
+        # by the observe form in a genome's weights and by topology_of in a graph
         for gate in topology.gates[:1]:
             for e in topology.out[gate]:
                 weights[e] = 1e308
             named = re.escape(repr(topology.ids[gate]))
             with pytest.raises(GateNormalizationError, match=named):
-                observed_runs(Plan(topology, weights), 9, 3, 5)
+                observed_runs(topology, weights, 9, 3, 5)
             with pytest.raises(GateNormalizationError, match=named):
-                compile_plan(twin.with_weights(weights))
+                topology_of(twin.with_weights(weights))
 
 
 #: SHA-256 of the trace sources, Topology(graph).source(True), over
@@ -396,7 +410,7 @@ def test_each_kernel_form_has_one_weights_rule():
     for graph in gated_economies()[:12]:
         topology = flowtune.kernel.Topology(graph)
         trace, observe = topology.source(True), topology.source(False)
-        # the trace form reads a graph's weights, checked by compile_plan: no check, no scaling
+        # the trace form reads a graph's weights, checked by topology_of: no check, no scaling
         assert "gate_total(" not in trace and tolerance not in trace
         assert ("gate_total(" in observe and tolerance in observe) == bool(topology.gates)
         for source in (trace, observe):
@@ -415,16 +429,16 @@ def test_graph_plans_are_the_reference_arithmetic_bit_for_bit():
         ]))
     for graph in graphs:
         # repr tells every float apart, and an int from an equal float
-        assert repr(plan_data(compile_plan(graph), trace=True)) == repr(oracle.plan_params(graph))
+        assert repr(plan_data(topology_of(graph), edge_weights(graph), trace=True)) == repr(oracle.plan_params(graph))
     huge = gate_graph()  # gate weights (10**400, 1), past the constructor's checks: no document holds them
     object.__setattr__(huge, "edges", (huge.edges[0], Edge("gate", "left", 10**400), Edge("gate", "right", 1)))
     for graph in (gate_graph(1e308, 1e308), huge):
         with pytest.raises(ValueError) as expected:
             oracle.plan_params(graph)
         with pytest.raises(GateNormalizationError) as raised:
-            compile_plan(graph)
+            topology_of(graph)
         assert str(raised.value) == str(expected.value)
-        assert getattr(graph, "_sim_plan", None) is None
+        assert getattr(graph, "_sim_topology", None) is None
 
 
 def test_reseeding_in_c_draws_what_a_new_generator_draws():
@@ -585,14 +599,14 @@ def test_a_trace_stream_that_draws_nothing_is_simulated_once(monkeypatch):
     m, base_seed = 4, 6
     seen = {"draws nothing": 0, "draws": 0}
     for index, graph in enumerate(gated_economies() + oracle_economies(30, random.Random(5))):
-        plan = compile_plan(graph)
-        kernel = plan.topology.kernel(True)
+        topology = topology_of(graph)
+        kernel = topology.kernel(True)
         reseeds = count_namespace_calls(monkeypatch, kernel, "reseed")
         ids = monitored_node_ids(graph)
         for t in (1, 2, 4):
             rng = CountingRandom(0)
             del reseeds[:]
-            runs = list(kernel(plan.weights, rng, range(base_seed, base_seed + m), t))
+            runs = list(kernel(edge_weights(graph), rng, range(base_seed, base_seed + m), t))
             expected = [tuple(amounts[node_id] for amounts in oracle.simulate_amounts(graph, t, base_seed + r)
                               for node_id in ids) for r in range(m)]
             assert runs == expected, (index, t)
@@ -601,9 +615,9 @@ def test_a_trace_stream_that_draws_nothing_is_simulated_once(monkeypatch):
             if rng.draws:
                 assert len(reseeds) == m, (index, t)
             else:
-                assert len(reseeds) == bool(plan.topology.gates), (index, t)
+                assert len(reseeds) == bool(topology.gates), (index, t)
                 assert all(run is runs[0] for run in runs), (index, t)
-            if plan.topology.gates:
+            if topology.gates:
                 seen["draws" if rng.draws else "draws nothing"] += 1
     assert min(seen.values()) >= 10, seen
 
@@ -751,9 +765,9 @@ def test_step_oracle_agrees_with_simulate_and_observe_runs():
         for r in range(m):
             trace = simulate(graph, n, base_seed + r)
             assert list(trace.snapshots) == expected[r], f"economy {index}, run {r}"
-        plan = compile_plan(graph)
+        topology, weights = topology_of(graph), edge_weights(graph)
         for t in range(1, n + 1):
-            got = observed_runs(plan, t, m, base_seed)
+            got = observed_runs(topology, weights, t, m, base_seed)
             assert got == [expected[r][t] for r in range(m)], f"economy {index}, step {t}"
     # the sample reaches every documented mechanism, and random routing matters
     assert min(seen.values()) >= 20, seen
@@ -803,9 +817,9 @@ def test_converter_passes_repeat_only_after_a_back_feeder(name):
     graph, looping = PASS_RULE_ECONOMIES[name]
     back_feeders = oracle.back_feeders(graph)
     assert is_valid(graph) and bool(back_feeders) is looping
-    plan = compile_plan(graph)
+    topology, weights = topology_of(graph), edge_weights(graph)
     for trace in (False, True):
-        source = plan.topology.source(trace)
+        source = topology.source(trace)
         assert ("while" in source) is looping
         # a converter that feeds none before it asks for no further pass
         assert source.count("fired = 0, 1") == len(back_feeders)
@@ -815,7 +829,7 @@ def test_converter_passes_repeat_only_after_a_back_feeder(name):
         for r in range(m):
             assert list(simulate(graph, n, base_seed + r).snapshots) == expected[r], (base_seed, r)
         for t in range(1, n + 1):
-            got = observed_runs(plan, t, m, base_seed)
+            got = observed_runs(topology, weights, t, m, base_seed)
             assert got == [expected[r][t] for r in range(m)], (base_seed, t)
 
 
@@ -835,12 +849,12 @@ def test_kernels_loop_exactly_when_a_back_feeder_exists():
 @pytest.mark.parametrize("name, gated", [("minecraft_torch", False), ("mage", False), ("archer", True)])
 def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
     graph = load_fixture(name)
-    plan = compile_plan(graph)
-    assert bool(plan.topology.gates) is gated
+    topology = topology_of(graph)
+    assert bool(topology.gates) is gated
     t, n, m, base_seed = 7, 9, 4, 21
-    steps = count_namespace_calls(monkeypatch, plan.topology.kernel(True), "range")
+    steps = count_namespace_calls(monkeypatch, topology.kernel(True), "range")
     calls = count_kernel_calls(monkeypatch)
-    observed = list(observe_stream(plan, t, m, base_seed, random.Random(0)))
+    observed = list(observe_stream(topology, edge_weights(graph), t, m, base_seed, random.Random(0)))
     runs = m if gated else 1
     assert calls == [[runs, runs, t]]
     del calls[:]
@@ -850,6 +864,6 @@ def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
 
     singles = [simulate(graph, n, base_seed + r) for r in range(m)]
     assert ensemble.traces == tuple(singles)  # run_seed included
-    assert [dict(zip(plan.topology.monitored, run)) for run in observed] == [s.snapshots[t] for s in singles]
+    assert [dict(zip(topology.monitored, run)) for run in observed] == [s.snapshots[t] for s in singles]
     # a gate-free observe kernel runs once and never reseeds its generator
-    assert ("reseed" in plan.topology.source(False)) is gated
+    assert ("reseed" in topology.source(False)) is gated
