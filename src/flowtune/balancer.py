@@ -15,7 +15,8 @@ Weights flagged static in the graph are never altered. Weights on edges
 leaving a random gate evolve as raw positive reals ("probability genes")
 and are normalized per gate when a step kernel reads them or when they
 are written into a graph; all other genes are positive integers ("amount
-genes").
+genes"). The genetic operators draw straight through getrandbits, as
+random.Random's randrange, randint and shuffle draw on Python 3.10-3.13.
 
 balance checks each input economy once per call, through its topology
 (sim.checked_topology), then measures a genome by running, per economy, its
@@ -26,7 +27,9 @@ generator the balance call makes for itself, so calls in concurrent
 threads do not disturb each other. The report's observations are that
 measurement of the best genome under seeds of their own; the balanced
 graphs carry the measured weights, so simulating them reproduces it.
-sim_length only bounds observe_step.
+sim_length only bounds observe_step. A gate-free economy draws nothing, so
+its one run, simulated and read once per measurement, is every seed's run;
+a search of gate-free economies adds its one proportion m times.
 
 Each generation races its candidates. A candidate's proportions are
 summed left to right as its runs are read; after run k of m, with sum S,
@@ -58,8 +61,6 @@ import random
 import statistics
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import repeat
-from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
 
 from .model import EconomyError, EconomyGraph, NodeKind, gate_shares
@@ -162,7 +163,8 @@ class BalanceParams:
 def prop(s: float, x: float) -> float:
     """Proportion of the smaller of two nonnegative quantities to the larger.
 
-    Lies in [0, 1], is symmetric, and equals 1 exactly when the
+    Lies in [0, 1], is symmetric bit for bit (balance may pass its two
+    amounts in either order), and equals 1 exactly when the
     quantities agree (including the degenerate prop(0, 0) = 1).
     """
     if s < 0 or x < 0:
@@ -179,22 +181,23 @@ def fitness(observed: Sequence, reference: Sequence, alpha: float) -> float:
 
     For an absolute objective the reference is the target once per run;
     for a pair it is the second pool's amount in the run with the same seed.
+    The proportions are added left to right, as balance's race adds them.
     """
     if len(observed) != len(reference):
         raise ValueError("observations and references must pair up run by run")
     total = 0
-    for total in prop_sums(zip(observed, reference)):
-        pass
+    for x, y in zip(observed, reference):
+        total += prop(x, y)
     return alpha + total / len(observed)
 
 
-def prop_sums(pairs):
-    """The running left-to-right sums of prop over the (x, y) pairs: the one
-    summation of fitness, read after each run by balance's racing."""
-    total = 0
-    for x, y in pairs:
-        total += prop(x, y)
-        yield total
+def _below(bits, n: int) -> int:
+    """random.Random's randrange(n), n > 0, as it draws from bits, its getrandbits."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 # --- genomes ------------------------------------------------------------------
@@ -223,20 +226,18 @@ class GenomeLayout:
         self.genes = tuple(genes)
         self.spans = tuple(spans)
         self.topologies = tuple(map(topology_of, self.graphs))
-        self.mutable = tuple(i for i, g in enumerate(genes) if not g.static)
+        # (index, probability) per non-static gene: the genes the operators draw for
+        self.mutable = tuple((i, g.probability) for i, g in enumerate(genes) if not g.static)
+        self._declared = tuple(g.declared for g in genes)
 
     def declared_genome(self) -> tuple:
-        return tuple(g.declared for g in self.genes)
+        return self._declared
 
     def random_genome(self, rng: random.Random) -> tuple:
-        values = []
-        for gene in self.genes:
-            if gene.static:
-                values.append(gene.declared)
-            elif gene.probability:
-                values.append(1.0 - rng.random())  # (0, 1]
-            else:
-                values.append(rng.randint(1, 5))
+        values = list(self._declared)
+        for i, probability in self.mutable:
+            # 1.0 - random() lies in (0, 1]; 1 + _below(5) is what randint(1, 5) draws
+            values[i] = 1.0 - rng.random() if probability else 1 + _below(rng.getrandbits, 5)
         return tuple(values)
 
     def apply(self, genome: tuple) -> tuple:
@@ -257,15 +258,15 @@ def clamp_positive(value: float, probability: bool) -> float:
 def crossover(layout: GenomeLayout, parent_k: tuple, parent_l: tuple, rng: random.Random) -> tuple:
     """Child from two parents: per gene keep either value, their sum, or difference.
     Parents whose length differs from the layout's raise ValueError."""
-    values = []
+    if not len(parent_k) == len(parent_l) == len(layout.genes):
+        raise ValueError("parents must hold one weight per gene of the layout")
+    values = list(layout.declared_genome())
     bits = rng.getrandbits
-    for gene, wk, wl in zip(layout.genes, parent_k, parent_l, strict=True):
-        if gene.static:
-            values.append(gene.declared)
-            continue
+    for i, probability in layout.mutable:
         op = bits(3)  # rng.randrange(4), drawn as randrange draws it
         while op >= 4:
             op = bits(3)
+        wk, wl = parent_k[i], parent_l[i]
         if op == 0:
             v = wk
         elif op == 1:
@@ -274,7 +275,7 @@ def crossover(layout: GenomeLayout, parent_k: tuple, parent_l: tuple, rng: rando
             v = wk + wl
         else:
             v = wk - wl
-        values.append(clamp_positive(v, gene.probability))
+        values[i] = v if v > 0 else clamp_positive(v, probability)
     return tuple(values)
 
 
@@ -286,20 +287,21 @@ def mutate(layout: GenomeLayout, population: list, rng: random.Random) -> None:
     fitness of a population monotone under truncation selection). An
     empty population raises ValueError.
     """
-    target = population[rng.randrange(len(population))]
+    if not population:  # randrange(0) raises; _below(0) would draw forever
+        raise ValueError("mutate needs a population to draw from")
+    target = population[_below(rng.getrandbits, len(population))]  # rng.randrange(len(population))
     if not layout.mutable:
         return
-    index = layout.mutable[rng.randrange(len(layout.mutable))]
-    gene = layout.genes[index]
-    if gene.probability:
+    index, probability = layout.mutable[_below(rng.getrandbits, len(layout.mutable))]
+    if probability:
         delta = PROBABILITY_DELTA_MAX * (1.0 - rng.random())  # (0, max]
     else:
-        delta = rng.randint(1, AMOUNT_DELTA_MAX)
+        delta = 1 + _below(rng.getrandbits, AMOUNT_DELTA_MAX)  # rng.randint(1, AMOUNT_DELTA_MAX)
     if rng.random() < 0.5:
         value = target[index] + delta
     else:
         value = target[index] - delta
-    population.append((*target[:index], clamp_positive(value, gene.probability), *target[index + 1:]))
+    population.append((*target[:index], clamp_positive(value, probability), *target[index + 1:]))
 
 
 # --- the balancing loop --------------------------------------------------------
@@ -461,7 +463,7 @@ def balance(
         raise ValueError(f"population_size x genes exceeds the cap of {MAX_POPULATION_GENES}")
     # each observed pool's position in its economy's run tuples
     positions = [(index, layout.topologies[index].monitored.index(pool)) for index, pool in observed]
-    reals = [i for i in layout.mutable if layout.genes[i].probability]  # may hold a whole number as int or float
+    reals = [i for i, probability in layout.mutable if probability]  # may hold a whole number as int or float
     m = objective.runs
     rng = random.Random(params.seed)
     run_rng = random.Random(0)  # every run reseeds it first; this call's own, so threads share none
@@ -472,6 +474,13 @@ def balance(
     # a run read from a gated economy is simulated then; a gate-free one is run once per measurement
     gated = sum(bool(topology.gates) for topology in layout.topologies)
     gate_free = len(graphs) - gated
+    (first, x), *second = positions
+    other, y = second[0] if second else (None, None)
+    target = objective.target_value
+    # a gated search reads once an amount no run changes (a target, or a gate-free economy's),
+    # and walks the gated economy's runs for the other (prop is symmetric)
+    sides = ((first, x), (other, y))
+    (walked, wx), (fixed, fx) = sides if layout.topologies[first].gates else sides[::-1]
 
     def streams(genome: tuple, *tag) -> list:
         """Per economy i, an iterator over its m runs to observe_step, with
@@ -486,16 +495,6 @@ def balance(
             for i, ((start, end), topology) in enumerate(zip(layout.spans, layout.topologies))
         ]
 
-    def pairs(runs: list):
-        """The (observed, reference) amounts of each run, read run by run."""
-        (first, x), *second = positions
-        if objective.kind is ObjectiveKind.ABSOLUTE:
-            return zip(map(itemgetter(x), runs[first]), repeat(objective.target_value))
-        ((other, y),) = second
-        if other == first:  # intra_pair: both pools from the one stream's run
-            return map(itemgetter(x, y), runs[first])
-        return zip(map(itemgetter(x), runs[first]), map(itemgetter(y), runs[other]))
-
     def mean(genome: tuple) -> float:
         """The genome's mean proportion; equal tuples share the first one's while
         it is kept. A genome abandoned by the race gets ABANDONED (see the module
@@ -505,13 +504,27 @@ def balance(
             cache_hits += 1
             return means[genome]
         evaluations += 1
-        read = total = 0
-        for read, total in enumerate(prop_sums(pairs(streams(genome))), 1):
-            if total + (m - read) < floor:
-                means[genome] = ABANDONED
-                break
-        else:
-            means[genome] = total / m
+        runs = streams(genome)
+        total = 0
+        if not gated:  # one run per economy, so one proportion: added m times, as fitness adds it
+            run = next(runs[first])
+            p = prop(run[x], target if other is None else (run if other == first else next(runs[other]))[y])
+            for read in range(1, m + 1):
+                total += p
+                if total + (m - read) < floor:
+                    break
+        elif other is None or gate_free:  # the runs of one economy against an amount read once
+            held = target if other is None else next(runs[fixed])[fx]
+            for read, run in enumerate(runs[walked], 1):
+                total += prop(run[wx], held)
+                if total + (m - read) < floor:
+                    break
+        else:  # per run, both amounts: from one economy's run or from each one's run with that seed
+            for read, both in enumerate(zip(*runs), 1):
+                total += prop(both[0][x], both[-1][y])
+                if total + (m - read) < floor:
+                    break
+        means[genome] = ABANDONED if total + (m - read) < floor else total / m  # true where the loop broke off
         runs_simulated += gated * read + gate_free
         pruned_runs += gated * (m - read)
         return means[genome]
@@ -527,7 +540,9 @@ def balance(
         # a candidate whose mean cannot exceed the worst parent's cannot survive
         floor = (means[population[-1]] - RACE_MARGIN) * m
         order = list(range(len(population)))
-        rng.shuffle(order)
+        for i in reversed(range(1, len(order))):  # rng.shuffle(order), drawn as shuffle draws
+            j = _below(rng.getrandbits, i + 1)
+            order[i], order[j] = order[j], order[i]
         candidates = list(population)
         for i in range(0, len(order) - 1, 2):
             candidates.append(crossover(layout, population[order[i]], population[order[i + 1]], rng))

@@ -352,16 +352,53 @@ def trace_csv(ensemble) -> str:
 # The balancing loop, written from the flowtune.balancer docstrings without
 # the race: every candidate's runs are all simulated, on the graphs its
 # weights write (flowtune.sim.simulate_ensemble of GenomeLayout.apply), and
-# ranked by the plain mean proportion. It shares the genome operators and
-# the seed derivation with flowtune.balancer, which fix the searched genomes.
+# ranked by the plain mean proportion. Its genome operators are its own,
+# drawn with random.Random's randint, random, randrange and shuffle; it
+# shares the seed derivation with flowtune.balancer.
+
+
+def _clamp(value, probability):
+    """A gene's floor: a value <= 0 becomes 0.01 (probability) or 1 (amount)."""
+    return value if value > 0 else 0.01 if probability else 1
+
+
+def random_genome(layout, rng):
+    """A random genome: each amount gene in 1..5, each probability gene in (0, 1]."""
+    return tuple(
+        gene.declared if gene.static else 1.0 - rng.random() if gene.probability else rng.randint(1, 5)
+        for gene in layout.genes
+    )
+
+
+def crossover(layout, parent_k, parent_l, rng):
+    """Per non-static gene, rng.randrange(4) picks either parent's value, their sum or their difference."""
+    values = []
+    for gene, wk, wl in zip(layout.genes, parent_k, parent_l, strict=True):
+        if gene.static:
+            values.append(gene.declared)
+        else:
+            values.append(_clamp((wk, wl, wk + wl, wk - wl)[rng.randrange(4)], gene.probability))
+    return tuple(values)
+
+
+def mutate(layout, population, rng):
+    """Append a copy of a random individual with one random non-static gene
+    moved up or down by a random step (a step of 1..3, or one in (0, 0.25])."""
+    target = population[rng.randrange(len(population))]
+    mutable = [i for i, gene in enumerate(layout.genes) if not gene.static]
+    if not mutable:
+        return
+    index = mutable[rng.randrange(len(mutable))]
+    probability = layout.genes[index].probability
+    delta = 0.25 * (1.0 - rng.random()) if probability else rng.randint(1, 3)
+    value = target[index] + delta if rng.random() < 0.5 else target[index] - delta
+    population.append(target[:index] + (_clamp(value, probability),) + target[index + 1:])
 
 
 def reference_balance(graphs, objective, params):
     """The BalanceReport balance gives for these arguments, with its work
     counters at 0 (they are not compared)."""
-    from flowtune.balancer import (
-        BalanceReport, GenomeLayout, ObservationStats, crossover, mutate, prop,
-    )
+    from flowtune.balancer import BalanceReport, GenomeLayout, ObservationStats, prop
     from flowtune.sim import simulate_ensemble
     from flowtune.util import derive_seed
 
@@ -395,7 +432,7 @@ def reference_balance(graphs, objective, params):
 
     rng = random.Random(params.seed)
     population = [layout.declared_genome()]
-    population += [layout.random_genome(rng) for _ in range(params.population_size - 1)]
+    population += [random_genome(layout, rng) for _ in range(params.population_size - 1)]
     population.sort(key=mean, reverse=True)
     best = [mean(population[0])]
     for _ in range(params.max_generations):

@@ -165,29 +165,39 @@ def test_crossover_rejects_misaligned_parents(archer, mage):
         crossover(layout, a, b, random.Random(0))
 
 
-def randrange_crossover(layout, parent_k, parent_l, rng):
-    """crossover as written with rng.randrange(4) choosing each gene's operator."""
-    values = []
-    for gene, wk, wl in zip(layout.genes, parent_k, parent_l, strict=True):
-        if gene.static:
-            values.append(gene.declared)
-        else:
-            values.append(clamp_positive((wk, wl, wk + wl, wk - wl)[rng.randrange(4)], gene.probability))
-    return tuple(values)
-
-
-def test_crossover_draws_what_randrange_drew(minecraft, mage, archer):
+def operator_layouts(minecraft, mage, archer) -> list:
+    """Layouts of one and two economies, static genes included."""
     layouts = [GenomeLayout([g]) for g in (chain_graph(), minecraft, mage, archer, *generated_economies(4))]
     layouts.append(GenomeLayout([mage, archer]))
     assert any(gene.static for layout in layouts for gene in layout.genes)
-    for index, layout in enumerate(layouts):
+    return layouts
+
+
+def test_crossover_draws_what_randrange_drew(minecraft, mage, archer):
+    for index, layout in enumerate(operator_layouts(minecraft, mage, archer)):
         for seed in range(150):
             rng, reference = random.Random(seed), random.Random(seed)
             k, l = layout.random_genome(rng), layout.random_genome(reference)
             for _ in range(4):  # children of children reach sums, differences and clamped genes
                 child = crossover(layout, k, l, rng)
-                assert child == randrange_crossover(layout, k, l, reference), (index, seed)
+                assert child == oracle.crossover(layout, k, l, reference), (index, seed)
                 k, l = l, child
+            assert rng.getstate() == reference.getstate()  # the same draws, no more
+
+
+def test_random_genome_and_mutate_draw_what_randint_random_and_randrange_drew(minecraft, mage, archer):
+    static = EconomyGraph((Node("s", NodeKind.SOURCE), Node("p", NodeKind.POOL)), (Edge("s", "p", 1, static=True),))
+    for index, layout in enumerate([*operator_layouts(minecraft, mage, archer), GenomeLayout([static])]):
+        for seed in range(150):
+            rng, reference = random.Random(seed), random.Random(seed)
+            genome = layout.random_genome(rng)
+            assert repr(genome) == repr(oracle.random_genome(layout, reference)), (index, seed)  # seeds read reprs
+            population = [layout.declared_genome(), genome]
+            expected = list(population)
+            for _ in range(6):  # populations of 2 to 7: sizes that are and are not powers of two
+                mutate(layout, population, rng)
+                oracle.mutate(layout, expected, reference)
+                assert repr(population) == repr(expected), (index, seed)
             assert rng.getstate() == reference.getstate()  # the same draws, no more
 
 
@@ -790,6 +800,43 @@ def test_racing_reports_what_a_search_without_it_reports(minecraft, mage, archer
         assert report == expected and report.to_dict() == expected.to_dict(), (objective, seed)
         pruned += report.pruned_runs
     assert pruned > 0
+
+
+class Abandoned(float):
+    """balancer.ABANDONED's value, counting the comparisons made with it: a
+    candidate the race abandons has it as its sort key."""
+
+    compared = 0
+
+    def __lt__(self, other):
+        Abandoned.compared += 1
+        return float(self) < other
+
+    def __gt__(self, other):
+        Abandoned.compared += 1
+        return float(self) > other
+
+
+def test_a_gate_free_mean_is_its_one_proportion_summed_run_by_run(minecraft, monkeypatch):
+    # at target 70, every best torch amount of this search gives a proportion p whose 10-fold
+    # left-to-right sum, over 10, is not p (as 0.1 + ... + 0.1 is 0.9999999999999999)
+    monkeypatch.setattr(flowtune.balancer, "ABANDONED", Abandoned(flowtune.balancer.ABANDONED))
+    monkeypatch.setattr(Abandoned, "compared", 0)
+    target, m = 70, 10
+    objective = BalanceObjective(
+        ObjectiveKind.ABSOLUTE, "torch_pool", observe_step=16, sim_length=16, runs=m, target_value=target
+    )
+    topology = topology_of(minecraft)
+    assert not topology.gates
+    report = balance(minecraft, objective, BalanceParams(population_size=6, max_generations=12, seed=0))
+    assert report.generations == 12 and Abandoned.compared > 0  # the race abandoned a candidate
+    for generation, mean in enumerate(report.means):
+        # the same search stopped after this generation has this generation's best genome
+        prefix = balance(minecraft, objective, BalanceParams(population_size=6, max_generations=generation, seed=0))
+        (run,) = observed_runs(topology, prefix.best_weights, 16, 1, 0)
+        x = run["torch_pool"]
+        assert mean == prefix.means[-1] == fitness([x] * m, [target] * m, 0.0), generation
+        assert mean != prop(x, target), generation
 
 
 def test_a_genome_equal_to_a_dropped_one_keeps_the_first_ones_mean():
