@@ -157,7 +157,7 @@ class BalanceParams:
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2 (crossover needs pairs)")
         check_number("max_generations", self.max_generations, integer=True, minimum=0)
-        check_number("seed", self.seed, integer=True)
+        check_number("seed", self.seed, integer=True, minimum=0)  # Random(-s) draws what Random(s) draws
 
 
 def prop(s: float, x: float) -> float:

@@ -50,7 +50,7 @@ class BenchmarkSpec:
         if self.node_range[0] < 2:
             raise ValueError("node_range low must be >= 2: an economy needs two nodes")
         check_number("graphs", self.graphs, integer=True, minimum=0)
-        check_number("seed", self.seed, integer=True)
+        check_number("seed", self.seed, integer=True, minimum=0)  # Random(-s) draws what Random(s) draws
         if not isinstance(self.alphas, (list, tuple)) or not self.alphas:
             raise ValueError("alphas must be a nonempty list")
         # The configs built per task check the remaining fields; build one

@@ -180,8 +180,6 @@ def _options(doc: dict, keywords: dict, seed_override=None) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    if args.seed is not None and args.seed < 0:  # Random(-s) draws what Random(s) draws: one search
-        raise _UsageError("--seed must be >= 0")
     report_path = args.report or f"{args.out}.report.json"
     _distinct_outputs(("--out", args.out), ("--report", report_path))
     doc = _read_json(args.config)
@@ -224,8 +222,6 @@ def _cmd_sim(args) -> int:
     if args.runs < 1:
         raise _UsageError("--runs must be >= 1")
     seed = args.seed if args.seed is not None else 0
-    if seed < 0:  # random.Random(-s) draws what random.Random(s) draws: runs would repeat
-        raise _UsageError("--seed must be >= 0")
     graph = _read_economy(args.economy)
     ids = monitored_node_ids(graph)  # a run's columns, as trace_runs yields it
     try:
@@ -359,6 +355,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if args.seed is not None and args.seed < 0:  # Random(-s) draws what Random(s) draws
+            raise _UsageError("--seed must be >= 0")
     except _UsageError as exc:
         print(f"flowtune: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

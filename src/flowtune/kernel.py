@@ -6,13 +6,14 @@ draws the sim docstring states, once per seed of a list, reseeding one
 generator in C before each run. The emitter writes two forms of it, both
 generators with the one signature kernel(w, rng, seeds, t) that yield one
 tuple per run once the run ends; w holds one weight per edge, in edge
-order. The observe form reads a balancer genome's slice, gate weights
-first scaled as model.gate_shares scales them (scaled_shares' tolerance
-test and division, then the total again), and yields the run's final
-amounts, in Topology.monitored order. The trace form reads a graph's own
-weights, gate totals checked by sim.topology_of, and yields the run's
-amounts at steps 0 ... t as one flat tuple, step-major, node ids ascending
-within a step: the trace CSV's column order, so no caller reorders it.
+order. Both keep the amounts of Topology.monitored, the pools, fixed pools
+and drains with node ids ascending: the trace CSV's column order, so no
+caller reorders them. The observe form reads a balancer genome's slice,
+gate weights first scaled as model.gate_shares scales them (scaled_shares'
+tolerance test and division, then the total again), and yields the run's
+amounts at step t. The trace form reads a graph's own weights, gate totals
+checked by sim.topology_of, and yields the run's amounts at steps 0 ... t
+as one flat tuple, step-major.
 
 The trace form simulates a run that no seed changes only once. Every run
 starts from the same amounts, and no step before a run's first draw reads
@@ -75,15 +76,16 @@ class Topology:
         self.kinds = kinds = [node.kind for node in graph.nodes]
         # the graph's adjacency, by position: each edge's ends, each node's edges out and in
         self.ends, self.out, self.into = graph._ends, graph._out, graph._in
-        pools = [k for k, kind in enumerate(kinds) if kind.is_pool_like]
-        self.held = pools + [k for k, kind in enumerate(kinds) if kind is NodeKind.DRAIN]
+        # the pools, fixed pools and drains, node ids ascending: every form's column order
+        held = (k for k, kind in enumerate(kinds) if kind.is_pool_like or kind is NodeKind.DRAIN)
+        self.held = sorted(held, key=self.ids.__getitem__)
         self.monitored = tuple(self.ids[k] for k in self.held)
         self.initial = tuple(graph.nodes[k].initial_amount for k in self.held)
         # what a kernel's prologue reads besides the weights: the gates and the capped fixed pools
         self.gates = [k for k, kind in enumerate(kinds) if kind is NodeKind.RANDOM_GATE]
         # with outgoing edges (one without is not clamped); cap_slots are their places in held
-        self.cap_slots = [i for i, k in enumerate(pools) if kinds[k] is NodeKind.FIXED_POOL and self.out[k]]
-        self.caps = [pools[i] for i in self.cap_slots]
+        self.cap_slots = [i for i, k in enumerate(self.held) if kinds[k] is NodeKind.FIXED_POOL and self.out[k]]
+        self.caps = [self.held[i] for i in self.cap_slots]
         self._kernels = {}
 
     def __getstate__(self):  # a compiled function does not pickle; it is compiled again on use
@@ -116,13 +118,12 @@ class Topology:
         into its locals by its form's rule (see the module docstring), then
         runs t steps from the initial amounts once per seed, reseeding rng
         with the seed first, and yields one tuple per run as soon as the run
-        ends, so a caller that stops reading runs no further seed. With trace,
-        the tuple is the run's amounts at steps 0 ... t, flat and step-major,
-        each step's in node id order; without, those of self.monitored at
-        step t. A topology without gates draws nothing, so it never reseeds;
-        the trace form yields a run that drew nothing for every seed at once,
-        and a run equal to the one before it as that tuple (see the module
-        docstring).
+        ends, so a caller that stops reading runs no further seed. The tuple
+        holds the amounts of self.monitored: with trace, at steps 0 ... t,
+        flat and step-major; without, at step t. A topology without gates
+        draws nothing, so it never reseeds; the trace form yields a run that
+        drew nothing for every seed at once, and a run equal to the one
+        before it as that tuple (see the module docstring).
         """
         kernel = self._kernels.get(trace)
         if kernel is None:
@@ -194,7 +195,6 @@ class Topology:
                 amounts[slot] = f"c{k} if {amounts[slot]} > c{k} else {amounts[slot]}"
             put(1, f"a = ({''.join(f'{amount}, ' for amount in amounts)})")
         held = "".join(f"n{k}, " for k in self.held)
-        columns = "".join(f"n{k}, " for k in sorted(self.held, key=self.ids.__getitem__))
         staged = [e for e, (src, dst) in enumerate(ends) if kinds[src] is gate and not kinds[dst].is_pool_like]
         # one run per seed on the one generator; a gate-free run draws nothing
         if self.gates:
@@ -207,8 +207,8 @@ class Topology:
             if trace:  # a draw overwrites it
                 put(2, "u = 2.0")
         put(2, f"({held}) = a")
-        if trace:  # the run's amounts, flat, step-major, node ids ascending within a step
-            put(2, f"run = [{columns}]")
+        if trace:  # the run's amounts, flat, step-major
+            put(2, f"run = [{held}]")
         step = 3  # the depth of one step's body
         put(step - 1, "for _ in range(t):")
         if staged:  # staged batches last one step
@@ -254,7 +254,7 @@ class Topology:
             put(step + 1, f"n{k} = c{k}")
         # a run is read as soon as it ends, and the next one is only run if it is asked for
         if trace:
-            put(step, f"run += ({columns})")
+            put(step, f"run += ({held})")
             put(2, "run = (*run,)")
             # a run that drew nothing is every seed's run (see the module docstring)
             gated = bool(self.gates)

@@ -38,7 +38,7 @@ from the same amounts, so runs agree up to their first draw, and a run
 that draws nothing, as every run of an economy without gates does, is
 every seed's run: it is simulated once and yielded for each seed. The
 trace kernel also yields a run equal to the one before it as that tuple;
-simulate_ensemble's traces of one tuple share one rows tuple, and
+simulate_ensemble's traces of one tuple share it as their amounts, and
 csv_writer writes such a run as the chunk before, renumbered.
 
 Steps run in kernels generated per topology (flowtune.kernel), compiled
@@ -53,12 +53,13 @@ observe_stream takes its caller's (balance makes one per call).
 Streams on one generator may interleave whole runs, and calls in
 concurrent threads do not disturb each other's draws.
 
-trace_runs yields each run as the trace kernel leaves it: one flat tuple
-of the amounts of every pool, fixed pool and drain (a drain's cumulative
-total), step by step, node ids ascending within a step. That is the trace
-table's column order, and csv_writer formats the tuple as it is.
-simulate_ensemble cuts it into a trace's rows, one tuple per step in its
-monitored order; the dicts of its snapshots are built when read.
+The monitored nodes are every pool, fixed pool and drain (a drain's
+amount is its cumulative total), node ids ascending: the one column order
+of both kernel forms, of a trace and of the trace table. trace_runs yields
+each run as the trace kernel leaves it, one flat tuple of those amounts,
+step by step; csv_writer formats the tuple as it is, and simulate_ensemble
+keeps it as a trace's amounts, whose rows and snapshots are views built
+when read.
 
 trace_runs runs a graph's topology (topology_of) in the trace form on the
 graph's own weights, which it reads as they are: topology_of checks the
@@ -84,33 +85,36 @@ from .util import check_number
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """One run: rows[t] holds the amounts of monitored after step t."""
+    """One run of length steps: amounts holds the amounts of monitored after
+    steps 0 ... length, flat and step-major, as trace_runs yields them."""
 
     run_seed: int
-    monitored: tuple  # ids of the pools, then of the drains, in node order
-    rows: tuple
+    monitored: tuple  # ids of the pools, fixed pools and drains, ascending
+    amounts: tuple
+    length: int
+
+    @cached_property
+    def rows(self) -> tuple:
+        """rows[t] holds the amounts of monitored after step t; built on first read."""
+        w = len(self.monitored)
+        return tuple(self.amounts[t * w:t * w + w] for t in range(self.length + 1))
 
     @cached_property
     def snapshots(self) -> tuple:
         """One dict per step, monitored id -> amount; built on first read."""
         return tuple(dict(zip(self.monitored, row)) for row in self.rows)
 
-    @property
-    def length(self) -> int:
-        return len(self.rows) - 1
-
     def observe(self, node_id: str, t: int) -> int:
-        column = self._column(node_id, t)
-        return self.rows[t][column]
+        return self.amounts[self._index(node_id, t)]
 
-    def _column(self, node_id: str, t: int) -> int:
-        """node_id's place in a row, once t is checked to be a step of the trace."""
+    def _index(self, node_id: str, t: int) -> int:
+        """The place in amounts of node_id at step t, once both are checked."""
         check_number("step", t, integer=True)
         if not 0 <= t <= self.length:
             raise ValueError(f"step {t} outside trace of length {self.length}")
         if node_id not in self.monitored:
             raise ValueError(f"node {node_id!r} is not monitored (not a pool or drain)")
-        return self.monitored.index(node_id)
+        return t * len(self.monitored) + self.monitored.index(node_id)
 
 
 class RunEnsemble(NamedTuple):
@@ -126,12 +130,13 @@ class RunEnsemble(NamedTuple):
 
     def observe(self, node_id: str, t: int) -> list:
         """The monitored amount at step t in every run, in seed order."""
-        column = self.traces[0]._column(node_id, t)  # every trace has the same monitored ids and length
-        return [trace.rows[t][column] for trace in self.traces]
+        index = self.traces[0]._index(node_id, t)  # every trace has the same monitored ids and length
+        return [trace.amounts[index] for trace in self.traces]
 
 
 def monitored_node_ids(graph: EconomyGraph) -> list:
-    """Ids of all pools, fixed pools and drains, ascending."""
+    """Ids of all pools, fixed pools and drains, ascending: the column order
+    of every kernel form, trace and trace table (Topology.monitored)."""
     kinds = (NodeKind.POOL, NodeKind.FIXED_POOL, NodeKind.DRAIN)
     return sorted(n.id for n in graph.nodes if n.kind in kinds)
 
@@ -149,21 +154,15 @@ def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> Ru
     """m independent runs with seeds base_seed+0 ... base_seed+m-1.
 
     base_seed must be >= 0: random.Random(-s) draws what random.Random(s)
-    draws, so a range of seeds across 0 would repeat runs. A run equal to
-    the one before it shares that run's rows tuple (each trace keeps its own
-    run_seed); a run that draws nothing, as every run of a graph without
-    random gates does, is simulated once, and all m traces share its rows.
+    draws, so a range of seeds across 0 would repeat runs. Each trace keeps
+    its run's amounts as trace_runs yields them: a run equal to the one
+    before it shares that run's tuple (each trace keeps its own run_seed);
+    a run that draws nothing, as every run of a graph without random gates
+    does, is simulated once, and all m traces share its tuple.
     """
     runs, monitored = trace_runs(graph, n, m, base_seed), topology_of(graph).monitored
-    w = len(monitored)
-    column = {node_id: c for c, node_id in enumerate(sorted(monitored))}  # a run's columns: ids ascending
-    traces, last = [], None
-    for i, run in enumerate(runs):
-        if run is not last:  # a repeated run is the tuple before, cut into rows once
-            last = run
-            rows = tuple(zip(*(run[column[node_id]::w] for node_id in monitored))) if w else ((),) * (n + 1)
-        traces.append(SimulationTrace(base_seed + i, monitored, rows))
-    return RunEnsemble(graph, base_seed, tuple(traces))
+    traces = tuple(SimulationTrace(base_seed + i, monitored, run, n) for i, run in enumerate(runs))
+    return RunEnsemble(graph, base_seed, traces)
 
 
 def trace_runs(graph: EconomyGraph, n: int, m: int, base_seed: int):
@@ -220,21 +219,11 @@ def csv_writer(ids, length: int):
 
 
 def ensemble_to_csv(ensemble: RunEnsemble) -> str:
-    """Trace table run,step,node_id,amount (csv_writer), runs by seed offset. An
+    """Trace table run,step,node_id,amount (csv_writer), runs by seed offset;
+    traces that share amounts are one run, which csv_writer renumbers. An
     economy without pools and drains gives the header alone."""
-    monitored = ensemble.traces[0].monitored
-    columns = sorted(range(len(monitored)), key=monitored.__getitem__)  # node ids ascending
-    chunks = csv_writer([monitored[c] for c in columns], ensemble.length)
-
-    def runs():
-        rows = run = None
-        for trace in ensemble.traces:
-            if trace.rows is not rows:  # traces that share rows share one flat run, which csv_writer renumbers
-                rows = trace.rows
-                run = tuple(row[c] for row in rows for c in columns)
-            yield run
-
-    return b"".join(chunks(runs())).decode()
+    chunks = csv_writer(ensemble.traces[0].monitored, ensemble.length)
+    return b"".join(chunks(trace.amounts for trace in ensemble.traces)).decode()
 
 
 # --- step kernels ----------------------------------------------------------------
@@ -249,11 +238,12 @@ def topology_of(graph: EconomyGraph) -> "Topology":
     as it is (an int: EconomyGraph turns a whole float into one); per gate, in
     node order, the running sums of its shares but the last, each share a
     weight divided by float() of the gate's left-to-right total, which must
-    be a finite positive number; the cap of each fixed pool with
-    outgoing edges (phase 4), in node order; and the initial amounts of the
-    monitored nodes, fixed pools clamped. Amount weights are whole counts >=
-    0: the kernel's rule for when to repeat a converter pass is exact only
-    then (see flowtune.kernel), and a graph's are positive.
+    be a finite positive number; the cap of each fixed pool with outgoing
+    edges (phase 4), node ids ascending; and the initial amounts of the
+    monitored nodes, node ids ascending, fixed pools clamped. Amount weights
+    are whole counts >= 0: the kernel's rule for when to repeat a converter
+    pass is exact only then (see flowtune.kernel), and a graph's are
+    positive.
     """
     topology = getattr(graph, "_sim_topology", None)
     return checked_topology(graph) if topology is None else topology

@@ -82,13 +82,11 @@ def plan_data(topology, weights: tuple, trace: bool = False) -> tuple:
     genome's weights; with trace, through the trace form, whose prologue is a
     graph's own (topology_of). params holds each amount edge's we, in edge
     order, each gate's bk_j, in node order, and each capped fixed pool's ck,
-    in node order; initial is the run's step-0 amounts, in monitored order. A
-    gate total the observe form refuses raises."""
+    node ids ascending; initial is the run's step-0 amounts, in monitored
+    order (node ids ascending), the one column order of both forms. A gate
+    total the observe form refuses raises."""
     run = topology.kernel(trace)(weights, random.Random(0), (0,), 0)
     initial = next(run)
-    if trace:  # the trace form's columns are the monitored ids ascending
-        initial = dict(zip(sorted(topology.monitored), initial))
-        initial = tuple(initial[node_id] for node_id in topology.monitored)
     gate = NodeKind.RANDOM_GATE
     names = [f"w{e}" for e, (src, _) in enumerate(topology.ends) if topology.kinds[src] is not gate]
     names += [f"b{k}_{j}" for k in topology.gates for j in range(len(topology.out[k]) - 1)]

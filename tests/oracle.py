@@ -271,10 +271,10 @@ def plan_params(graph) -> tuple:
     not leaving a gate, in edge order; per gate, in node order, the running
     share sums but the last, each share a weight divided by float() of the
     gate's left-to-right total; the cap of each fixed pool with outgoing
-    edges, in node order. initial holds the pools' amounts (fixed pools
-    clamped to their caps), then the drains' zeros, each in node order. A
-    total that is not a finite positive number raises ValueError with the
-    message of flowtune.model.GateNormalizationError."""
+    edges, node ids ascending. initial holds the amounts of the pools
+    (fixed pools clamped to their caps) and the drains' zeros, node ids
+    ascending. A total that is not a finite positive number raises
+    ValueError with the message of flowtune.model.GateNormalizationError."""
     kinds = {node.id: getattr(node.kind, "value", node.kind) for node in graph.nodes}
     params = [int(e.weight) for e in graph.edges if kinds[e.src] != "random_gate"]
     caps = {}
@@ -297,10 +297,10 @@ def plan_params(graph) -> tuple:
         for w in weights[:-1]:
             running += w / float(total)
             params.append(running)
-    initial = [min(node.initial_amount, caps.get(node.id, node.initial_amount))
-               for node in graph.nodes if kinds[node.id] in _POOL_KINDS]
-    initial += [0 for node in graph.nodes if kinds[node.id] == "drain"]
-    return tuple(params) + tuple(caps.values()), tuple(initial)
+    initial = {node.id: min(node.initial_amount, caps.get(node.id, node.initial_amount))
+               for node in graph.nodes if kinds[node.id] in _POOL_KINDS}
+    initial.update((node.id, 0) for node in graph.nodes if kinds[node.id] == "drain")
+    return tuple(params) + tuple(caps[k] for k in sorted(caps)), tuple(initial[k] for k in sorted(initial))
 
 
 def back_feeders(graph) -> set:

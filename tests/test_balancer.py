@@ -702,6 +702,10 @@ def test_params_validation():
         BalanceParams(population_size=1)
     with pytest.raises(ValueError):
         BalanceParams(max_generations=-1)
+    # random.Random(-s) draws what random.Random(s) draws: seed -3 would search as seed 3 does
+    for seed in (-1, -3):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            BalanceParams(seed=seed)
 
 
 # --- pinned reports -----------------------------------------------------------

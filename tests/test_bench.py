@@ -70,3 +70,10 @@ def test_work_counters_match_the_pinned_sums(minecraft, mage, archer, monkeypatc
     work = {name: sum(getattr(report, name) for report in reports) for name in PINNED_WORK if name != "generations"}
     work["generations"] = sum(result.generations for result in generations)
     assert work == PINNED_WORK
+
+
+def test_a_negative_seed_is_refused():
+    # random.Random(-s) draws what random.Random(s) draws: seed -5 would sweep as seed 5 does
+    for seed in (-1, -5):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            BenchmarkSpec(seed=seed)

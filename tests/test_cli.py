@@ -510,6 +510,28 @@ def test_out_of_memory_is_one_line(tmp_path, torch_file, capsys, monkeypatch):
     assert capsys.readouterr().err == "flowtune: input too large: out of memory\n"
 
 
+@pytest.mark.parametrize("command", ["balance", "bench"])
+def test_balance_and_bench_reject_a_negative_seed(tmp_path, capsys, torch_file, command):
+    # random.Random(-s) draws what random.Random(s) draws, so seed -3 would search as seed 3 does
+    out = tmp_path / "neg.out"
+    inputs = [torch_file, "--objective"] if command == "balance" else []
+    # refused before any file is read: the document named does not exist
+    missing = str(tmp_path / "missing.json")
+    assert main([command, *inputs, missing, "--out", str(out), "--seed", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "flowtune: error: --seed must be >= 0\n" and captured.out == ""
+    doc = {"graphs": 0}
+    if command == "balance":
+        doc = {"kind": "absolute", "pool": "torch_pool", "value": 60, "step": 16, "sim_length": 16}
+    negative = write(tmp_path / "negative.json", {**doc, "seed": -3})
+    assert main([command, *inputs, negative, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"flowtune: {negative}: seed must be >= 0\n" and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["negative.json", "torch.json"]
+    assert main([command, *inputs, negative, "--out", str(out), "--seed", "3", "--quiet"]) == 0  # an override wins
+    assert out.exists()
+
+
 def test_bench_zero_graphs_writes_empty_table(tmp_path):
     spec = write(tmp_path / "spec.json", {"graphs": 0})
     out = tmp_path / "bench.csv"

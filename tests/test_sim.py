@@ -56,7 +56,7 @@ def test_readme_quick_example_prints_what_its_comments_say(capsys):
     said = [line.split("  # ", 1)[1] for line in example.splitlines() if line.startswith("print(")]
     exec(example, {})
     assert capsys.readouterr().out.splitlines() == said
-    assert said[0] == "60" and said[1].startswith("{'wood_pool': 0, ")
+    assert said[0] == "60" and said[1] == "{'coal_pool': 1, 'stick_pool': 17, 'torch_pool': 60, 'wood_pool': 0}"
 
 
 def test_torch_pool_steps_when_coal_cost_doubles(minecraft):
@@ -390,9 +390,9 @@ def test_hostile_node_ids_enter_kernels_as_data():
 
 #: SHA-256 of the trace sources, Topology(graph).source(True), over
 #: gated_economies() and oracle_economies(30, random.Random(5)).
-PINNED_KERNEL_SOURCE = "318d4efd97cb849f18a93bf8f20f3529f23821eca701be09486fd5ab45589193"
+PINNED_KERNEL_SOURCE = "cb15c9b21ace616cddb6fd55ce241ec10000cb5b58e43903767fad0e778b8c4e"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
-PINNED_MANY_SEED_SOURCE = "f190893bf7c6ed8fdf71ae1022a17336daeaea6b36601465f17aa2eb3b9dd5da"
+PINNED_MANY_SEED_SOURCE = "21768af79e86c1f2f98b88d5a36f69e06530991b81d9415d6089d7e82093d96d"
 
 
 def test_emitted_kernel_source_matches_pinned_digest():
@@ -576,8 +576,8 @@ def test_csv_matches_a_table_read_through_observe():
     for name, graph in CSV_EDGE_CASES.items():
         ensemble = simulate_ensemble(graph, 6, 3, 2)
         assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble), name
-        if not any(node.kind is NodeKind.RANDOM_GATE for node in graph.nodes):  # its traces share one rows tuple
-            assert all(trace.rows is ensemble.traces[0].rows for trace in ensemble.traces), name
+        if not any(node.kind is NodeKind.RANDOM_GATE for node in graph.nodes):  # its traces share one run tuple
+            assert all(trace.amounts is ensemble.traces[0].amounts for trace in ensemble.traces), name
     assert ensemble_to_csv(simulate_ensemble(CSV_EDGE_CASES["no pool or drain"], 6, 3, 2)) == "run,step,node_id,amount\n"
 
 
@@ -632,8 +632,8 @@ def pool_economy(ids) -> EconomyGraph:
 
 def test_a_repeated_run_is_written_as_the_chunk_before_renumbered():
     """csv_writer writes a run that is the tuple before it as the chunk before,
-    each line's run number one higher; ensemble_to_csv passes traces that
-    share rows as one tuple. The bytes are those of formatting every run,
+    each line's run number one higher; ensemble_to_csv passes the tuple that
+    traces share as their amounts. The bytes are those of formatting every run,
     across 9 -> 10 and 99 -> 100, for ids the csv module quotes or that hold
     a %. An id that holds an LF could put "\n<run>," inside a field, so its
     runs are each formatted."""
@@ -646,7 +646,7 @@ def test_a_repeated_run_is_written_as_the_chunk_before_renumbered():
         graph = pool_economy(ids)
         for m in (3, 12, 101):
             ensemble = simulate_ensemble(graph, 2, m, 4)
-            assert all(trace.rows is ensemble.traces[0].rows for trace in ensemble.traces)
+            assert all(trace.amounts is ensemble.traces[0].amounts for trace in ensemble.traces)
             assert ensemble_to_csv(ensemble) == oracle.trace_csv(ensemble), (ids, m)
             run = next(trace_runs(graph, 2, 1, 4))
             chunks = csv_writer(monitored_node_ids(graph), 2)
@@ -668,6 +668,29 @@ def test_trace_runs_are_flat_tuples_in_csv_column_order():
     assert {0, 1} <= widths
 
 
+def test_every_kernel_form_and_trace_view_keeps_the_ids_ascending():
+    """monitored_node_ids is the one column order: of Topology.monitored, of
+    both kernel forms' tuples, and of a trace's flat amounts and its rows,
+    snapshots and observe, each equal to the reference run."""
+    for index, graph in enumerate(gated_economies() + oracle_economies(30, random.Random(5))):
+        ids = monitored_node_ids(graph)
+        topology = flowtune.kernel.Topology(graph)
+        assert topology.monitored == tuple(ids), index
+        w, n, m, base_seed = len(ids), 6, 3, 2
+        ensemble = simulate_ensemble(graph, n, m, base_seed)
+        for r, trace in enumerate(ensemble.traces):
+            for t, step in enumerate(oracle.simulate_amounts(graph, n, base_seed + r)):
+                row = tuple(step[node_id] for node_id in ids)
+                assert trace.rows[t] == row and list(trace.snapshots[t].items()) == list(zip(ids, row)), (index, r, t)
+                assert tuple(trace.observe(node_id, t) for node_id in ids) == row, (index, r, t)
+                assert tuple(trace.amounts[t * w + c] for c in range(w)) == row, (index, r, t)
+        # the observe form, on a genome's weights, yields what the trace form does on them written
+        weights = edge_weights(graph)
+        written = graph.with_weights(gate_shares(graph, list(weights)))
+        observed = list(observe_stream(topology_of(graph), weights, n, m, base_seed, random.Random(0)))
+        assert observed == [trace.rows[n] for trace in simulate_ensemble(written, n, m, base_seed).traces], index
+
+
 def test_snapshots_are_step_dicts_built_on_first_read():
     economies = [load_fixture(name) for name in ("minecraft_torch", "mage", "archer")]
     economies += [*CSV_EDGE_CASES.values(), *oracle_economies(30, random.Random(5))]
@@ -677,9 +700,10 @@ def test_snapshots_are_step_dicts_built_on_first_read():
         ensemble_to_csv(ensemble)
         for node_id in trace.monitored:
             ensemble.observe(node_id, 4)
-        assert "snapshots" not in vars(trace)  # observe and the table read the rows
-        # the old form: one dict per step, pools then drains in node order
-        keys = [n.id for n in graph.nodes if n.kind.is_pool_like] + [n.id for n in graph.nodes if n.kind is NodeKind.DRAIN]
+        # observe and the table read the flat run: neither builds rows or dicts
+        assert "rows" not in vars(trace) and "snapshots" not in vars(trace), index
+        # one dict per step, monitored ids ascending
+        keys = monitored_node_ids(graph)
         assert [list(snapshot) for snapshot in trace.snapshots] == [keys] * 11, index
         assert list(trace.snapshots) == oracle.simulate_amounts(graph, 10, 4), index
         assert trace.snapshots is trace.snapshots
