@@ -13,20 +13,22 @@ larger alpha is a prefix of the same search (BalanceReport.at_alpha).
 
 Weights flagged static in the graph are never altered. Weights on edges
 leaving a random gate evolve as raw positive reals ("probability genes")
-and are normalized per gate when a step kernel reads them or when they
-are written into a graph; all other genes are positive integers ("amount
-genes"). The genetic operators draw straight through getrandbits, as
-random.Random's randrange, randint and shuffle draw on Python 3.10-3.13.
+and are scaled per gate by one rule, model.scaled_shares, when the observe
+kernel reads them and when gate_shares writes them into a graph; all other
+genes are positive integers ("amount genes"). The genetic operators draw
+straight through getrandbits, as random.Random's randrange, randint and
+shuffle draw on Python 3.10-3.13.
 
 balance checks each input economy once per call, through its topology
-(sim.checked_topology), then measures a genome by running, per economy, its
-slice of the genome on that topology to the observed step, building no
-graph: the observe kernel scales the slice and turns it into its own data
-(flowtune.kernel) before it yields the runs one by one, each reseeding a
-generator the balance call makes for itself, so calls in concurrent
-threads do not disturb each other. The report's observations are that
-measurement of the best genome under seeds of their own; the balanced
-graphs carry the measured weights, so simulating them reproduces it.
+(sim.checked_topology), then measures a genome by running, per economy,
+its slice of the genome on that topology to the observed step, building no
+graph: the observe kernel scales the slice's gate genes by that rule and
+turns the slice into its own data (flowtune.kernel) before it yields the
+runs one by one, each reseeding a generator the balance call makes for
+itself, so calls in concurrent threads do not disturb each other. The
+report's observations are that measurement of the best genome under seeds
+of their own; the balanced graphs carry the measured weights, so
+simulating them reproduces it.
 sim_length only bounds observe_step. A gate-free economy draws nothing, so
 its one run, simulated and read once per measurement, is every seed's run;
 a search of gate-free economies adds its one proportion m times.
@@ -376,6 +378,7 @@ class BalanceReport:
         them describe that run; best_weights, observations and
         balanced_graphs still describe this, the full, search.
         """
+        check_number("alpha", alpha)
         if alpha < self.alpha:
             raise ValueError(f"alpha {alpha} is below the search's own alpha {self.alpha}")
         crossed = [g for g, mean in enumerate(self.means) if alpha + mean >= BALANCED_FITNESS]

@@ -346,8 +346,10 @@ def random_node_counts(rng: random.Random, lo: int = 5, hi: int = 20) -> dict:
     Kinds are drawn uniformly per node; multisets lacking a source or a
     pool, or failing plausible_node_counts, are redrawn.
     """
-    if not 2 <= lo <= hi:
-        raise ValueError("need 2 <= lo <= hi")
+    check_number("lo", lo, integer=True)
+    check_number("hi", hi, integer=True)
+    if not 2 <= lo <= hi <= MAX_NODES:  # before any draw: a huge hi would build a list of hi kinds
+        raise ValueError(f"need 2 <= lo <= hi <= {MAX_NODES}")
     while True:
         n = rng.randint(lo, hi)
         kinds = [SAMPLED_KINDS[rng.randrange(len(SAMPLED_KINDS))] for _ in range(n)]

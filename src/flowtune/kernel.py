@@ -9,11 +9,11 @@ tuple per run once the run ends; w holds one weight per edge, in edge
 order. Both keep the amounts of Topology.monitored, the pools, fixed pools
 and drains with node ids ascending: the trace CSV's column order, so no
 caller reorders them. The observe form reads a balancer genome's slice,
-gate weights first scaled as model.gate_shares scales them (scaled_shares'
-tolerance test and division, then the total again), and yields the run's
-amounts at step t. The trace form reads a graph's own weights, gate totals
-checked by sim.topology_of, and yields the run's amounts at steps 0 ... t
-as one flat tuple, step-major.
+each gate's weights first scaled by model.scaled_shares, the function
+model.gate_shares writes a balanced graph's shares with, and yields the
+run's amounts at step t. The trace form reads a graph's own weights, gate
+totals checked by sim.topology_of, and yields the run's amounts at steps
+0 ... t as one flat tuple, step-major.
 
 The trace form simulates a run that no seed changes only once. Every run
 starts from the same amounts, and no step before a run's first draw reads
@@ -30,16 +30,16 @@ The source names node k's amount nk, edge e's weight we, the batch staged
 on gate edge e se, gate k's share bounds bk_j and fixed pool k's cap ck. A
 prologue, run once per call before the first run, is the form's rule that
 turns the weights into these locals, with the arithmetic sim.topology_of
-states: per gate, in the observe form, its total checked as
-check_gate_total checks it, and the scaling above; then the bounds, each
-share divided by float() of the total; the caps, each the largest amount
-weight out of its fixed pool; and a, the step-0 amounts of
-Topology.monitored with fixed pools clamped. Amount weights are read as
-they are: whole counts, as EconomyGraph coerces a graph's and the balancer
-draws a genome's. The observe form raises GateNormalizationError naming a
-gate whose total is not a finite positive number when the first run is
-read. Weights enter only as data, and no node id reaches a kernel at all,
-so no id a document holds can change what runs.
+states: per gate, in the observe form only, one statement that replaces
+its weights with shares(gate_ids[j], its weights), shares being
+scaled_shares; then the bounds, each share divided by float() of the
+total; the caps, each the largest amount weight out of its fixed pool; and
+a, the step-0 amounts of Topology.monitored with fixed pools clamped.
+Amount weights are read as they are: whole counts, as EconomyGraph coerces
+a graph's and the balancer draws a genome's. The observe form raises
+GateNormalizationError naming a gate whose total is not a finite positive
+number when the first run is read. Weights and gate ids enter only as
+data, so no id a document holds can change what runs.
 The adjacency the emitter walks is the graph's own (see model); this
 module builds none. sim imports this module with the first topology it
 compiles, not with the package.
@@ -63,9 +63,8 @@ therefore leaves a next pass nothing to fire.
 """
 
 import _random
-import sys
 
-from .model import GATE_WEIGHT_TOLERANCE, EconomyGraph, NodeKind, check_gate_total
+from .model import EconomyGraph, NodeKind, scaled_shares
 
 
 class Topology:
@@ -123,17 +122,14 @@ class Topology:
         flat and step-major; without, at step t. A topology without gates
         draws nothing, so it never reseeds; the trace form yields a run that
         drew nothing for every seed at once, and a run equal to the one
-        before it as that tuple (see the module docstring).
+        before it as that tuple (see the module docstring). Its namespace
+        binds shares to model.scaled_shares and gate_ids to the gate ids.
         """
         kernel = self._kernels.get(trace)
         if kernel is None:
-            gates, ids = self.gates, self.ids
-
-            def gate_total(j, total):  # the checked total of gates[j], or its error
-                return check_gate_total(ids[gates[j]], total)
-
-            namespace = {"__builtins__": {}, "range": range, "reseed": _random.Random.seed,
-                         "float": float, "max": max, "gate_total": gate_total, "a": self.initial}
+            namespace = {"__builtins__": {}, "range": range, "reseed": _random.Random.seed, "float": float,
+                         "max": max, "shares": scaled_shares, "gate_ids": tuple(self.ids[k] for k in self.gates),
+                         "a": self.initial}
             exec(compile(self.source(trace), "<flowtune kernel form>", "exec"), namespace)
             kernel = self._kernels[trace] = namespace.pop("kernel")  # no cycle through its globals
         return kernel
@@ -170,17 +166,11 @@ class Topology:
         # the prologue: the weights as the locals the steps read, by the form's rule (see the module docstring)
         put(1, f"({''.join(f'w{e}, ' for e in range(len(ends)))}) = w")
         for j, k in enumerate(self.gates):
+            if not trace:  # a genome's gate weights, checked and scaled; topology_of checked a graph's
+                weights = "".join(f"w{e}, " for e in out[k])
+                put(1, f"({weights}) = shares(gate_ids[{j}], ({weights}))")
             total = " + ".join(f"w{e}" for e in out[k]) or "0"
             put(1, f"total = {total}")
-            if not trace:  # a genome's gate weights, checked and scaled; topology_of checked a graph's
-                # a total that passes this test passes check_gate_total; one that fails it is checked there
-                check = f"if not 0 < total <= {sys.float_info.max!r}: total = gate_total({j}, total)"
-                put(1, check)
-                put(1, f"if not {-GATE_WEIGHT_TOLERANCE!r} <= total - 1.0 <= {GATE_WEIGHT_TOLERANCE!r}:")
-                for e in out[k]:
-                    put(2, f"w{e} = w{e} / total")
-                put(2, f"total = {total}")
-                put(2, check)
             put(1, "total = float(total)")
             bound = ""
             for i, e in enumerate(out[k][:-1]):

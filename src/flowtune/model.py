@@ -315,25 +315,19 @@ def gate_shares(graph: EconomyGraph, weights: Sequence) -> list:
     return shares
 
 
-def scaled_shares(gate_id: str, weights: list) -> list:
+def scaled_shares(gate_id: str, weights: Sequence) -> Sequence:
     """One gate's outgoing weights, each divided by their left-to-right sum,
-    or the list itself when that sum is already one (within
-    GATE_WEIGHT_TOLERANCE). A sum that is not a finite positive number
+    or the sequence itself when that sum is already one (within
+    GATE_WEIGHT_TOLERANCE): the one gate rule, by which gate_shares writes a
+    graph's shares and the observe kernel scales a genome's. A sum that is
+    not a finite positive number (a gate without outgoing edges sums to 0)
     raises GateNormalizationError."""
-    total = check_gate_total(gate_id, float_sum(weights))
+    total = float_sum(weights)
+    if not (is_finite_number(total) and total > 0):
+        raise GateNormalizationError(f"gate {gate_id!r}: outgoing weights do not sum to a finite positive number")
     if abs(total - 1.0) > GATE_WEIGHT_TOLERANCE:
         return [w / total for w in weights]
     return weights
-
-
-def check_gate_total(gate_id: str, total):
-    """The sum of a gate's outgoing weights, if they can be scaled into shares:
-    finite as a float and positive (a gate without outgoing edges sums to 0)."""
-    if not (is_finite_number(total) and total > 0):
-        raise GateNormalizationError(
-            f"gate {gate_id!r}: outgoing weights do not sum to a finite positive number"
-        )
-    return total
 
 
 def normalize_gate_weights(graph: EconomyGraph) -> EconomyGraph:

@@ -67,8 +67,9 @@ graph's connection rules and gate totals once, when the topology is first
 built and cached on the graph (checked_topology, which balance calls on
 every call, checks a cached graph again but builds nothing). The balancer runs its genomes' weights on
 their economies' topologies (observe_stream) in the observe form, which
-scales their gate weights first, only to the observed step, keeping each
-run's amounts at that step only.
+first scales their gate weights by model.scaled_shares, the rule
+gate_shares writes a balanced graph's shares by, and runs only to the
+observed step, keeping each run's amounts at that step only.
 """
 
 from __future__ import annotations
@@ -192,6 +193,7 @@ def csv_writer(ids, length: int):
     which could put one of those numbers in a field. An id UTF-8 cannot
     encode raises EconomyError here.
     """
+    check_number("simulation length", length, integer=True, minimum=1)  # as trace_runs checks n
     try:
         fields = [node_id.encode("utf-8") for node_id in ids]
     except UnicodeEncodeError as exc:

@@ -571,6 +571,18 @@ def test_report_at_alpha_cuts_the_search_where_that_alpha_stops():
         relaxed.at_alpha(0.01)
 
 
+def test_report_at_alpha_refuses_alphas_that_are_not_finite_numbers(minecraft):
+    objective = BalanceObjective(
+        ObjectiveKind.ABSOLUTE, "torch_pool", observe_step=16, sim_length=16, runs=5, target_value=60
+    )
+    report = balance(minecraft, objective, BalanceParams(population_size=6, max_generations=3, seed=1))
+    for alpha in (float("nan"), float("inf"), True, "0.5"):
+        with pytest.raises(ValueError, match="^alpha must be a finite number"):
+            report.at_alpha(alpha)
+    with pytest.raises(ValueError, match="^alpha -0.5 is below the search's own alpha 0.0$"):
+        report.at_alpha(-0.5)
+
+
 def test_balance_static_weights_survive(mage, archer):
     objective = BalanceObjective(
         ObjectiveKind.INTER_PAIR,

@@ -215,6 +215,16 @@ def test_random_node_counts_bounds_and_required_kinds():
         assert plausible_node_counts(counts)
 
 
+def test_random_node_counts_refuses_bounds_before_drawing():
+    bounds = [(2, 5.0), (2.5, 5), (True, 5), (2, True), ("2", 5), (None, 5), (1, 5), (6, 5)]
+    bounds += [(2, generator.MAX_NODES + 1), (2, 10**18)]  # refused before a list of hi kinds is built
+    for lo, hi in bounds:
+        rng = random.Random(3)
+        with pytest.raises(ValueError):
+            random_node_counts(rng, lo, hi)
+        assert rng.getstate() == random.Random(3).getstate(), (lo, hi)
+
+
 def test_random_node_counts_deterministic():
     a = [random_node_counts(random.Random(9)) for _ in range(5)]
     b = [random_node_counts(random.Random(9)) for _ in range(5)]

@@ -14,7 +14,7 @@ import flowtune.sim
 from flowtune.fixtures import load_fixture
 from flowtune.model import (
     GATE_WEIGHT_TOLERANCE, EconomyGraph, Edge, GateNormalizationError, InvalidEconomyError, Node, NodeKind,
-    gate_shares, is_valid,
+    gate_shares, is_valid, scaled_shares,
 )
 from flowtune.sim import (
     csv_writer,
@@ -28,7 +28,7 @@ from flowtune.sim import (
 )
 from flowtune.balancer import BalanceObjective, BalanceParams, ObjectiveKind, balance
 from flowtune.generator import GeneratorConfig, generate, random_node_counts
-from flowtune.util import derive_seed
+from flowtune.util import derive_seed, float_sum
 
 import oracle
 from conftest import (
@@ -368,11 +368,12 @@ def test_hostile_node_ids_enter_kernels_as_data():
         for source in (topology.source(False), topology.source(True)):
             assert not set("'\"\\") & set(source)
             assert not any(node.id in source for node in twin.nodes)
-        # nor does any id reach a form's namespace
-        allowed = {"range", "reseed", "float", "max", "gate_total", "a"}
+        # a form's namespace holds the gate ids only as data, to name a gate that shares refuses
+        allowed = {"range", "reseed", "float", "max", "shares", "gate_ids", "a"}
         for form in (topology.kernel(False), topology.kernel(True)):
             namespace = form.__globals__
             assert set(namespace) == {"__builtins__", *allowed} and namespace["__builtins__"] == {}
+            assert namespace["gate_ids"] == tuple(topology.ids[k] for k in topology.gates)
         weights = [e.weight for e in twin.edges]
         written = twin.with_weights(gate_shares(twin, weights))
         assert plan_data(topology, weights) == plan_data(topology_of(written), edge_weights(written), trace=True)
@@ -392,7 +393,7 @@ def test_hostile_node_ids_enter_kernels_as_data():
 #: gated_economies() and oracle_economies(30, random.Random(5)).
 PINNED_KERNEL_SOURCE = "cb15c9b21ace616cddb6fd55ce241ec10000cb5b58e43903767fad0e778b8c4e"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
-PINNED_MANY_SEED_SOURCE = "21768af79e86c1f2f98b88d5a36f69e06530991b81d9415d6089d7e82093d96d"
+PINNED_MANY_SEED_SOURCE = "1840173289f02dbbb524a4373e18266d2ba7379eac0588822242ae0f653a3583"
 
 
 def test_emitted_kernel_source_matches_pinned_digest():
@@ -406,15 +407,19 @@ def test_emitted_kernel_source_matches_pinned_digest():
 
 
 def test_each_kernel_form_has_one_weights_rule():
-    tolerance = f"{-GATE_WEIGHT_TOLERANCE!r} <= total - 1.0 <= {GATE_WEIGHT_TOLERANCE!r}"
     for graph in gated_economies()[:12]:
         topology = flowtune.kernel.Topology(graph)
         trace, observe = topology.source(True), topology.source(False)
-        # the trace form reads a graph's weights, checked by topology_of: no check, no scaling
-        assert "gate_total(" not in trace and tolerance not in trace
-        assert ("gate_total(" in observe and tolerance in observe) == bool(topology.gates)
+        # the observe form scales a genome's gate weights by model.scaled_shares, one call per
+        # gate; the trace form reads a graph's weights, checked by topology_of: no check, no scaling
+        assert observe.count("shares(") == len(topology.gates) and "shares(" not in trace
+        # and the prologues differ by exactly that call
+        observe_prologue, trace_prologue = (source.split("    for seed in seeds:")[0].split("    draw = ")[0]
+                                            for source in (observe, trace))
+        assert [line for line in observe_prologue.split("\n") if "shares(" not in line] == trace_prologue.split("\n")
         for source in (trace, observe):
             assert source.startswith("def kernel(w, rng, seeds, t):\n") and "scale" not in source
+            assert repr(GATE_WEIGHT_TOLERANCE) not in source and "gate_total" not in source
         for form in (topology.kernel(False), topology.kernel(True)):
             assert form.__code__.co_varnames[:form.__code__.co_argcount] == ("w", "rng", "seeds", "t")
 
@@ -439,6 +444,44 @@ def test_graph_plans_are_the_reference_arithmetic_bit_for_bit():
             topology_of(graph)
         assert str(raised.value) == str(expected.value)
         assert getattr(graph, "_sim_topology", None) is None
+
+
+def test_the_gate_rule_at_its_tolerance_boundary_is_the_written_graphs():
+    def expected(weights):  # the rule: each weight over the left-to-right sum, unless that is within tolerance of 1
+        total = float_sum(weights)
+        within = -GATE_WEIGHT_TOLERANCE <= total - 1.0 <= GATE_WEIGHT_TOLERANCE
+        return weights if within else [w / total for w in weights]
+
+    cases = []
+    for edge in (1.0 + GATE_WEIGHT_TOLERANCE, 1.0 - GATE_WEIGHT_TOLERANCE):
+        total = edge  # a few floats each side of the boundary, each the exact sum of its pair
+        for _ in range(3):
+            total = math.nextafter(total, 1.0)
+        for _ in range(7):
+            cases.append((total - 0.5, 0.5))
+            assert float_sum(cases[-1]) == total
+            total = math.nextafter(total, edge + (edge - 1.0))
+    kept = [expected(weights) is weights for weights in cases]
+    assert any(kept) and not all(kept)  # the boundary cases fall on both sides of it
+    cases += [(2, 3), (3, 1), (2**53 + 1, 2**54 + 3), (1e-300, 1e-300), (1e308, 7e307)]
+    for weights in cases:
+        got = scaled_shares("gate", weights)
+        assert repr(got) == repr(expected(weights)) and (got is weights) == (expected(weights) is weights), weights
+        # the observe form measures a genome with the shares gate_shares writes into its graph
+        graph = gate_graph(*weights)
+        written = graph.with_weights(gate_shares(graph, edge_weights(graph)))
+        assert repr(plan_data(topology_of(graph), edge_weights(graph))) == repr(
+            plan_data(topology_of(written), edge_weights(written), trace=True)
+        ), weights
+
+
+def test_csv_writer_refuses_the_lengths_trace_runs_refuses():
+    for length in (True, -1, 0, 1.5, "2"):
+        with pytest.raises(ValueError) as expected:
+            trace_runs(chain_graph(), length, 1, 0)
+        with pytest.raises(ValueError) as raised:
+            csv_writer(["p", "d"], length)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_reseeding_in_c_draws_what_a_new_generator_draws():
