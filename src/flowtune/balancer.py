@@ -29,9 +29,11 @@ itself, so calls in concurrent threads do not disturb each other. The
 report's observations are that measurement of the best genome under seeds
 of their own; the balanced graphs carry the measured weights, so
 simulating them reproduces it.
-sim_length only bounds observe_step. A gate-free economy draws nothing, so
-its one run, simulated and read once per measurement, is every seed's run;
-a search of gate-free economies adds its one proportion m times.
+sim_length only bounds observe_step. A gate-free economy's kernel
+simulates one run for all its seeds (flowtune.kernel), so it is simulated
+once per measurement, and a search of gate-free economies reads that run
+once and adds its one proportion m times. runs above sys.maxsize are
+refused for every economy.
 
 Each generation races its candidates. A candidate's proportions are
 summed left to right as its runs are read; after run k of m, with sum S,
@@ -61,12 +63,13 @@ from __future__ import annotations
 
 import random
 import statistics
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple, Sequence, Union
 
 from .model import EconomyError, EconomyGraph, NodeKind, gate_shares
-from .sim import checked_topology, observe_stream, topology_of
+from .sim import checked_topology, topology_of
 from .util import check_number, derive_seed, pstdev
 
 #: A genome reaching this fitness is balanced and stops the search.
@@ -132,6 +135,8 @@ class BalanceObjective:
                 f"observe_step must lie in [1, sim_length], got {self.observe_step}"
             )
         check_number("runs", self.runs, integer=True, minimum=1)
+        if self.runs > sys.maxsize:  # a run count no sequence can index
+            raise OverflowError(f"runs must be <= {sys.maxsize}")
         check_number("alpha", self.alpha, minimum=0)
         if self.target_value is not None:
             check_number("target_value", self.target_value)
@@ -485,18 +490,21 @@ def balance(
     sides = ((first, x), (other, y))
     (walked, wx), (fixed, fx) = sides if layout.topologies[first].gates else sides[::-1]
 
+    # per economy: its span of a genome, whether it has gates, and its observe kernel
+    economies = [(span, bool(topology.gates), topology.kernel(False))
+                 for span, topology in zip(layout.spans, layout.topologies)]
+    step = objective.observe_step
+
     def streams(genome: tuple, *tag) -> list:
-        """Per economy i, an iterator over its m runs to observe_step, with
-        seeds from derive_seed(params.seed, *tag, i, genome) if it has gates
-        (a gate-free economy reads no seed, so none is derived)."""
-        step = objective.observe_step
-        return [
-            observe_stream(
-                topology, genome[start:end], step, m,
-                derive_seed(params.seed, *tag, i, genome) if topology.gates else 0, run_rng,
-            )
-            for i, ((start, end), topology) in enumerate(zip(layout.spans, layout.topologies))
-        ]
+        """Per economy i, one observe kernel call: an iterator over its m runs
+        to observe_step, with seeds from derive_seed(params.seed, *tag, i,
+        genome) if it has gates (a gate-free economy reads no seed, so none
+        is derived)."""
+        runs = []
+        for i, ((start, end), gates, kernel) in enumerate(economies):
+            seed = derive_seed(params.seed, *tag, i, genome) if gates else 0
+            runs.append(kernel(genome[start:end], run_rng, range(seed, seed + m), step))
+        return runs
 
     def mean(genome: tuple) -> float:
         """The genome's mean proportion; equal tuples share the first one's while

@@ -15,16 +15,18 @@ run's amounts at step t. The trace form reads a graph's own weights, gate
 totals checked by sim.topology_of, and yields the run's amounts at steps
 0 ... t as one flat tuple, step-major.
 
-The trace form simulates a run that no seed changes only once. Every run
-starts from the same amounts, and no step before a run's first draw reads
-a random number, so runs agree up to their first draw, and a run that
-draws nothing is every seed's run. Once a run ends without a draw (a
-gate-free topology's always does; a gated form sets u = 2.0 after each
-reseed, which any draw overwrites), the kernel yields that tuple for every
-seed and returns, with no further reseed or step; only the first run can
-end so. A run equal to the one before it is yielded as that same tuple, so
-a reader can tell a repeat by identity (sim.csv_writer renumbers the chunk
-it wrote for it).
+A run that no seed changes is simulated once. Every run starts from the
+same amounts, and no step before a run's first draw reads a random
+number, so runs agree up to their first draw, and a run that draws
+nothing is every seed's run. A gate-free topology's runs never draw: in
+both forms, its kernel never reseeds, simulates its one run when the first
+is read, and yields that tuple for every seed. A gated trace form sets
+u = 2.0 after each reseed, which any draw overwrites; once a run ends
+without a draw, it yields that tuple for every seed and returns, with no
+further reseed or step (only the first run can end so), and it yields a
+run equal to the one before it as that same tuple, so a reader can tell a
+repeat by identity (sim.csv_writer renumbers the chunk it wrote for it).
+A gated observe form simulates every run it yields.
 
 The source names node k's amount nk, edge e's weight we, the batch staged
 on gate edge e se, gate k's share bounds bk_j and fixed pool k's cap ck. A
@@ -120,10 +122,11 @@ class Topology:
         ends, so a caller that stops reading runs no further seed. The tuple
         holds the amounts of self.monitored: with trace, at steps 0 ... t,
         flat and step-major; without, at step t. A topology without gates
-        draws nothing, so it never reseeds; the trace form yields a run that
-        drew nothing for every seed at once, and a run equal to the one
-        before it as that tuple (see the module docstring). Its namespace
-        binds shares to model.scaled_shares and gate_ids to the gate ids.
+        draws nothing, so it never reseeds, and either form simulates one run
+        and yields it for every seed; the trace form also yields a run that
+        drew nothing for every seed, and a run equal to the one before it as
+        that tuple (see the module docstring). Its namespace binds shares to
+        model.scaled_shares and gate_ids to the gate ids.
         """
         kernel = self._kernels.get(trace)
         if kernel is None:
@@ -243,21 +246,23 @@ class Topology:
             put(step, f"if n{k} > c{k}:")
             put(step + 1, f"n{k} = c{k}")
         # a run is read as soon as it ends, and the next one is only run if it is asked for
+        gated = bool(self.gates)
         if trace:
             put(step, f"run += ({held})")
             put(2, "run = (*run,)")
-            # a run that drew nothing is every seed's run (see the module docstring)
-            gated = bool(self.gates)
+        elif gated:
+            put(2, f"yield ({held})")
+        else:
+            put(2, f"run = ({held})")
+        if trace or not gated:  # a run that drew nothing is every seed's run (see the module docstring)
             if gated:
                 put(2, "if u == 2.0:")
             put(2 + gated, "for _ in seeds:")
             put(3 + gated, "yield run")
             put(2 + gated, "return")
-            if gated:  # a run equal to the one before is yielded as that tuple
-                put(2, "if run == last:")
-                put(3, "run = last")
-                put(2, "yield run")
-                put(2, "last = run")
-        else:
-            put(2, f"yield ({held})")
+        if trace and gated:  # a run equal to the one before is yielded as that tuple
+            put(2, "if run == last:")
+            put(3, "run = last")
+            put(2, "yield run")
+            put(2, "last = run")
         return "\n".join(lines) + "\n"

@@ -34,24 +34,22 @@ are its outgoing weights in edge-list order, each divided by their
 left-to-right sum; it takes the draw u = rng.random() and picks the
 first edge whose running (left-to-right) share sum exceeds u, the last
 edge's sum counting as 1.0. No other step draws, and every run starts
-from the same amounts, so runs agree up to their first draw, and a run
-that draws nothing, as every run of an economy without gates does, is
-every seed's run: it is simulated once and yielded for each seed. The
-trace kernel also yields a run equal to the one before it as that tuple;
-simulate_ensemble's traces of one tuple share it as their amounts, and
-csv_writer writes such a run as the chunk before, renumbered.
+from the same amounts, so runs agree up to their first draw, and
+flowtune.kernel states which runs its kernels therefore simulate once
+and yield as one tuple. simulate_ensemble's traces of one tuple share it
+as their amounts, and csv_writer writes such a run as the chunk before,
+renumbered.
 
 Steps run in kernels generated per topology (flowtune.kernel), compiled
 once per graph object, on first use, and cached there; weights enter them
-as data, and node ids not at all. Each simulate, simulate_ensemble,
-trace_runs or observe_stream call is one kernel call, a generator that
-yields each run as it ends, after its own reseed in C of one generator
-(a run that draws nothing is simulated once, above), so a reader holds
+as data, and node ids not at all. Each simulate, simulate_ensemble or
+trace_runs call is one kernel call, a generator that yields each run as
+it ends, after its own reseed in C of one generator, so a reader holds
 and simulates only the runs it reads. The call that starts the runs owns
-the generator they reseed: trace_runs makes one per call, and
-observe_stream takes its caller's (balance makes one per call).
-Streams on one generator may interleave whole runs, and calls in
-concurrent threads do not disturb each other's draws.
+the generator they reseed: trace_runs makes one per call, and balance
+makes one per call for its observe kernel calls. Streams on one
+generator may interleave whole runs, and calls in concurrent threads do
+not disturb each other's draws.
 
 The monitored nodes are every pool, fixed pool and drain (a drain's
 amount is its cumulative total), node ids ascending: the one column order
@@ -66,10 +64,10 @@ graph's own weights, which it reads as they are: topology_of checks the
 graph's connection rules and gate totals once, when the topology is first
 built and cached on the graph (checked_topology, which balance calls on
 every call, checks a cached graph again but builds nothing). The balancer runs its genomes' weights on
-their economies' topologies (observe_stream) in the observe form, which
-first scales their gate weights by model.scaled_shares, the rule
-gate_shares writes a balanced graph's shares by, and runs only to the
-observed step, keeping each run's amounts at that step only.
+their economies' topologies in the observe form, which first scales
+their gate weights by model.scaled_shares, the rule gate_shares writes a
+balanced graph's shares by, and runs only to the observed step, keeping
+each run's amounts at that step only.
 """
 
 from __future__ import annotations
@@ -77,7 +75,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple
 
 from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, gate_shares, is_valid
@@ -268,19 +265,3 @@ def checked_topology(graph: EconomyGraph) -> "Topology":
         topology = Topology(graph)
         object.__setattr__(graph, "_sim_topology", topology)
     return topology
-
-
-def observe_stream(topology: "Topology", weights: tuple, t: int, m: int, base_seed: int, rng):
-    """An iterator over the runs of seeds base_seed ... base_seed+m-1 to step
-    t on the caller's generator rng, in the observe form (a genome's weights,
-    one per edge of topology, in edge order): per run, the amounts of
-    topology.monitored at step t, which equal row t of a longer run with the
-    same seed. A gated topology's run is simulated when it is read, so runs a
-    reader does not read are never simulated. A topology without gates draws
-    no random numbers: it runs base_seed only, at once, and that run is
-    repeated m times."""
-    kernel = topology.kernel(False)
-    if topology.gates:
-        return kernel(weights, rng, range(base_seed, base_seed + m), t)
-    (run,) = kernel(weights, rng, (base_seed,), t)
-    return repeat(run, m)

@@ -5,7 +5,6 @@ import pytest
 import flowtune.kernel
 from flowtune.model import EconomyGraph, Edge, Node, NodeKind
 from flowtune.fixtures import load_fixture
-from flowtune.sim import observe_stream
 
 ALL_KINDS = list(NodeKind)
 
@@ -62,9 +61,10 @@ def gate_graph(w_left: float = 0.5, w_right: float = 0.5, feed: int = 1) -> Econ
 
 
 def observed_runs(topology, weights: tuple, t: int, m: int, base_seed: int) -> list:
-    """observe_stream's m runs of weights on topology to step t on a generator
-    of their own, each as a dict from monitored id to amount."""
-    runs = observe_stream(topology, weights, t, m, base_seed, random.Random(0))
+    """The observe kernel's m runs of weights on topology to step t, seeds
+    base_seed ... base_seed+m-1, on a generator of their own, each as a dict
+    from monitored id to amount."""
+    runs = topology.kernel(False)(weights, random.Random(0), range(base_seed, base_seed + m), t)
     return [dict(zip(topology.monitored, run)) for run in runs]
 
 
@@ -97,9 +97,11 @@ def plan_data(topology, weights: tuple, trace: bool = False) -> tuple:
 
 def count_kernel_calls(monkeypatch) -> list:
     """Make every step kernel log each call as [runs asked for, runs it
-    yielded, steps per run]: [len(seeds), runs read, t]; returns the log. An
-    observe kernel runs a seed only when its run is read, so a reader that
-    stops early leaves fewer runs yielded than asked for."""
+    yielded, steps per run]: [len(seeds), runs read, t]; returns the log. A
+    kernel runs a seed only when its run is read, so a reader that stops
+    early leaves fewer runs yielded than asked for. A run yielded is not
+    always a run simulated: a gate-free kernel yields its one run for every
+    seed (count_namespace_calls of range counts the runs simulated)."""
     calls = []
     real = flowtune.kernel.Topology.kernel
 
@@ -121,8 +123,8 @@ def count_kernel_calls(monkeypatch) -> list:
 
 def count_namespace_calls(monkeypatch, kernel, name: str) -> list:
     """Make a compiled kernel log the arguments of each call it makes to name
-    in its namespace; returns the log. Its trace form calls reseed once per
-    reseed and range once per simulated run (for its steps)."""
+    in its namespace; returns the log. Either form calls reseed once per
+    reseed and range once per simulated run, with its steps."""
     calls = []
     real = kernel.__globals__[name]
 

@@ -10,11 +10,12 @@ from collections import Counter
 import pytest
 
 import flowtune.balancer
+import flowtune.kernel
 import flowtune.model
 import flowtune.sim
 from flowtune.generator import GeneratorConfig, generate
 from flowtune.model import EconomyGraph, Edge, InvalidEconomyError, Node, NodeKind, save_economy
-from flowtune.sim import monitored_node_ids, observe_stream, simulate_ensemble, topology_of
+from flowtune.sim import monitored_node_ids, simulate_ensemble, topology_of
 from flowtune.util import derive_seed, dump_json
 from flowtune.balancer import (
     BALANCED_FITNESS,
@@ -32,7 +33,7 @@ from flowtune.balancer import (
 )
 
 import oracle
-from conftest import chain_graph, count_kernel_calls, edge_weights, observed_runs, plan_data
+from conftest import chain_graph, count_kernel_calls, count_namespace_calls, edge_weights, observed_runs, plan_data
 from test_sim import gate_ladder, oracle_economies
 
 
@@ -110,7 +111,7 @@ def test_pairwise_fitness_intra_uses_one_ensemble():
     graph = graph.with_weights([15, 30])
     topology = topology_of(graph)
     assert topology.monitored == ("a", "b")
-    (run,) = observe_stream(topology, edge_weights(graph), 2, 1, 0, random.Random(0))
+    (run,) = topology.kernel(False)(edge_weights(graph), random.Random(0), range(1), 2)
     assert run == (30, 60)
     assert fitness([run[0]], [run[1]], alpha=0.0) == pytest.approx(0.5, abs=1e-12)
 
@@ -380,7 +381,6 @@ def test_report_observations_are_what_the_balanced_graphs_simulate(case, minecra
 
 @pytest.mark.parametrize("case", ["gate-free", "gated", "gate-free-and-gated"])
 def test_work_counters_match_a_count_taken_at_the_kernel(case, minecraft, mage, archer, monkeypatch):
-    calls = count_kernel_calls(monkeypatch)
     if case == "gate-free":
         graphs, objective = [minecraft], objective_for_torch(alpha=0.0, value=5000, runs=4)
     elif case == "gated":
@@ -395,12 +395,22 @@ def test_work_counters_match_a_count_taken_at_the_kernel(case, minecraft, mage, 
             second_pool="damage_pool",
         )
     params = BalanceParams(population_size=7, max_generations=9, seed=3)
+    # per economy, the runs its observe kernel simulates: one range call, of the steps, each
+    simulated = [count_namespace_calls(monkeypatch, topology_of(graph).kernel(False), "range") for graph in graphs]
+    calls = count_kernel_calls(monkeypatch)
     report = balance(graphs, objective, params)
-    assert report.runs == sum(yielded for _, yielded, _ in calls)
-    assert report.steps == sum(yielded * t for _, yielded, t in calls)
-    assert report.pruned_runs == sum(asked - yielded for asked, yielded, _ in calls)
-    # one kernel call per economy for each evaluation and for the report's observation
+    assert report.runs == sum(map(len, simulated))
+    assert report.steps == sum(t for runs in simulated for (t,) in runs)
+    # one kernel call per economy for each evaluation and for the report's observation, economies in order
     assert len(calls) == len(graphs) * (report.evaluations + 1)
+    pruned = 0
+    for graph, runs, economy_calls in zip(graphs, simulated, (calls[i::len(graphs)] for i in range(len(graphs)))):
+        if topology_of(graph).gates:  # each run read is simulated; the runs asked for and not read are pruned
+            assert len(runs) == sum(yielded for _, yielded, _ in economy_calls)
+            pruned += sum(asked - yielded for asked, yielded, _ in economy_calls)
+        else:  # one run per call, however many are read
+            assert len(runs) == len(economy_calls)
+    assert report.pruned_runs == pruned
     # a fitness lookup per initial vector and per candidate of each generation, plus each generation's best
     pop = params.population_size
     lookups = pop + 1 + report.generations * (pop + pop // 2 + params.mutations_per_generation + 1)
@@ -883,17 +893,20 @@ def test_balance_memory_does_not_grow_with_the_generations():
 
 
 def test_params_form_gives_each_evaluated_genome_the_plan_of_its_graph(minecraft, mage, archer, monkeypatch):
-    streams = []  # (graphs, topology, weights): one per economy of each evaluated genome
-    real = flowtune.balancer.observe_stream
+    streams = []  # (graphs, topology, weights): one per observe kernel call, one per economy of each genome
+    real = flowtune.kernel.Topology.kernel
     graphs, genomes = (), 0
-    monkeypatch.setattr(
-        flowtune.balancer, "observe_stream",
-        lambda topology, weights, *args: streams.append((graphs, topology, weights)) or real(topology, weights, *args),
-    )
-    for graphs, objective, seed in race_cases(minecraft, mage, archer):
-        before = len(streams)
-        balance(graphs, objective, BalanceParams(population_size=6, max_generations=15, seed=seed))
-        genomes += (len(streams) - before) // len(graphs)  # one stream per economy of each genome
+
+    def recording(topology, trace):
+        kernel = real(topology, trace)
+        return lambda weights, *args: streams.append((graphs, topology, weights)) or kernel(weights, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flowtune.kernel.Topology, "kernel", recording)
+        for graphs, objective, seed in race_cases(minecraft, mage, archer):
+            before = len(streams)
+            balance(graphs, objective, BalanceParams(population_size=6, max_generations=15, seed=seed))
+            genomes += (len(streams) - before) // len(graphs)  # one kernel call per economy of each genome
     assert genomes > 1000
     for economies, topology, weights in streams:
         graph = next(graph for graph in economies if topology_of(graph) is topology)
@@ -913,6 +926,6 @@ def test_params_form_refuses_gate_totals_that_are_not_finite(archer, shares):
         flowtune.model.gate_shares(archer, genome)
     (topology,) = layout.topologies
     with pytest.raises(flowtune.model.GateNormalizationError) as raised:
-        next(observe_stream(topology, tuple(genome), 1, 1, 0, random.Random(0)))
+        next(topology.kernel(False)(tuple(genome), random.Random(0), range(1), 1))
     assert str(raised.value) == str(expected.value)
     assert str(raised.value) == "gate 'crit_gate': outgoing weights do not sum to a finite positive number"

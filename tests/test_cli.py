@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import flowtune.cli
-from flowtune.balancer import MAX_POPULATION_GENES, GenomeLayout
+from flowtune.balancer import MAX_POPULATION_GENES, BalanceObjective, GenomeLayout, ObjectiveKind
 from flowtune.cli import main
 from flowtune.fixtures import FIXTURE_NAMES, fixture_text
 from flowtune.model import NodeKind, is_valid, load_economy, save_economy
@@ -483,18 +483,39 @@ def test_balance_timeout_exits_two(tmp_path, torch_file):
     assert main(["balance", torch_file, "--objective", objective, "--out", str(tmp_path / "o.json"), "--quiet"]) == 2
 
 
-def test_balance_run_count_too_large_to_index_exits_two(tmp_path, torch_file, capsys):
-    # a gate-free economy repeats its one run "runs" times, which no list can
-    # hold: the repetition raises OverflowError before anything is allocated
-    objective = write(
-        tmp_path / "obj.json",
-        {"kind": "absolute", "pool": "torch_pool", "value": 60, "step": 16, "sim_length": 16, "runs": 10**20},
-    )
-    out = tmp_path / "o.json"
-    assert main(["balance", torch_file, "--objective", objective, "--out", str(out), "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("flowtune: input too large: ") and err.count("\n") == 1
-    assert not out.exists()
+def test_balance_run_count_too_large_to_index_exits_two(tmp_path, capsys, monkeypatch):
+    # runs above sys.maxsize, more than any sequence can index, are refused as the objective is
+    # read, before any economy is read or genome drawn, whether the economy has gates or not
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run count was not checked before the search started")
+
+    monkeypatch.setattr("flowtune.cli.balance", refuse)
+    for name, pool in (("minecraft_torch", "torch_pool"), ("archer", "damage_pool")):
+        economy = write(tmp_path / f"{name}.json", fixture_text(name))
+        for runs in (sys.maxsize + 1, 10**20):
+            objective = write(
+                tmp_path / "obj.json",
+                {"kind": "absolute", "pool": pool, "value": 60, "step": 16, "sim_length": 16, "runs": runs},
+            )
+            out = tmp_path / "o.json"
+            assert main(["balance", economy, "--objective", objective, "--out", str(out), "--quiet"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"flowtune: input too large: runs must be <= {sys.maxsize}\n", (name, runs)
+            assert captured.out == "" and not out.exists()
+    objective = BalanceObjective(ObjectiveKind.ABSOLUTE, "p", 1, 1, runs=sys.maxsize, target_value=1)
+    assert objective.runs == sys.maxsize  # the bound itself is a run count
+
+
+def test_bench_run_count_too_large_exits_two_before_generating(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spec was not checked before the sweep started")
+
+    monkeypatch.setattr("flowtune.cli.run_benchmark", refuse)
+    spec = write(tmp_path / "spec.json", {"graphs": 3, "runs": 10**20})
+    assert main(["bench", spec, "--out", str(tmp_path / "b.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"flowtune: input too large: runs must be <= {sys.maxsize}\n" and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
 def test_out_of_memory_is_one_line(tmp_path, torch_file, capsys, monkeypatch):

@@ -20,7 +20,6 @@ from flowtune.sim import (
     csv_writer,
     ensemble_to_csv,
     monitored_node_ids,
-    observe_stream,
     simulate,
     simulate_ensemble,
     topology_of,
@@ -393,7 +392,7 @@ def test_hostile_node_ids_enter_kernels_as_data():
 #: gated_economies() and oracle_economies(30, random.Random(5)).
 PINNED_KERNEL_SOURCE = "cb15c9b21ace616cddb6fd55ce241ec10000cb5b58e43903767fad0e778b8c4e"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
-PINNED_MANY_SEED_SOURCE = "1840173289f02dbbb524a4373e18266d2ba7379eac0588822242ae0f653a3583"
+PINNED_MANY_SEED_SOURCE = "a143ea0c1cc13c7f02250486b47521353cbce1df2b1216ddb9cb46ba22484f28"
 
 
 def test_emitted_kernel_source_matches_pinned_digest():
@@ -485,7 +484,7 @@ def test_csv_writer_refuses_the_lengths_trace_runs_refuses():
 
 
 def test_reseeding_in_c_draws_what_a_new_generator_draws():
-    """observe_stream reseeds one generator with _random.Random.seed before each
+    """A gated kernel reseeds one generator with _random.Random.seed before each
     run; that must give the stream random.Random(seed) gives."""
     seeds = [derive_seed(7, "run", i) for i in range(1000)]
     seeds += [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 9, -1, -(2**32), -(2**64 + 9), -derive_seed(8)]
@@ -665,6 +664,32 @@ def test_a_trace_stream_that_draws_nothing_is_simulated_once(monkeypatch):
     assert min(seen.values()) >= 10, seen
 
 
+def test_a_gate_free_kernel_simulates_one_run_for_every_seed(monkeypatch):
+    """Either kernel form of a gate-free topology never reseeds, simulates one
+    run when the first is read, and yields that one tuple for every seed."""
+    fixtures = [load_fixture(name) for name in ("minecraft_torch", "mage", "archer")]
+    economies = [graph for graph in fixtures + oracle_economies(30, random.Random(5))
+                 if not any(node.kind is NodeKind.RANDOM_GATE for node in graph.nodes)]
+    assert len(economies) >= 10
+    t, base_seed = 6, 3
+    for index, graph in enumerate(economies):
+        ids = monitored_node_ids(graph)
+        expected = oracle.simulate_amounts(graph, t, base_seed)
+        for trace in (False, True):
+            kernel = topology_of(graph).kernel(trace)
+            reseeds = count_namespace_calls(monkeypatch, kernel, "reseed")
+            steps = count_namespace_calls(monkeypatch, kernel, "range")
+            for m in (1, 5, 12):
+                del reseeds[:], steps[:]
+                runs = kernel(edge_weights(graph), random.Random(0), range(base_seed, base_seed + m), t)
+                assert steps == []  # nothing runs before a run is read
+                runs = list(runs)
+                assert reseeds == [] and steps == [(t,)], (index, trace, m)
+                assert len(runs) == m and all(run is runs[0] for run in runs), (index, trace, m)
+                rows = expected if trace else expected[t:]
+                assert runs[0] == tuple(row[node_id] for row in rows for node_id in ids), (index, trace, m)
+
+
 def pool_economy(ids) -> EconomyGraph:
     """A gate-free economy of a pool for each id: source j feeds the pools
     ids[2j:2j + 3], so consecutive sources share one pool."""
@@ -730,7 +755,7 @@ def test_every_kernel_form_and_trace_view_keeps_the_ids_ascending():
         # the observe form, on a genome's weights, yields what the trace form does on them written
         weights = edge_weights(graph)
         written = graph.with_weights(gate_shares(graph, list(weights)))
-        observed = list(observe_stream(topology_of(graph), weights, n, m, base_seed, random.Random(0)))
+        observed = list(topology_of(graph).kernel(False)(weights, random.Random(0), range(base_seed, base_seed + m), n))
         assert observed == [trace.rows[n] for trace in simulate_ensemble(written, n, m, base_seed).traces], index
 
 
@@ -920,13 +945,14 @@ def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
     assert bool(topology.gates) is gated
     t, n, m, base_seed = 7, 9, 4, 21
     steps = count_namespace_calls(monkeypatch, topology.kernel(True), "range")
+    observe_steps = count_namespace_calls(monkeypatch, topology.kernel(False), "range")
     calls = count_kernel_calls(monkeypatch)
-    observed = list(observe_stream(topology, edge_weights(graph), t, m, base_seed, random.Random(0)))
+    observed = list(topology.kernel(False)(edge_weights(graph), random.Random(0), range(base_seed, base_seed + m), t))
     runs = m if gated else 1
-    assert calls == [[runs, runs, t]]
+    # one kernel call, which yields every run and simulates each distinct one: a gate-free run draws nothing
+    assert calls == [[m, m, t]] and observe_steps == [(t,)] * runs
     del calls[:]
     ensemble = simulate_ensemble(graph, n, m, base_seed)
-    # one kernel call, which yields every run and simulates each distinct one: a gate-free run draws nothing
     assert calls == [[m, m, n]] and steps == [(n,)] * runs
 
     singles = [simulate(graph, n, base_seed + r) for r in range(m)]
