@@ -29,11 +29,14 @@ itself, so calls in concurrent threads do not disturb each other. The
 report's observations are that measurement of the best genome under seeds
 of their own; the balanced graphs carry the measured weights, so
 simulating them reproduces it.
-sim_length only bounds observe_step. A gate-free economy's kernel
-simulates one run for all its seeds (flowtune.kernel), so it is simulated
-once per measurement, and a search of gate-free economies reads that run
-once and adds its one proportion m times. runs above sys.maxsize are
-refused for every economy.
+sim_length only bounds observe_step. A stream whose first run draws
+nothing is that run yielded for every seed (flowtune.kernel), so it is
+simulated once per measurement. Every gate-free economy's stream is one:
+a search of gate-free economies reads that run once and adds its one
+proportion m times. A gated economy's stream is one for a genome whose
+gates get no batch by observe_step; the race reads it as any other, and
+the work counters tell it by identity, as two simulated runs are never
+one object. runs above sys.maxsize are refused for every economy.
 
 Each generation races its candidates. A candidate's proportions are
 summed left to right as its runs are read; after run k of m, with sum S,
@@ -59,13 +62,12 @@ other, so such a genome's mean is kept to the end of the search: an equal
 genome met later gets it, as it would have without the drop.
 """
 
-from __future__ import annotations
-
 import random
 import statistics
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple, Sequence, Union
 
 from .model import EconomyError, EconomyGraph, NodeKind, gate_shares
@@ -154,6 +156,9 @@ class BalanceObjective:
 
 @dataclass(frozen=True)
 class BalanceParams:
+    """How balance searches: population_size genomes, at most max_generations
+    generations, every draw from seed."""
+
     population_size: int = 10
     max_generations: int = 100
     seed: int = 0
@@ -210,8 +215,7 @@ def _below(bits, n: int) -> int:
 # --- genomes ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Gene:
+class _Gene(NamedTuple):
     probability: bool
     static: bool
     declared: float
@@ -340,9 +344,11 @@ class BalanceReport:
     included, and are neither compared nor written out: evaluations are the
     fitness measurements (a genome met again after its mean was dropped is
     measured again), cache_hits the fitness lookups answered without one,
-    runs the kernel runs simulated (a gate-free economy is run once per
-    measurement), steps their steps, and pruned_runs the runs of gated
-    economies that the race skipped.
+    runs the kernel runs simulated, steps their steps, and pruned_runs the
+    runs of gated economies that the race skipped. A stream whose runs are
+    one tuple, as every gate-free economy's, counts one run per measurement
+    and skips none; a gated stream counts so once two of its runs read are
+    one object, so one abandoned after its first run counts m - 1 skipped.
     """
 
     best_weights: tuple
@@ -479,7 +485,7 @@ def balance(
     evaluations = cache_hits = runs_simulated = pruned_runs = 0
     floor = -m  # abandon nothing before the first population is ranked: no sum is below it
 
-    # a run read from a gated economy is simulated then; a gate-free one is run once per measurement
+    # a gated economy's run is simulated when read; a stream of one tuple, as a gate-free one's, once
     gated = sum(bool(topology.gates) for topology in layout.topologies)
     gate_free = len(graphs) - gated
     (first, x), *second = positions
@@ -516,28 +522,32 @@ def balance(
             return means[genome]
         evaluations += 1
         runs = streams(genome)
+        firsts = [next(stream) for stream in runs]  # each economy's first run; a gate-free one's only run
         total = 0
         if not gated:  # one run per economy, so one proportion: added m times, as fitness adds it
-            run = next(runs[first])
-            p = prop(run[x], target if other is None else (run if other == first else next(runs[other]))[y])
+            p = prop(firsts[first][x], target if other is None else firsts[other][y])
             for read in range(1, m + 1):
                 total += p
                 if total + (m - read) < floor:
                     break
+            drawless = 0
         elif other is None or gate_free:  # the runs of one economy against an amount read once
-            held = target if other is None else next(runs[fixed])[fx]
-            for read, run in enumerate(runs[walked], 1):
+            held = target if other is None else firsts[fixed][fx]
+            for read, run in enumerate(chain((firsts[walked],), runs[walked]), 1):
                 total += prop(run[wx], held)
                 if total + (m - read) < floor:
                     break
+            drawless = read > 1 and run is firsts[walked]
         else:  # per run, both amounts: from one economy's run or from each one's run with that seed
-            for read, both in enumerate(zip(*runs), 1):
+            for read, both in enumerate(zip(*(chain((run,), stream) for run, stream in zip(firsts, runs))), 1):
                 total += prop(both[0][x], both[-1][y])
                 if total + (m - read) < floor:
                     break
+            drawless = read > 1 and sum(run is start for run, start in zip(both, firsts))
         means[genome] = ABANDONED if total + (m - read) < floor else total / m  # true where the loop broke off
-        runs_simulated += gated * read + gate_free
-        pruned_runs += gated * (m - read)
+        # drawless: the gated streams seen to be one tuple, each simulated once, skipping nothing
+        runs_simulated += (gated - drawless) * read + drawless + gate_free
+        pruned_runs += (gated - drawless) * (m - read)
         return means[genome]
 
     population = [layout.declared_genome()]
@@ -569,7 +579,8 @@ def balance(
 
     best = population[0]
     runs = [list(economy_runs) for economy_runs in streams(best, "report")]
-    runs_simulated += gated * m + gate_free
+    # a stream of one tuple was simulated once
+    runs_simulated += sum(1 if economy_runs[-1] is economy_runs[0] else m for economy_runs in runs)
     observations = []
     for (index, pool), (_, k) in zip(observed, positions):
         values = [run[k] for run in runs[index]]

@@ -7,8 +7,6 @@ run is a prefix of that one search (BalanceReport.at_alpha), and the
 per-alpha aggregate rows are directly comparable.
 """
 
-from __future__ import annotations
-
 import random
 import statistics
 from dataclasses import dataclass, fields
@@ -23,6 +21,11 @@ from .util import check_number, derive_seed
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
+    """A sweep run_benchmark runs: graphs economies of a node_range total, each
+    balanced once against a target_range value over a sim_length_range run
+    and reported at each of alphas, every draw from seed; the rest configure
+    the generator and the balancer."""
+
     graphs: int = 30
     node_range: tuple = (5, 20)
     target_range: tuple = (20, 100)

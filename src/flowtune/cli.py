@@ -7,8 +7,6 @@ All file outputs are deterministic for fixed inputs and seeds; wall-time
 figures are printed to the console only and never written to files.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -235,7 +233,7 @@ def _cmd_sim(args) -> int:
     def kept():
         last = None
         for run in runs:
-            # a repeated run is the tuple before (trace_runs), so it shares that run's final amounts;
+            # a repeat is a draw-free stream's one tuple (trace_runs), so it shares that run's final amounts;
             # not run[-w:]: with w = 0 that is the whole run
             finals.append(finals[-1] if run is last else run[len(run) - w:])
             last = run

@@ -1,7 +1,5 @@
 """Bundled example economies."""
 
-from __future__ import annotations
-
 from importlib import resources
 
 from .model import EconomyGraph, load_economy

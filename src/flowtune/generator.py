@@ -29,8 +29,6 @@ generation before (the empty genome's fitness is positive, since every
 kind has a minimum degree).
 """
 
-from __future__ import annotations
-
 import random
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
@@ -70,6 +68,11 @@ MAX_GENOME_NODES = 1_000_000
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """What generate searches for: an economy of node_counts nodes per kind,
+    evolved by population_size genomes for at most max_steps steps from seed;
+    remove_probability is each step's chance of deleting one random genome's
+    random edge."""
+
     node_counts: Mapping
     population_size: int = 10
     max_steps: int = 50000

@@ -18,15 +18,15 @@ totals checked by sim.topology_of, and yields the run's amounts at steps
 A run that no seed changes is simulated once. Every run starts from the
 same amounts, and no step before a run's first draw reads a random
 number, so runs agree up to their first draw, and a run that draws
-nothing is every seed's run. A gate-free topology's runs never draw: in
-both forms, its kernel never reseeds, simulates its one run when the first
-is read, and yields that tuple for every seed. A gated trace form sets
-u = 2.0 after each reseed, which any draw overwrites; once a run ends
-without a draw, it yields that tuple for every seed and returns, with no
-further reseed or step (only the first run can end so), and it yields a
-run equal to the one before it as that same tuple, so a reader can tell a
-repeat by identity (sim.csv_writer renumbers the chunk it wrote for it).
-A gated observe form simulates every run it yields.
+nothing is every seed's run. Both forms end a run by one rule: a gated
+kernel sets u = 2.0 after each reseed, which any draw overwrites, and
+once a run ends without a draw (only the first run can), it yields that
+tuple for every seed and returns, with no further reseed or step. A
+gate-free topology's runs never draw, so its kernel never reseeds,
+simulates its one run when the first is read, and yields that tuple for
+every seed. Every other run is simulated and yielded as a tuple of its
+own, so a reader tells a stream of one tuple by identity (sim.csv_writer
+renumbers the chunk it wrote for it; balance counts it as one run).
 
 The source names node k's amount nk, edge e's weight we, the batch staged
 on gate edge e se, gate k's share bounds bk_j and fixed pool k's cap ck. A
@@ -121,11 +121,9 @@ class Topology:
         with the seed first, and yields one tuple per run as soon as the run
         ends, so a caller that stops reading runs no further seed. The tuple
         holds the amounts of self.monitored: with trace, at steps 0 ... t,
-        flat and step-major; without, at step t. A topology without gates
-        draws nothing, so it never reseeds, and either form simulates one run
-        and yields it for every seed; the trace form also yields a run that
-        drew nothing for every seed, and a run equal to the one before it as
-        that tuple (see the module docstring). Its namespace binds shares to
+        flat and step-major; without, at step t. A run that drew nothing, as
+        every run of a topology without gates does, is yielded for every seed
+        (see the module docstring). Its namespace binds shares to
         model.scaled_shares and gate_ids to the gate ids.
         """
         kernel = self._kernels.get(trace)
@@ -192,13 +190,10 @@ class Topology:
         # one run per seed on the one generator; a gate-free run draws nothing
         if self.gates:
             put(1, "draw = rng.random")
-            if trace:
-                put(1, "last = None")
         put(1, "for seed in seeds:")
         if self.gates:
             put(2, "reseed(rng, seed)")
-            if trace:  # a draw overwrites it
-                put(2, "u = 2.0")
+            put(2, "u = 2.0")  # a draw overwrites it
         put(2, f"({held}) = a")
         if trace:  # the run's amounts, flat, step-major
             put(2, f"run = [{held}]")
@@ -250,19 +245,13 @@ class Topology:
         if trace:
             put(step, f"run += ({held})")
             put(2, "run = (*run,)")
-        elif gated:
-            put(2, f"yield ({held})")
         else:
             put(2, f"run = ({held})")
-        if trace or not gated:  # a run that drew nothing is every seed's run (see the module docstring)
-            if gated:
-                put(2, "if u == 2.0:")
-            put(2 + gated, "for _ in seeds:")
-            put(3 + gated, "yield run")
-            put(2 + gated, "return")
-        if trace and gated:  # a run equal to the one before is yielded as that tuple
-            put(2, "if run == last:")
-            put(3, "run = last")
+        if gated:  # a run that drew nothing is every seed's run (see the module docstring)
+            put(2, "if u == 2.0:")
+        put(2 + gated, "for _ in seeds:")
+        put(3 + gated, "yield run")
+        put(2 + gated, "return")
+        if gated:
             put(2, "yield run")
-            put(2, "last = run")
         return "\n".join(lines) + "\n"

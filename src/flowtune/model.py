@@ -15,8 +15,6 @@ edge's end positions and each node's edge positions out and in, and the
 validity checks, gate normalization and step kernels all read that index.
 """
 
-from __future__ import annotations
-
 import json
 from dataclasses import dataclass
 from enum import Enum

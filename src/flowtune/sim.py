@@ -70,8 +70,6 @@ balanced graph's shares by, and runs only to the observed step, keeping
 each run's amounts at that step only.
 """
 
-from __future__ import annotations
-
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -153,10 +151,10 @@ def simulate_ensemble(graph: EconomyGraph, n: int, m: int, base_seed: int) -> Ru
 
     base_seed must be >= 0: random.Random(-s) draws what random.Random(s)
     draws, so a range of seeds across 0 would repeat runs. Each trace keeps
-    its run's amounts as trace_runs yields them: a run equal to the one
-    before it shares that run's tuple (each trace keeps its own run_seed);
-    a run that draws nothing, as every run of a graph without random gates
-    does, is simulated once, and all m traces share its tuple.
+    its run's amounts as trace_runs yields them: a run that draws nothing,
+    as every run of a graph without random gates does, is simulated once,
+    and all m traces share its tuple (each keeps its own run_seed); every
+    other run is a tuple of its own.
     """
     runs, monitored = trace_runs(graph, n, m, base_seed), topology_of(graph).monitored
     traces = tuple(SimulationTrace(base_seed + i, monitored, run, n) for i, run in enumerate(runs))
@@ -169,8 +167,8 @@ def trace_runs(graph: EconomyGraph, n: int, m: int, base_seed: int):
     tuple of (n+1)*w amounts, step-major, the w amounts of a step in the order
     of monitored_node_ids(graph), as csv_writer reads them. A run that draws
     nothing, as every run of a gate-free economy does, is simulated once and
-    is all m runs, and a run equal to the one before it is that tuple (see
-    flowtune.kernel). Arguments and graph are checked at the call, each run
+    is all m runs, one tuple (see flowtune.kernel); the only repeats are such
+    a stream's. Arguments and graph are checked at the call, each run
     simulated when read."""
     check_number("simulation length", n, integer=True, minimum=1)
     check_number("run count", m, integer=True, minimum=1)
@@ -185,10 +183,11 @@ def csv_writer(ids, length: int):
     for steps 0 ... length and, within a step, the node ids in ids, the
     table's column order (monitored_node_ids), quoted as the csv module
     quotes them. A chunk is one bytes % of the run's tuple as it is over
-    templates built here; a run that is the tuple before it is the chunk
-    before, each line's run number one higher, unless an id holds an LF,
-    which could put one of those numbers in a field. An id UTF-8 cannot
-    encode raises EconomyError here.
+    templates built here; a run that is the tuple before it, as each run of
+    a stream that draws nothing is, is the chunk before, each line's run
+    number one higher, unless an id holds an LF, which could put one of
+    those numbers in a field. An id UTF-8 cannot encode raises EconomyError
+    here.
     """
     check_number("simulation length", length, integer=True, minimum=1)  # as trace_runs checks n
     try:
@@ -219,8 +218,9 @@ def csv_writer(ids, length: int):
 
 def ensemble_to_csv(ensemble: RunEnsemble) -> str:
     """Trace table run,step,node_id,amount (csv_writer), runs by seed offset;
-    traces that share amounts are one run, which csv_writer renumbers. An
-    economy without pools and drains gives the header alone."""
+    traces that share amounts, the runs of a stream that draws nothing, are
+    one run, which csv_writer renumbers. An economy without pools and drains
+    gives the header alone."""
     chunks = csv_writer(ensemble.traces[0].monitored, ensemble.length)
     return b"".join(chunks(trace.amounts for trace in ensemble.traces)).decode()
 

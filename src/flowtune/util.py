@@ -1,7 +1,5 @@
 """Small shared helpers: stable seed derivation, parameter checks, sums, a standard deviation, JSON output."""
 
-from __future__ import annotations
-
 import hashlib
 import json
 import math

@@ -97,11 +97,13 @@ def plan_data(topology, weights: tuple, trace: bool = False) -> tuple:
 
 def count_kernel_calls(monkeypatch) -> list:
     """Make every step kernel log each call as [runs asked for, runs it
-    yielded, steps per run]: [len(seeds), runs read, t]; returns the log. A
-    kernel runs a seed only when its run is read, so a reader that stops
-    early leaves fewer runs yielded than asked for. A run yielded is not
-    always a run simulated: a gate-free kernel yields its one run for every
-    seed (count_namespace_calls of range counts the runs simulated)."""
+    yielded, steps per run, distinct runs]: [len(seeds), runs read, t, runs
+    read that are not the object read before]; returns the log. A kernel runs
+    a seed only when its run is read, so a reader that stops early leaves
+    fewer runs yielded than asked for. A run yielded is not always a run
+    simulated: a stream whose first run draws nothing, as every gate-free
+    one, yields that one tuple for every seed (count_namespace_calls of range
+    counts the runs simulated)."""
     calls = []
     real = flowtune.kernel.Topology.kernel
 
@@ -109,10 +111,13 @@ def count_kernel_calls(monkeypatch) -> list:
         kernel = real(topology, trace)
 
         def counted(w, rng, seeds, t):
-            call = [len(seeds), 0, t]
+            call = [len(seeds), 0, t, 0]
             calls.append(call)
+            last = None
             for run in kernel(w, rng, seeds, t):
                 call[1] += 1
+                call[3] += run is not last
+                last = run
                 yield run
 
         return counted

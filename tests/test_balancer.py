@@ -379,7 +379,7 @@ def test_report_observations_are_what_the_balanced_graphs_simulate(case, minecra
         )
 
 
-@pytest.mark.parametrize("case", ["gate-free", "gated", "gate-free-and-gated"])
+@pytest.mark.parametrize("case", ["gate-free", "gated", "gate-free-and-gated", "gated-draws-nothing"])
 def test_work_counters_match_a_count_taken_at_the_kernel(case, minecraft, mage, archer, monkeypatch):
     if case == "gate-free":
         graphs, objective = [minecraft], objective_for_torch(alpha=0.0, value=5000, runs=4)
@@ -388,15 +388,23 @@ def test_work_counters_match_a_count_taken_at_the_kernel(case, minecraft, mage, 
         objective = BalanceObjective(
             ObjectiveKind.ABSOLUTE, "damage_pool", observe_step=10, sim_length=10, runs=4, target_value=300
         )
-    else:
+    elif case == "gate-free-and-gated":
         graphs = [mage, archer]
         objective = BalanceObjective(
             ObjectiveKind.INTER_PAIR, "damage_pool", observe_step=15, sim_length=15, runs=5,
             second_pool="damage_pool",
         )
+    else:  # the attack converter first fires at step 20, so no genome's gate gets a batch by step 10
+        slow = {("attack_cd_pool", "attack"): Edge("attack_cd_pool", "attack", 20, static=True)}
+        graphs = [EconomyGraph(archer.nodes, tuple(slow.get((e.src, e.dst), e) for e in archer.edges))]
+        objective = BalanceObjective(
+            ObjectiveKind.ABSOLUTE, "attack_cd_pool", observe_step=10, sim_length=10, runs=4, target_value=40
+        )
     params = BalanceParams(population_size=7, max_generations=9, seed=3)
     # per economy, the runs its observe kernel simulates: one range call, of the steps, each
-    simulated = [count_namespace_calls(monkeypatch, topology_of(graph).kernel(False), "range") for graph in graphs]
+    kernels = [topology_of(graph).kernel(False) for graph in graphs]
+    simulated = [count_namespace_calls(monkeypatch, kernel, "range") for kernel in kernels]
+    reseeds = [count_namespace_calls(monkeypatch, kernel, "reseed") for kernel in kernels]
     calls = count_kernel_calls(monkeypatch)
     report = balance(graphs, objective, params)
     assert report.runs == sum(map(len, simulated))
@@ -405,12 +413,15 @@ def test_work_counters_match_a_count_taken_at_the_kernel(case, minecraft, mage, 
     assert len(calls) == len(graphs) * (report.evaluations + 1)
     pruned = 0
     for graph, runs, economy_calls in zip(graphs, simulated, (calls[i::len(graphs)] for i in range(len(graphs)))):
-        if topology_of(graph).gates:  # each run read is simulated; the runs asked for and not read are pruned
-            assert len(runs) == sum(yielded for _, yielded, _ in economy_calls)
-            pruned += sum(asked - yielded for asked, yielded, _ in economy_calls)
-        else:  # one run per call, however many are read
-            assert len(runs) == len(economy_calls)
+        # each distinct run read is simulated once: a gate-free stream, and a gated one whose first run
+        # drew nothing, yields one tuple for every seed however many runs are read
+        assert len(runs) == sum(distinct for *_, distinct in economy_calls)
+        if topology_of(graph).gates:  # the runs asked for and not read are pruned, but from a stream of one tuple
+            pruned += sum(asked - yielded for asked, yielded, _, distinct in economy_calls if distinct == yielded)
     assert report.pruned_runs == pruned
+    if case == "gated-draws-nothing":  # one reseed and one run per measurement
+        assert len(reseeds[0]) == len(simulated[0]) == report.runs == report.evaluations + 1
+        assert report.pruned_runs == 0 and all(call[1] == objective.runs for call in calls)
     # a fitness lookup per initial vector and per candidate of each generation, plus each generation's best
     pop = params.population_size
     lookups = pop + 1 + report.generations * (pop + pop // 2 + params.mutations_per_generation + 1)

@@ -43,7 +43,7 @@ def test_sweep_runs_equal_independent_balance_calls_per_alpha(seed):
 #: The work of test_work_counters_match_the_pinned_sums: each BalanceReport
 #: counter summed over its searches, and the generator's generations.
 PINNED_WORK = {
-    "evaluations": 1022, "cache_hits": 1858, "runs": 2964, "steps": 76736, "pruned_runs": 1639, "generations": 793,
+    "evaluations": 1022, "cache_hits": 1858, "runs": 2392, "steps": 63008, "pruned_runs": 1515, "generations": 793,
 }
 
 

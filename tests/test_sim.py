@@ -390,9 +390,9 @@ def test_hostile_node_ids_enter_kernels_as_data():
 
 #: SHA-256 of the trace sources, Topology(graph).source(True), over
 #: gated_economies() and oracle_economies(30, random.Random(5)).
-PINNED_KERNEL_SOURCE = "cb15c9b21ace616cddb6fd55ce241ec10000cb5b58e43903767fad0e778b8c4e"
+PINNED_KERNEL_SOURCE = "60032e346e7ca0e39423b4a3621f4b06fd7ffb11f3c272330ba26735cbdf6fb7"
 #: SHA-256 of the observe source, Topology(graph).source(False), over the same economies.
-PINNED_MANY_SEED_SOURCE = "a143ea0c1cc13c7f02250486b47521353cbce1df2b1216ddb9cb46ba22484f28"
+PINNED_MANY_SEED_SOURCE = "ae2c6b520be9fa65eed1f8bdfff3a92212e062fc27011c6f243fa9eec1993123"
 
 
 def test_emitted_kernel_source_matches_pinned_digest():
@@ -633,35 +633,56 @@ class CountingRandom(random.Random):
         return super().random()
 
 
-def test_a_trace_stream_that_draws_nothing_is_simulated_once(monkeypatch):
-    """A run that draws nothing is every seed's run: the trace kernel reseeds
-    once and yields that one tuple for every seed. A stream that draws
-    reseeds before every run, and yields a run equal to the one before it as
-    that tuple. At short t some gates are never fed, so both kinds occur."""
+def test_a_stream_that_draws_nothing_is_simulated_once(monkeypatch):
+    """A run that draws nothing is every seed's run: either kernel form reseeds
+    once, simulates that run and yields that one tuple for every seed. A
+    stream that draws reseeds before every run and simulates each, so no two
+    of its runs are one object, even where they are equal. At short t some
+    gates are never fed, so both kinds occur in both forms."""
     m, base_seed = 4, 6
-    seen = {"draws nothing": 0, "draws": 0}
+    seen = {(trace, kind): 0 for trace in (False, True) for kind in ("draws nothing", "draws")}
     for index, graph in enumerate(gated_economies() + oracle_economies(30, random.Random(5))):
+        graph = graph.with_weights(gate_shares(graph, list(edge_weights(graph))))  # weights both forms read alike
         topology = topology_of(graph)
-        kernel = topology.kernel(True)
-        reseeds = count_namespace_calls(monkeypatch, kernel, "reseed")
         ids = monitored_node_ids(graph)
-        for t in (1, 2, 4):
-            rng = CountingRandom(0)
-            del reseeds[:]
-            runs = list(kernel(edge_weights(graph), rng, range(base_seed, base_seed + m), t))
-            expected = [tuple(amounts[node_id] for amounts in oracle.simulate_amounts(graph, t, base_seed + r)
-                              for node_id in ids) for r in range(m)]
-            assert runs == expected, (index, t)
-            pairs = list(zip(runs, runs[1:]))
-            assert [run is before for before, run in pairs] == [run == before for before, run in pairs], (index, t)
-            if rng.draws:
-                assert len(reseeds) == m, (index, t)
-            else:
-                assert len(reseeds) == bool(topology.gates), (index, t)
-                assert all(run is runs[0] for run in runs), (index, t)
-            if topology.gates:
-                seen["draws" if rng.draws else "draws nothing"] += 1
+        for trace in (False, True):
+            kernel = topology.kernel(trace)
+            reseeds = count_namespace_calls(monkeypatch, kernel, "reseed")
+            steps = count_namespace_calls(monkeypatch, kernel, "range")
+            for t in (1, 2, 4):
+                rng = CountingRandom(0)
+                del reseeds[:], steps[:]
+                runs = list(kernel(edge_weights(graph), rng, range(base_seed, base_seed + m), t))
+                amounts = [oracle.simulate_amounts(graph, t, base_seed + r) for r in range(m)]
+                expected = [tuple(step[node_id] for step in (run if trace else run[t:]) for node_id in ids)
+                            for run in amounts]
+                assert runs == expected, (index, trace, t)
+                if rng.draws:
+                    assert len(reseeds) == len(steps) == m, (index, trace, t)
+                    assert len(set(map(id, runs))) == m, (index, trace, t)
+                else:
+                    assert len(reseeds) == bool(topology.gates) and len(steps) == 1, (index, trace, t)
+                    assert all(run is runs[0] for run in runs), (index, trace, t)
+                if topology.gates:
+                    seen[trace, "draws" if rng.draws else "draws nothing"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_the_two_kernel_forms_differ_only_in_the_gate_rule_and_the_record():
+    """Both forms end a run by one rule: with the observe form's shares(...)
+    lines and each form's record lines (the assignments to run) taken out,
+    the two sources of a topology are one text."""
+    def common(source):
+        return [line for line in source.splitlines()
+                if "shares(" not in line and not line.lstrip().startswith(("run =", "run +="))]
+
+    gated = 0
+    for index, graph in enumerate(gated_economies() + oracle_economies(30, random.Random(5))):
+        topology = flowtune.kernel.Topology(graph)
+        observe, trace = topology.source(False), topology.source(True)
+        assert common(observe) == common(trace), index
+        gated += bool(topology.gates)
+    assert gated >= 31  # gated_economies() holds 31
 
 
 def test_a_gate_free_kernel_simulates_one_run_for_every_seed(monkeypatch):
@@ -950,10 +971,10 @@ def test_each_distinct_run_is_simulated_once(monkeypatch, name, gated):
     observed = list(topology.kernel(False)(edge_weights(graph), random.Random(0), range(base_seed, base_seed + m), t))
     runs = m if gated else 1
     # one kernel call, which yields every run and simulates each distinct one: a gate-free run draws nothing
-    assert calls == [[m, m, t]] and observe_steps == [(t,)] * runs
+    assert calls == [[m, m, t, runs]] and observe_steps == [(t,)] * runs
     del calls[:]
     ensemble = simulate_ensemble(graph, n, m, base_seed)
-    assert calls == [[m, m, n]] and steps == [(n,)] * runs
+    assert calls == [[m, m, n, runs]] and steps == [(n,)] * runs
 
     singles = [simulate(graph, n, base_seed + r) for r in range(m)]
     assert ensemble.traces == tuple(singles)  # run_seed included
