@@ -31,12 +31,17 @@ of their own; the balanced graphs carry the measured weights, so
 simulating them reproduces it.
 sim_length only bounds observe_step. A stream whose first run draws
 nothing is that run yielded for every seed (flowtune.kernel), so it is
-simulated once per measurement. Every gate-free economy's stream is one:
-a search of gate-free economies reads that run once and adds its one
-proportion m times. A gated economy's stream is one for a genome whose
-gates get no batch by observe_step; the race reads it as any other, and
-the work counters tell it by identity, as two simulated runs are never
-one object. runs above sys.maxsize are refused for every economy.
+simulated once per measurement. Every gate-free economy's stream is one,
+and a gated economy's is one for a genome whose gates get no batch by
+observe_step. A search of gate-free economies reads each one's run once
+and adds its one proportion m times; any other search reads the
+economies' runs side by side, a gate-free one's tuple with every run,
+and takes the amounts in the objective's order. After either loop, one
+rule counts the work: a stream seen to be one tuple (every gate-free one;
+a gated one once two of its runs read are one object, as two simulated
+runs never are) is one run simulated and none skipped, and any other
+stream is a run simulated per run read, its unread runs skipped. runs
+above sys.maxsize are refused for every economy.
 
 Each generation races its candidates. A candidate's proportions are
 summed left to right as its runs are read; after run k of m, with sum S,
@@ -175,9 +180,8 @@ class BalanceParams:
 def prop(s: float, x: float) -> float:
     """Proportion of the smaller of two nonnegative quantities to the larger.
 
-    Lies in [0, 1], is symmetric bit for bit (balance may pass its two
-    amounts in either order), and equals 1 exactly when the
-    quantities agree (including the degenerate prop(0, 0) = 1).
+    Lies in [0, 1], is symmetric bit for bit, and equals 1 exactly when
+    the quantities agree (including the degenerate prop(0, 0) = 1).
     """
     if s < 0 or x < 0:
         raise ValueError("proportions are defined for nonnegative amounts only")
@@ -485,20 +489,15 @@ def balance(
     evaluations = cache_hits = runs_simulated = pruned_runs = 0
     floor = -m  # abandon nothing before the first population is ranked: no sum is below it
 
-    # a gated economy's run is simulated when read; a stream of one tuple, as a gate-free one's, once
-    gated = sum(bool(topology.gates) for topology in layout.topologies)
-    gate_free = len(graphs) - gated
     (first, x), *second = positions
     other, y = second[0] if second else (None, None)
     target = objective.target_value
-    # a gated search reads once an amount no run changes (a target, or a gate-free economy's),
-    # and walks the gated economy's runs for the other (prop is symmetric)
-    sides = ((first, x), (other, y))
-    (walked, wx), (fixed, fx) = sides if layout.topologies[first].gates else sides[::-1]
 
     # per economy: its span of a genome, whether it has gates, and its observe kernel
     economies = [(span, bool(topology.gates), topology.kernel(False))
                  for span, topology in zip(layout.spans, layout.topologies)]
+    n = len(economies)
+    gate_free = sum(not gates for _, gates, _ in economies)  # each one's stream is one tuple, simulated once
     step = objective.observe_step
 
     def streams(genome: tuple, *tag) -> list:
@@ -524,30 +523,25 @@ def balance(
         runs = streams(genome)
         firsts = [next(stream) for stream in runs]  # each economy's first run; a gate-free one's only run
         total = 0
-        if not gated:  # one run per economy, so one proportion: added m times, as fitness adds it
+        if gate_free == n:  # one run per economy, so one proportion: added m times, as fitness adds it
             p = prop(firsts[first][x], target if other is None else firsts[other][y])
             for read in range(1, m + 1):
                 total += p
                 if total + (m - read) < floor:
                     break
-            drawless = 0
-        elif other is None or gate_free:  # the runs of one economy against an amount read once
-            held = target if other is None else firsts[fixed][fx]
-            for read, run in enumerate(chain((firsts[walked],), runs[walked]), 1):
-                total += prop(run[wx], held)
+            ones = gate_free
+        else:  # per run, the first amount against the target or the second pool's amount at that seed
+            for read, both in enumerate(chain((firsts,), zip(*runs)), 1):
+                total += prop(both[first][x], target if other is None else both[other][y])
                 if total + (m - read) < floor:
                     break
-            drawless = read > 1 and run is firsts[walked]
-        else:  # per run, both amounts: from one economy's run or from each one's run with that seed
-            for read, both in enumerate(zip(*(chain((run,), stream) for run, stream in zip(firsts, runs))), 1):
-                total += prop(both[0][x], both[-1][y])
-                if total + (m - read) < floor:
-                    break
-            drawless = read > 1 and sum(run is start for run, start in zip(both, firsts))
+            # once two runs are read, the streams seen to be one tuple: every gate-free one, and a
+            # gated one whose runs read are one object; after one run, only the gate-free ones
+            ones = sum(run is start for run, start in zip(both, firsts)) if read > 1 else gate_free
         means[genome] = ABANDONED if total + (m - read) < floor else total / m  # true where the loop broke off
-        # drawless: the gated streams seen to be one tuple, each simulated once, skipping nothing
-        runs_simulated += (gated - drawless) * read + drawless + gate_free
-        pruned_runs += (gated - drawless) * (m - read)
+        # a stream of one tuple is simulated once and skips nothing; any other, once per run read
+        runs_simulated += (n - ones) * read + ones
+        pruned_runs += (n - ones) * (m - read)
         return means[genome]
 
     population = [layout.declared_genome()]

@@ -379,7 +379,10 @@ def test_report_observations_are_what_the_balanced_graphs_simulate(case, minecra
         )
 
 
-@pytest.mark.parametrize("case", ["gate-free", "gated", "gate-free-and-gated", "gated-draws-nothing"])
+@pytest.mark.parametrize("case", [
+    "gate-free", "gated", "gate-free-and-gated", "gated-draws-nothing",
+    "gated-intra-pair", "gated-and-gate-free", "gated-and-gated",
+])
 def test_work_counters_match_a_count_taken_at_the_kernel(case, minecraft, mage, archer, monkeypatch):
     if case == "gate-free":
         graphs, objective = [minecraft], objective_for_torch(alpha=0.0, value=5000, runs=4)
@@ -388,11 +391,19 @@ def test_work_counters_match_a_count_taken_at_the_kernel(case, minecraft, mage, 
         objective = BalanceObjective(
             ObjectiveKind.ABSOLUTE, "damage_pool", observe_step=10, sim_length=10, runs=4, target_value=300
         )
-    elif case == "gate-free-and-gated":
-        graphs = [mage, archer]
+    elif case in ("gate-free-and-gated", "gated-and-gate-free", "gated-and-gated"):
+        # the second archer is an equal graph of its own, so each economy's kernel is counted on its own
+        graphs = {"gate-free-and-gated": [mage, archer], "gated-and-gate-free": [archer, mage],
+                  "gated-and-gated": [archer, EconomyGraph(archer.nodes, archer.edges)]}[case]
         objective = BalanceObjective(
             ObjectiveKind.INTER_PAIR, "damage_pool", observe_step=15, sim_length=15, runs=5,
             second_pool="damage_pool",
+        )
+    elif case == "gated-intra-pair":
+        graphs = [archer]
+        objective = BalanceObjective(
+            ObjectiveKind.INTRA_PAIR, "damage_pool", observe_step=15, sim_length=15, runs=5,
+            second_pool="attack_cd_pool",
         )
     else:  # the attack converter first fires at step 20, so no genome's gate gets a batch by step 10
         slow = {("attack_cd_pool", "attack"): Edge("attack_cd_pool", "attack", 20, static=True)}
