@@ -76,7 +76,7 @@ from itertools import chain
 from typing import NamedTuple, Sequence, Union
 
 from .model import EconomyError, EconomyGraph, NodeKind, gate_shares
-from .sim import checked_topology, topology_of
+from .sim import checked_topology
 from .util import check_number, derive_seed, pstdev
 
 #: A genome reaching this fitness is balanced and stops the search.
@@ -240,7 +240,6 @@ class GenomeLayout:
             spans.append((start, len(genes)))
         self.genes = tuple(genes)
         self.spans = tuple(spans)
-        self.topologies = tuple(map(topology_of, self.graphs))
         # (index, probability) per non-static gene: the genes the operators draw for
         self.mutable = tuple((i, g.probability) for i, g in enumerate(genes) if not g.static)
         self._declared = tuple(g.declared for g in genes)
@@ -438,13 +437,6 @@ def _observed_pools(objective: BalanceObjective) -> list:
     return [(0, objective.pool), (1, objective.second_pool)]
 
 
-def _check_pool(graph: EconomyGraph, pool: str, role: str) -> None:
-    if not graph.has_node(pool):
-        raise ValueError(f"{role} {pool!r} does not exist in the economy")
-    if pool not in topology_of(graph).monitored:
-        raise ValueError(f"{role} {pool!r} is not a pool or drain")
-
-
 def balance(
     graphs: Union[EconomyGraph, Sequence],
     objective: BalanceObjective,
@@ -467,20 +459,24 @@ def balance(
         raise ValueError(
             f"{objective.kind.value} objective needs {expected} economy graph(s), got {len(graphs)}"
         )
+    topologies = []
     for index, graph in enumerate(graphs):
         try:
-            checked_topology(graph)
+            topologies.append(checked_topology(graph))
         except EconomyError as exc:
             exc.economy_index = index
             raise
-    for (economy_index, pool), role in zip(observed, ("target pool", "second pool")):
-        _check_pool(graphs[economy_index], pool, role)
+    positions = []  # each observed pool's position in its economy's run tuples
+    for (index, pool), role in zip(observed, ("target pool", "second pool")):
+        if not graphs[index].has_node(pool):
+            raise ValueError(f"{role} {pool!r} does not exist in the economy")
+        if pool not in topologies[index].monitored:
+            raise ValueError(f"{role} {pool!r} is not a pool or drain")
+        positions.append((index, topologies[index].monitored.index(pool)))
 
     layout = GenomeLayout(graphs)
     if params.population_size * len(layout.genes) > MAX_POPULATION_GENES:
         raise ValueError(f"population_size x genes exceeds the cap of {MAX_POPULATION_GENES}")
-    # each observed pool's position in its economy's run tuples
-    positions = [(index, layout.topologies[index].monitored.index(pool)) for index, pool in observed]
     reals = [i for i, probability in layout.mutable if probability]  # may hold a whole number as int or float
     m = objective.runs
     rng = random.Random(params.seed)
@@ -495,7 +491,7 @@ def balance(
 
     # per economy: its span of a genome, whether it has gates, and its observe kernel
     economies = [(span, bool(topology.gates), topology.kernel(False))
-                 for span, topology in zip(layout.spans, layout.topologies)]
+                 for span, topology in zip(layout.spans, topologies)]
     n = len(economies)
     gate_free = sum(not gates for _, gates, _ in economies)  # each one's stream is one tuple, simulated once
     step = objective.observe_step

@@ -7,13 +7,14 @@ generator in C before each run. The emitter writes two forms of it, both
 generators with the one signature kernel(w, rng, seeds, t) that yield one
 tuple per run once the run ends; w holds one weight per edge, in edge
 order. Both keep the amounts of Topology.monitored, the pools, fixed pools
-and drains with node ids ascending: the trace CSV's column order, so no
-caller reorders them. The observe form reads a balancer genome's slice,
-each gate's weights first scaled by model.scaled_shares, the function
-model.gate_shares writes a balanced graph's shares with, and yields the
-run's amounts at step t. The trace form reads a graph's own weights, gate
-totals checked by sim.topology_of, and yields the run's amounts at steps
-0 ... t as one flat tuple, step-major.
+and drains with node ids ascending as model.monitored_node_ids lists them:
+the trace CSV's column order, so no caller reorders them. The observe form
+reads a balancer genome's slice, each gate's weights first scaled by
+model.scaled_shares, the function model.gate_shares writes a balanced
+graph's shares with, and yields the run's amounts at step t. The trace
+form reads a graph's own weights, gate totals checked by sim.topology_of,
+and yields the run's amounts at steps 0 ... t as one flat tuple,
+step-major.
 
 A run that no seed changes is simulated once. Every run starts from the
 same amounts, and no step before a run's first draw reads a random
@@ -66,7 +67,7 @@ therefore leaves a next pass nothing to fire.
 
 import _random
 
-from .model import EconomyGraph, NodeKind, scaled_shares
+from .model import EconomyGraph, NodeKind, monitored_node_ids, scaled_shares
 
 
 class Topology:
@@ -77,10 +78,9 @@ class Topology:
         self.kinds = kinds = [node.kind for node in graph.nodes]
         # the graph's adjacency, by position: each edge's ends, each node's edges out and in
         self.ends, self.out, self.into = graph._ends, graph._out, graph._in
-        # the pools, fixed pools and drains, node ids ascending: every form's column order
-        held = (k for k, kind in enumerate(kinds) if kind.is_pool_like or kind is NodeKind.DRAIN)
-        self.held = sorted(held, key=self.ids.__getitem__)
-        self.monitored = tuple(self.ids[k] for k in self.held)
+        # every form's column order, and the columns' node positions
+        self.monitored = tuple(monitored_node_ids(graph))
+        self.held = [graph._index[node_id] for node_id in self.monitored]
         self.initial = tuple(graph.nodes[k].initial_amount for k in self.held)
         # what a kernel's prologue reads besides the weights: the gates and the capped fixed pools
         self.gates = [k for k, kind in enumerate(kinds) if kind is NodeKind.RANDOM_GATE]

@@ -302,6 +302,14 @@ def is_valid(graph: EconomyGraph) -> bool:
     return broken_rule(graph) is None
 
 
+def monitored_node_ids(graph: EconomyGraph) -> list:
+    """Ids of all pools, fixed pools and drains, ascending: a run's columns,
+    in every kernel form (flowtune.kernel's Topology.monitored), trace and
+    trace table."""
+    kinds = (NodeKind.POOL, NodeKind.FIXED_POOL, NodeKind.DRAIN)
+    return sorted(n.id for n in graph.nodes if n.kind in kinds)
+
+
 def gate_shares(graph: EconomyGraph, weights: Sequence) -> list:
     """The weights (in edge order) with each random gate's outgoing weights
     scaled as scaled_shares scales them; non-gate weights are unchanged."""

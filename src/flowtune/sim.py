@@ -52,12 +52,12 @@ generator may interleave whole runs, and calls in concurrent threads do
 not disturb each other's draws.
 
 The monitored nodes are every pool, fixed pool and drain (a drain's
-amount is its cumulative total), node ids ascending: the one column order
-of both kernel forms, of a trace and of the trace table. trace_runs yields
-each run as the trace kernel leaves it, one flat tuple of those amounts,
-step by step; csv_writer formats the tuple as it is, and simulate_ensemble
-keeps it as a trace's amounts, whose rows and snapshots are views built
-when read.
+amount is its cumulative total), node ids ascending, as
+model.monitored_node_ids lists them: the one column order of both kernel
+forms, of a trace and of the trace table. trace_runs yields each run as
+the trace kernel leaves it, one flat tuple of those amounts, step by step;
+csv_writer formats the tuple as it is, and simulate_ensemble keeps it as a
+trace's amounts, whose rows and snapshots are views built when read.
 
 trace_runs runs a graph's topology (topology_of) in the trace form on the
 graph's own weights, which it reads as they are: topology_of checks the
@@ -75,7 +75,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .model import EconomyError, EconomyGraph, InvalidEconomyError, NodeKind, broken_rule, gate_shares, is_valid
+from .model import EconomyError, EconomyGraph, InvalidEconomyError, broken_rule, gate_shares, is_valid
+from .model import monitored_node_ids  # re-exported: a run's columns, as trace_runs yields them
 from .util import check_number
 
 
@@ -128,13 +129,6 @@ class RunEnsemble(NamedTuple):
         """The monitored amount at step t in every run, in seed order."""
         index = self.traces[0]._index(node_id, t)  # every trace has the same monitored ids and length
         return [trace.amounts[index] for trace in self.traces]
-
-
-def monitored_node_ids(graph: EconomyGraph) -> list:
-    """Ids of all pools, fixed pools and drains, ascending: the column order
-    of every kernel form, trace and trace table (Topology.monitored)."""
-    kinds = (NodeKind.POOL, NodeKind.FIXED_POOL, NodeKind.DRAIN)
-    return sorted(n.id for n in graph.nodes if n.kind in kinds)
 
 
 def simulate(graph: EconomyGraph, n: int, seed: int) -> SimulationTrace:

@@ -286,8 +286,8 @@ def test_plans_observe_what_the_applied_graphs_simulate(minecraft, mage, archer)
         for _ in range(8):
             genome = layout.random_genome(rng)
             base_seed = rng.randrange(10**6)
-            for (start, end), topology, graph in zip(layout.spans, layout.topologies, layout.apply(genome)):
-                weights = genome[start:end]
+            for (start, end), economy, graph in zip(layout.spans, layout.graphs, layout.apply(genome)):
+                weights, topology = genome[start:end], topology_of(economy)
                 # the same kernel data bit for bit, gate share bounds included
                 assert repr(plan_data(topology, weights)) == repr(
                     plan_data(topology_of(graph), edge_weights(graph), trace=True)
@@ -739,6 +739,11 @@ def test_objective_validation():
         BalanceObjective(ObjectiveKind.ABSOLUTE, "p", observe_step=1, sim_length=5, target_value=10, alpha=-0.1)
     with pytest.raises(ValueError):
         BalanceObjective(ObjectiveKind.ABSOLUTE, ["p"], observe_step=1, sim_length=5, target_value=10)
+    with pytest.raises(ValueError, match="^intra_pair objective takes no target_value$"):
+        BalanceObjective(ObjectiveKind.INTRA_PAIR, "p", observe_step=1, sim_length=5, second_pool="q", target_value=10)
+    # a kind given by its value is coerced to the enum member
+    coerced = BalanceObjective("absolute", "p", observe_step=1, sim_length=5, target_value=10)
+    assert coerced.kind is ObjectiveKind.ABSOLUTE
 
 
 def test_params_validation():
@@ -946,7 +951,7 @@ def test_params_form_refuses_gate_totals_that_are_not_finite(archer, shares):
     genome[3:5] = shares  # the crit_gate weights
     with pytest.raises(flowtune.model.GateNormalizationError) as expected:
         flowtune.model.gate_shares(archer, genome)
-    (topology,) = layout.topologies
+    topology = topology_of(archer)
     with pytest.raises(flowtune.model.GateNormalizationError) as raised:
         next(topology.kernel(False)(tuple(genome), random.Random(0), range(1), 1))
     assert str(raised.value) == str(expected.value)

@@ -72,6 +72,15 @@ def test_work_counters_match_the_pinned_sums(minecraft, mage, archer, monkeypatc
     assert work == PINNED_WORK
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: BenchmarkSpec(node_range=(9, 5)), r"^node_range is empty: \[9, 5\]$"),
+    (lambda: BenchmarkSpec.from_dict([]), "^benchmark spec must be an object$"),
+], ids=["empty-node-range", "spec-not-an-object"])
+def test_malformed_specs_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_a_negative_seed_is_refused():
     # random.Random(-s) draws what random.Random(s) draws: seed -5 would sweep as seed 5 does
     for seed in (-1, -5):

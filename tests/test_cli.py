@@ -178,6 +178,21 @@ def _sim_big_gated_economy(tmp_path, capsys) -> tuple:
     return finals, capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "offsets, text",
+    [((0, 2, 5), "9007199254740994.333 ± 2.055"), ((0, 1, 2), "9007199254740993.000 ± 0.816")],
+    ids=["rounds-up", "rounds-down"],
+)
+def test_exact_summary_rounds_the_deviation_to_nearest(offsets, text):
+    # above 2**53 the summary takes its exact path; the deviations' roots are 2.05480... and 0.81649...
+    amounts = [2**53 + offset for offset in offsets]
+    with decimal.localcontext(decimal.Context(prec=60, rounding=decimal.ROUND_HALF_EVEN)):
+        mean = decimal.Decimal(sum(amounts)) / len(amounts)
+        deviation = (sum((amount - mean) ** 2 for amount in amounts) / len(amounts)).sqrt()
+        expected = " ± ".join(str(value.quantize(decimal.Decimal("0.001"))) for value in (mean, deviation))
+    assert flowtune.cli._summary_text(amounts) == expected == text
+
+
 def test_sim_multiple_runs_of_deterministic_economy_are_identical(tmp_path, torch_file):
     trace_path = tmp_path / "trace.csv"
     assert main(["sim", torch_file, "--steps", "5", "--runs", "3", "--trace", str(trace_path), "--quiet"]) == 0
@@ -449,6 +464,37 @@ def test_balance_inter_pair_mage_archer(tmp_path):
     assert is_valid(load_economy(out2.read_bytes()))
 
 
+#: A pool and a fixed pool that declare initial amounts (no bundled economy does); the CI
+#: quickstart balances the same economy.
+INITIAL_ECONOMY = {
+    "nodes": [{"id": "feed", "kind": "source"}, {"id": "stock", "kind": "pool", "initial": 5},
+              {"id": "cooldown", "kind": "fixed_pool", "initial": 2}, {"id": "craft", "kind": "converter"},
+              {"id": "goods", "kind": "pool"}],
+    "edges": [{"from": "feed", "to": "stock", "weight": 2},
+              {"from": "feed", "to": "cooldown", "weight": 1, "static": True},
+              {"from": "stock", "to": "craft", "weight": 3}, {"from": "cooldown", "to": "craft", "weight": 2},
+              {"from": "craft", "to": "goods", "weight": 1}],
+}
+
+
+def test_initial_amounts_survive_a_save_and_a_balance(tmp_path):
+    declared = {"stock": 5, "cooldown": 2}
+    graph = load_economy(json.dumps(INITIAL_ECONOMY))
+    assert {node.id: node.initial_amount for node in graph.nodes if node.initial_amount} == declared
+    saved = save_economy(graph)
+    again = load_economy(saved)
+    assert again == graph
+    assert save_economy(again) == saved
+    economy = write(tmp_path / "initial.json", INITIAL_ECONOMY)
+    objective = write(tmp_path / "obj.json", {"kind": "absolute", "pool": "goods", "value": 12, "step": 12,
+                                              "sim_length": 12, "runs": 2, "population": 6,
+                                              "max_generations": 30, "seed": 0})
+    out = tmp_path / "balanced.json"
+    assert main(["balance", economy, "--objective", objective, "--out", str(out), "--quiet"]) == 0
+    balanced = json.loads(out.read_text())
+    assert {node["id"]: node["initial"] for node in balanced["nodes"] if "initial" in node} == declared
+
+
 def test_balance_second_with_absolute_is_usage_error(tmp_path, torch_file):
     objective = write(
         tmp_path / "obj.json",
@@ -467,6 +513,40 @@ def test_balance_unknown_pool_is_domain_error(tmp_path, torch_file):
         {"kind": "absolute", "pool": "gold_pool", "value": 60, "step": 4, "sim_length": 4},
     )
     assert main(["balance", torch_file, "--objective", objective, "--out", str(tmp_path / "o.json"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("case, code", [
+    ("sim-missing-economy", 2),
+    ("gen-unknown-key", 2),
+    ("sim-zero-runs", 1),
+    ("objective-unknown-key", 2),
+    ("inter-without-second", 1),
+    ("inter-without-out2", 1),
+    ("out2-with-absolute", 1),
+])
+def test_refused_command_prints_one_line_and_writes_nothing(tmp_path, torch_file, capsys, case, code):
+    missing, out, out2, trace = (str(tmp_path / name) for name in ("missing.json", "o.json", "o2.json", "t.csv"))
+    absolute = write(tmp_path / "absolute.json", BASE_DOCS["balance"])
+    inter = write(tmp_path / "inter.json", {"kind": "inter_pair", "pool": "torch_pool", "pool2": "torch_pool",
+                                            "step": 4, "sim_length": 4})
+    unknown_objective = write(tmp_path / "unknown.json", {**BASE_DOCS["balance"], "colour": "red"})
+    unknown_config = write(tmp_path / "cfg.json", {**BASE_DOCS["gen"], "colour": "red"})
+    argv = {
+        "sim-missing-economy": ["sim", missing, "--steps", "3", "--trace", trace],
+        "gen-unknown-key": ["gen", unknown_config, "--out", out],
+        "sim-zero-runs": ["sim", torch_file, "--steps", "3", "--runs", "0", "--trace", trace],
+        "objective-unknown-key": ["balance", torch_file, "--objective", unknown_objective, "--out", out],
+        "inter-without-second": ["balance", torch_file, "--objective", inter, "--out", out, "--out2", out2],
+        "inter-without-out2": ["balance", torch_file, "--second", torch_file, "--objective", inter, "--out", out],
+        "out2-with-absolute": ["balance", torch_file, "--objective", absolute, "--out", out, "--out2", out2],
+    }[case]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("flowtune: ") and captured.err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+    if case == "sim-missing-economy":
+        assert missing in captured.err
 
 
 def test_balance_timeout_exits_two(tmp_path, torch_file):

@@ -247,6 +247,8 @@ def test_config_validation():
         GeneratorConfig({K.SOURCE: 1, K.POOL: 1}, remove_probability=1.5)
     with pytest.raises(ValueError):
         GeneratorConfig({K.SOURCE: -1, K.POOL: 3})
+    with pytest.raises(ValueError, match="^unknown node kind 'pool'$"):
+        GeneratorConfig({"pool": 3})  # a kind's value, not the kind
 
 
 def test_build_nodes_ids_are_stable():

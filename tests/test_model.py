@@ -249,6 +249,8 @@ def test_load_rejects_unknown_kind():
     doc = {"nodes": [{"id": "a", "kind": "blackhole"}], "edges": []}
     with pytest.raises(UnknownNodeKindError, match="blackhole"):
         load_economy(json.dumps(doc))
+    with pytest.raises(UnknownNodeKindError, match="^node 'a' has unknown kind 'pool'$"):
+        EconomyGraph((Node("a", "pool"),), ())  # a kind's value, not the kind
 
 
 SOURCE_TO_POOL = (
